@@ -41,9 +41,14 @@ def _load_world(args) -> World:
     if getattr(args, "world_file", None):
         doc = json.loads(Path(args.world_file).read_text())
         from .worlds import world_from_json_dict
+        world = world_from_json_dict(doc)
         if getattr(args, "depth", None) is None and "depth" in doc:
-            args.depth = int(doc["depth"])
-        return world_from_json_dict(doc)
+            try:
+                args.depth = int(doc["depth"])
+            except TypeError:
+                raise ValidationError(
+                    f"world depth must be an integer, got {doc['depth']!r}") from None
+        return world
     if not getattr(args, "world", None):
         raise ValidationError("give either --world or --world-file")
     base = _load_graph(args.base, None) if getattr(args, "base", None) else None

@@ -5,12 +5,16 @@ own ray to a switch point, follows a finite connector path, then rides the
 tail of the target ray out of the window.  The walks must be pairwise
 disjoint, and a linkage "after X" confines X to the pre-switch segments.
 
-``find_linkage`` decides existence exactly by encoding the walk system as
-a 0/1 flow problem, one unit of flow per walk through a layered digraph
-(prefix chain, free connector movement, committed tail chains) with a
-shared unit capacity on every window vertex, solved by branch-and-bound.
-Infeasibility is always reported as depth-limited: a window that admits no
-linkage says nothing about deeper windows.
+``find_linkage`` handles one pairing sigma at a time.  It reduces the
+walk system to vertex-disjoint paths between fixed terminals (X and the
+forced ray prefixes removed), routes those paths by negotiated congestion,
+and returns the routed linkage once ``check_linkage`` accepts it.  A
+pairing the router cannot route goes to the exact frontier DP of
+``disjoint_paths``: a refutation rules the pairing out, and a pairing the
+DP cannot decide within its state cap ends the search in
+ResourceCapError, a typed refusal rather than an answer.  Infeasibility
+is always reported as depth-limited: a window that admits no linkage says
+nothing about deeper windows.
 
 ``check_linkage`` re-walks a claimed linkage coordinate by coordinate and
 is deliberately independent of the search.
@@ -18,22 +22,21 @@ is deliberately independent of the search.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-from .errors import (LinkageCheckError, NoLinkageError, PebbleKitError,
-                     ResourceCapError, ValidationError)
+from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
+                     ValidationError)
 from .disjoint_paths import disjoint_paths_exist
 from .pebbles import MoveSequence
 from .rays import RayGraph, ray_graph
 from .worlds import RaySpec, Truncation
 
 DP_STATE_CAP = 6_000
+# rip-up-and-reroute rounds before the router gives a pairing to the DP
+ROUTE_ROUNDS = 30
 
 
 @dataclass
@@ -80,7 +83,7 @@ def _validate_families(t: Truncation, source: list[RaySpec], target: list[RaySpe
 
 
 # ---------------------------------------------------------------------------
-# Exact decision: reduce to vertex-disjoint paths with fixed terminals
+# Fixed pairings: reduce to disjoint paths, route, refute
 # ---------------------------------------------------------------------------
 
 def _window_chord_keys(t: Truncation):
@@ -113,20 +116,18 @@ def _window_chord_keys(t: Truncation):
     return keys, rim
 
 
-def _decide_fixed_sigma(t: Truncation, src_pos: list[list[int]],
-                        tgt_pos: list[list[int]], X: frozenset[int],
-                        sigma: dict[int, int],
-                        state_cap: int = DP_STATE_CAP) -> bool | None:
-    """Exact feasibility of a linkage with the given pairing, or None when
-    the state space exceeds the cap.
+def _reduce(src_pos: list[list[int]], tgt_pos: list[list[int]],
+            X: frozenset[int], sigma: dict[int, int]):
+    """The fixed pairing as vertex-disjoint paths between fixed terminals.
 
     A walk is its forced prefix (up to the last X hit on its source ray)
     followed by any simple path to the last in-window vertex of its target
     ray: once X and the forced prefixes are removed from the graph, the
     remaining freedom is exactly a family of vertex-disjoint paths between
-    fixed terminals.
+    fixed terminals.  Returns ``(terminals, blocked)``, or None when two
+    walks need the same endpoint or an endpoint is blocked, so that no
+    linkage with this pairing exists.
     """
-    n = t.graph.n
     blocked: set[int] = set(X)
     terminals: list[tuple[int, int]] = []
     for i, rp in enumerate(src_pos):
@@ -138,46 +139,128 @@ def _decide_fixed_sigma(t: Truncation, src_pos: list[list[int]],
         blocked.update(rp[:start])
         blocked.discard(s)
     seen: set[int] = set()
-    for i, (s, e) in enumerate(terminals):
+    for s, e in terminals:
         for v in (s, e) if s != e else (s,):
-            if v in seen:
-                return False  # two walks need the same vertex as an endpoint
+            if v in seen or v in blocked:
+                return None   # a shared endpoint, or one claimed by X or a prefix
             seen.add(v)
-    for i, (s, e) in enumerate(terminals):
-        if (s in blocked) or (e in blocked):
-            return False      # a forced prefix or X claims another terminal
+    return terminals, blocked
+
+
+def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
+    """Vertex-disjoint paths joining each terminal pair, or None.
+
+    Negotiated congestion as in PathFinder (McMurchie & Ebeling, FPGA
+    1995).  Each round rips up every walk in turn and reroutes it along its
+    cheapest path, where entering vertex v costs
+    ``(1 + history[v]) * (1 + present * sharers[v])`` and ``sharers[v]``
+    counts the other walks on v.  A round that ends with shared vertices
+    raises their history and multiplies ``present``, so walks learn to go
+    round the contested vertices.  None means the budget of ROUTE_ROUNDS
+    ran out (or a terminal pair is disconnected); it proves nothing.
+    """
+    ends = {v for pair in terminals for v in pair}
+    avoid = [blocked | (ends - {s, e}) for s, e in terminals]
+    history = [0] * len(adj)
+    sharers = [0] * len(adj)
+    paths: list[list[int]] = [[] for _ in terminals]
+    present = 0.5
+    for _ in range(ROUTE_ROUNDS):
+        for i, (s, e) in enumerate(terminals):
+            for v in paths[i]:
+                sharers[v] -= 1
+            paths[i] = _cheapest_path(adj, s, e, avoid[i], history, sharers, present)
+            if paths[i] is None:
+                return None
+            for v in paths[i]:
+                sharers[v] += 1
+        shared = [v for v, c in enumerate(sharers) if c > 1]
+        if not shared:
+            return paths
+        for v in shared:
+            history[v] += 1
+        present *= 2
+    return None
+
+
+def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
+                   sharers: list[int], present: float) -> list[int] | None:
+    """Dijkstra from s to e under the router's vertex costs."""
+    dist = {s: 0.0}
+    parent: dict[int, int | None] = {s: None}
+    heap = [(0.0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == e:
+            path = []
+            while u is not None:
+                path.append(u)
+                u = parent[u]
+            return path[::-1]
+        if d > dist[u]:
+            continue
+        for w in adj[u]:
+            if w in avoid:
+                continue
+            nd = d + (1 + history[w]) * (1 + present * sharers[w])
+            if nd < dist.get(w, float("inf")):
+                dist[w] = nd
+                parent[w] = u
+                heapq.heappush(heap, (nd, w))
+    return None
+
+
+def _connector(path: list[int], tgt: list[int]) -> tuple[int, ...]:
+    """Cut a routed path where it starts to ride its target ray to the rim.
+
+    The path ends on ``tgt[-1]``; the connector keeps everything up to the
+    first vertex of that ride.  A path that lies wholly on the target ray
+    starts on it, so the walk stays on its own ray: a pure ride, with an
+    empty connector.
+    """
+    land, b = len(path) - 1, len(tgt) - 1
+    while land > 0 and b > 0 and path[land - 1] == tgt[b - 1]:
+        land -= 1
+        b -= 1
+    return () if land == 0 else tuple(path[:land + 1])
+
+
+def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
+             blocked: set[int]) -> bool:
+    """True when the frontier DP proves the reduced problem infeasible;
+    False when it finds it feasible or exceeds DP_STATE_CAP."""
+    n = t.graph.n
     order = list(range(n))
     if t.world.kind in ("product-Z", "product-N", "dominated-ray"):
         order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     keys, rim = _window_chord_keys(t)
-    adj = t.graph.adjacency()
     try:
-        return disjoint_paths_exist(n, adj, order, terminals, blocked,
-                                    state_cap=state_cap, chord_keys=keys,
-                                    rim=rim)
+        return not disjoint_paths_exist(n, adj, order, terminals, blocked,
+                                        state_cap=DP_STATE_CAP,
+                                        chord_keys=keys, rim=rim)
     except ResourceCapError:
-        return None
+        return False
 
 
 # ---------------------------------------------------------------------------
-# Search with witness extraction
+# Search over pairings
 # ---------------------------------------------------------------------------
 
 def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                  x_vertices: set[int] = frozenset(),
                  sigma: dict[int, int] | None = None) -> Linkage:
-    """Find a linkage after X inside the window, exactly.
+    """Find a linkage after X inside the window.
 
     With ``sigma`` supplied the returned linkage induces exactly that
-    injection or NoLinkageError is raised; with ``sigma`` omitted any
-    induced injection is acceptable.  The decision is exact for the given
-    window: infeasibility means no walk system exists at this depth, and
-    is reported as depth-limited, never as a statement about the infinite
-    world.
-
-    Fixed pairings are decided first by the disjoint-paths sweep (with a
-    planarity prune on grid windows), then a 0/1-flow search extracts a
-    witness; free pairings go straight to the flow search.
+    injection; with ``sigma`` omitted every injection is tried in
+    ``itertools.permutations`` order, identity first.  Each pairing is
+    reduced to disjoint paths between fixed terminals and routed; a routed
+    witness passes ``check_linkage`` before it is returned.  When routing
+    fails, the frontier DP decides the pairing.  NoLinkageError means every
+    pairing was refuted, exactly for this window and reported as
+    depth-limited, never as a statement about the infinite world.
+    ResourceCapError means some pairing was neither routed nor refuted
+    within the DP's state cap.
     """
     nR, nS = len(source), len(target)
     if nR == 0:
@@ -197,193 +280,29 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
             if not (0 <= j < nS):
                 raise ValidationError(f"sigma target {j} out of range")
     src_pos, tgt_pos = _validate_families(t, source, target)
-    if sigma is not None:
-        decision = _decide_fixed_sigma(t, src_pos, tgt_pos, X, sigma)
-        if decision is False:
-            raise NoLinkageError(
-                f"no linkage at window depth {t.depth} (search exhausted)",
-                t.depth)
     adj = t.graph.adjacency()
-
-    last_x_on = [max((p for p, v in enumerate(pos) if v in X), default=-1)
-                 for pos in src_pos]
-
-    # ---- node layout ------------------------------------------------------
-    # per walk i: SRC, SNK, P_(i,l), G_(i,v) for v not in X,
-    # T_(i,j,l) for allowed targets j and positions l beyond X on S_j.
-    node_ids: dict[tuple, int] = {}
-    node_phys: list[int] = []          # physical window vertex, -1 for virtual
-
-    def node(key: tuple, phys: int) -> int:
-        nid = node_ids.get(key)
-        if nid is None:
-            nid = len(node_ids)
-            node_ids[key] = nid
-            node_phys.append(phys)
-        return nid
-
-    allowed: list[list[int]] = [[sigma[i]] if sigma is not None else list(range(nS))
-                                for i in range(nR)]
-    arcs: list[tuple[int, int, int]] = []       # (walk, from_node, to_node)
-    commit_of_arc: dict[int, tuple[int, int]] = {}  # arc idx -> (walk, target j)
-    connector_arcs: set[int] = set()            # costlier, so pure rides win ties
-
-    for i in range(nR):
-        rp = src_pos[i]
-        minswitch = max(last_x_on[i], 0)
-        src_n = node(("src", i), -1)
-        snk_n = node(("snk", i), -1)
-        p_nodes = [node(("P", i, l), rp[l]) for l in range(len(rp))]
-        arcs.append((i, src_n, p_nodes[0]))
-        for l in range(len(rp) - 1):
-            arcs.append((i, p_nodes[l], p_nodes[l + 1]))
-        g_nodes: dict[int, int] = {}
-        for v in range(t.graph.n):
-            if v not in X:
-                g_nodes[v] = node(("G", i, v), v)
-        t_nodes: dict[tuple[int, int], int] = {}
-        for j in allowed[i]:
-            sp = tgt_pos[j]
-            for l in range(len(sp)):
-                if sp[l] not in X:
-                    t_nodes[(j, l)] = node(("T", i, j, l), sp[l])
-            for l in range(len(sp) - 1):
-                if (j, l) in t_nodes and (j, l + 1) in t_nodes:
-                    arcs.append((i, t_nodes[(j, l)], t_nodes[(j, l + 1)]))
-            if (j, len(sp) - 1) in t_nodes:
-                arcs.append((i, t_nodes[(j, len(sp) - 1)], snk_n))
-            if sp == rp:
-                # pure ride: commit to the identical ray by exiting the window
-                a = (i, p_nodes[-1], snk_n)
-                arcs.append(a)
-                commit_of_arc[len(arcs) - 1] = (i, j)
-        # leaving the prefix
-        tgt_vertex_pos = {}
-        for j in allowed[i]:
-            for l, v in enumerate(tgt_pos[j]):
-                tgt_vertex_pos.setdefault(v, []).append((j, l))
-        for l in range(minswitch, len(rp)):
-            for w in adj[rp[l]]:
-                if w in g_nodes:
-                    arcs.append((i, p_nodes[l], g_nodes[w]))
-                    connector_arcs.add(len(arcs) - 1)
-                for (j, lt) in tgt_vertex_pos.get(w, ()):
-                    if (j, lt) in t_nodes:
-                        arcs.append((i, p_nodes[l], t_nodes[(j, lt)]))
-                        commit_of_arc[len(arcs) - 1] = (i, j)
-                        connector_arcs.add(len(arcs) - 1)
-        # free movement and landings
-        for v, gv in g_nodes.items():
-            for w in adj[v]:
-                if w in g_nodes:
-                    arcs.append((i, gv, g_nodes[w]))
-                    connector_arcs.add(len(arcs) - 1)
-                for (j, lt) in tgt_vertex_pos.get(w, ()):
-                    if (j, lt) in t_nodes:
-                        arcs.append((i, gv, t_nodes[(j, lt)]))
-                        commit_of_arc[len(arcs) - 1] = (i, j)
-                        connector_arcs.add(len(arcs) - 1)
-
-    n_nodes = len(node_ids)
-    n_arcs = len(arcs)
-
-    # ---- constraints -------------------------------------------------------
-    rows_eq: list[int] = []
-    cols_eq: list[int] = []
-    vals_eq: list[float] = []
-    b_eq = np.zeros(n_nodes)
-    for a_idx, (i, u, v) in enumerate(arcs):
-        rows_eq.append(u); cols_eq.append(a_idx); vals_eq.append(1.0)
-        rows_eq.append(v); cols_eq.append(a_idx); vals_eq.append(-1.0)
-    for i in range(nR):
-        b_eq[node_ids[("src", i)]] = 1.0
-        b_eq[node_ids[("snk", i)]] = -1.0
-    A_eq = sparse.csc_matrix((vals_eq, (rows_eq, cols_eq)), shape=(n_nodes, n_arcs))
-
-    rows_ub: list[int] = []
-    cols_ub: list[int] = []
-    n_ub = 0
-    # unit capacity per physical vertex: count arcs entering any copy of it
-    phys_row: dict[int, int] = {}
-    for a_idx, (i, u, v) in enumerate(arcs):
-        pv = node_phys[v]
-        if pv >= 0:
-            row = phys_row.setdefault(pv, len(phys_row))
-            rows_ub.append(row); cols_ub.append(a_idx)
-    n_ub = len(phys_row)
-    # each target ray committed to at most once
-    commit_row: dict[int, int] = {}
-    for a_idx, (wi, j) in commit_of_arc.items():
-        row = commit_row.setdefault(j, n_ub + len(commit_row))
-        rows_ub.append(row); cols_ub.append(a_idx)
-    n_ub += len(commit_row)
-    A_ub = sparse.csc_matrix((np.ones(len(rows_ub)), (rows_ub, cols_ub)),
-                             shape=(n_ub, n_arcs))
-
-    cost = np.ones(n_arcs)
-    for a_idx in connector_arcs:
-        cost[a_idx] = 3.0
-    res = milp(
-        c=cost,
-        constraints=[
-            LinearConstraint(A_eq, b_eq, b_eq),
-            LinearConstraint(A_ub, -np.inf, np.ones(n_ub)),
-        ],
-        integrality=np.ones(n_arcs),
-        bounds=Bounds(0, 1),
-    )
-    if res.status == 2:
-        raise NoLinkageError(
-            f"no linkage at window depth {t.depth} (search exhausted)", t.depth)
-    if res.status != 0 or res.x is None:
-        raise PebbleKitError(f"linkage search did not terminate: {res.message}")
-
-    chosen = res.x > 0.5
-    out_arc: dict[int, list[int]] = {}
-    for a_idx, (i, u, v) in enumerate(arcs):
-        if chosen[a_idx]:
-            out_arc.setdefault(u, []).append(a_idx)
-
-    sigma_out: dict[int, int] = {}
-    paths: dict[int, tuple[int, ...]] = {}
-    inv_nodes = {nid: key for key, nid in node_ids.items()}
-    for i in range(nR):
-        cur = node_ids[("src", i)]
-        trail: list[tuple] = []
-        while True:
-            nxts = out_arc.get(cur, [])
-            if not nxts:
-                raise LinkageCheckError("solver returned a broken walk")
-            a_idx = nxts.pop(0)
-            cur = arcs[a_idx][2]
-            key = inv_nodes[cur]
-            if key[0] == "snk":
-                break
-            trail.append(key)
-        switch = None
-        for pos, key in enumerate(trail):
-            if key[0] != "P":
-                switch = pos
-                break
-        if switch is None:
-            # pure ride to the window rim
-            landed = next(j for j in allowed[i] if tgt_pos[j] == src_pos[i])
-            sigma_out[i] = landed
-            paths[i] = ()
+    sigmas = ([dict(sigma)] if sigma is not None else
+              (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
+    undecided = False
+    for sg in sigmas:
+        reduced = _reduce(src_pos, tgt_pos, X, sg)
+        if reduced is None:
             continue
-        first = trail[switch]
-        j = first[2] if first[0] == "T" else None
-        path_vertices = [src_pos[i][trail[switch - 1][2]]]
-        for key in trail[switch:]:
-            if key[0] == "G":
-                path_vertices.append(key[2])
-            else:
-                j = key[2]
-                path_vertices.append(tgt_pos[j][key[3]])
-                break
-        sigma_out[i] = j
-        paths[i] = tuple(path_vertices)
-    return Linkage(sigma=sigma_out, paths=paths, after=X)
+        terminals, blocked = reduced
+        paths = _route(adj, terminals, blocked)
+        if paths is not None:
+            lk = Linkage(sigma=sg, after=X,
+                         paths={i: _connector(p, tgt_pos[sg[i]])
+                                for i, p in enumerate(paths)})
+            check_linkage(t, source, target, lk)
+            return lk
+        undecided = undecided or not _refuted(t, adj, terminals, blocked)
+    if undecided:
+        raise ResourceCapError(
+            f"linkage at window depth {t.depth} neither routed nor refuted "
+            f"within {DP_STATE_CAP} DP states")
+    raise NoLinkageError(
+        f"no linkage at window depth {t.depth} (search exhausted)", t.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +403,10 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
     adjacent in the ray graph.  Every move consumes one connecting path
     strictly beyond the region used so far, so the composite walks stay
     disjoint.  The returned linkage maps source position i (the i-th entry
-    of the initial state) to the i-th entry of the final state.
+    of the initial state) to the i-th entry of the final state, and passes
+    ``check_linkage``.  When this greedy composition runs out of room,
+    ``find_linkage`` decides the induced pairing instead, so a
+    NoLinkageError is exact for the window, as there.
     """
     if not moves:
         raise ValidationError("move sequence must contain at least one state")
@@ -515,17 +437,53 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
     for a, b in itertools.combinations(range(m), 2):
         if set(ray_pos[a]) & set(ray_pos[b]):
             raise ValidationError(f"rays {a} and {b} intersect in the window")
+    source = [rays[s] for s in moves[0]]
+    sigma = {i: moves[-1][i] for i in range(k)}
+    hops = _greedy_hops(t, ray_pos, moves, X)
+    if hops is None:
+        # the greedy routing proves nothing when it fails; the exact engine
+        # finds a linkage with the same induced pairing or refutes it
+        return find_linkage(t, source, rays, X, sigma)
+
+    paths: dict[int, tuple[int, ...]] = {}
+    for i in range(k):
+        if not hops[i]:
+            paths[i] = ()
+            continue
+        # composite connector: first switch vertex through final landing,
+        # riding each intermediate ray between landing and next switch
+        out: list[int] = []
+        for h_idx, (a, a_pos, conn, b, b_pos) in enumerate(hops[i]):
+            if h_idx == 0:
+                out.extend(conn)
+            else:
+                prev_b, prev_b_pos = hops[i][h_idx - 1][3], hops[i][h_idx - 1][4]
+                assert prev_b == a
+                # ride from the previous landing up to the new switch vertex,
+                # whose connector repeats it as conn[0]
+                out.extend(ray_pos[a][prev_b_pos + 1:a_pos + 1])
+                out.extend(conn[1:])
+        paths[i] = tuple(out)
+    lk = Linkage(sigma=sigma, paths=paths, after=X)
+    check_linkage(t, source, rays, lk)
+    return lk
+
+
+def _greedy_hops(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
+                 X: frozenset[int]):
+    """One connector per move, each by BFS strictly beyond the region used
+    so far; per slot, a list of (ray_departed, switch_pos, connector,
+    ray_landed, landing_pos) with the connector running switch..landing
+    inclusive.  None when some move finds no room."""
+    m, k = len(ray_pos), len(moves[0])
     last_x = [max((p for p, v in enumerate(pos) if v in X), default=-1)
               for pos in ray_pos]
     all_ray_vertices = set().union(*(set(p) for p in ray_pos))
     adj = t.graph.adjacency()
 
-    cur_ray = list(moves[0])
     cur_pos = [-1] * k                   # last committed position on own ray
     used_bound = [-1] * m                # highest committed position per ray
     committed: set[int] = set()
-    # per slot: list of (ray_departed, switch_pos, connector_vertices, ray_landed,
-    # landing_pos); connector vertices run switch..landing inclusive
     hops: list[list[tuple[int, int, list[int], int, int]]] = [[] for _ in range(k)]
 
     for s1, s2 in zip(moves, moves[1:]):
@@ -537,8 +495,7 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
                 if ray_pos[a][p] not in committed or p == cur_pos[l]}
         dsts = {ray_pos[b][p]: p for p in range(dst_from, len(ray_pos[b]))}
         if not srcs or not dsts:
-            raise NoLinkageError(
-                f"window depth {t.depth} exhausted while realizing a move", t.depth)
+            return None
         free_set = {v for v in range(t.graph.n)
                     if v not in X and v not in committed and v not in all_ray_vertices}
         # BFS from all allowed switch points to the nearest allowed landing
@@ -566,9 +523,7 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
                     parent[w] = u
                     queue.append(w)
         if hit is None:
-            raise NoLinkageError(
-                f"no connecting path at window depth {t.depth} for move "
-                f"{s1} -> {s2}", t.depth)
+            return None
         conn: list[int] = []
         node: int | None = hit
         while node is not None:
@@ -583,28 +538,5 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
         hops[l].append((a, a_pos, conn, b, b_pos))
         used_bound[a] = max(used_bound[a], a_pos)
         used_bound[b] = max(used_bound[b], b_pos)
-        cur_ray[l] = b
         cur_pos[l] = b_pos
-
-    final = moves[-1]
-    sigma = {i: final[i] for i in range(k)}
-    paths: dict[int, tuple[int, ...]] = {}
-    for i in range(k):
-        if not hops[i]:
-            paths[i] = ()
-            continue
-        # composite connector: first switch vertex through final landing,
-        # riding each intermediate ray between landing and next switch
-        out: list[int] = []
-        for h_idx, (a, a_pos, conn, b, b_pos) in enumerate(hops[i]):
-            if h_idx == 0:
-                out.extend(conn)
-            else:
-                prev_b, prev_b_pos = hops[i][h_idx - 1][3], hops[i][h_idx - 1][4]
-                assert prev_b == a
-                # ride from the previous landing up to the new switch vertex,
-                # whose connector repeats it as conn[0]
-                out.extend(ray_pos[a][prev_b_pos + 1:a_pos + 1])
-                out.extend(conn[1:])
-        paths[i] = tuple(out)
-    return Linkage(sigma=sigma, paths=paths, after=X)
+    return hops

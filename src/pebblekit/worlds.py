@@ -72,11 +72,18 @@ def make_world(kind: str, base: Graph | None = None, k: int | None = None) -> Wo
 def world_from_json_dict(doc: dict) -> World:
     from .graphs import parse_graph
     import json as _json
+    if not isinstance(doc, dict):
+        raise ValidationError("a world descriptor must be a JSON object")
     kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise ValidationError(f"world kind must be a string, got {kind!r}")
+    k = doc.get("k")
+    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+        raise ValidationError(f"world k must be an integer, got {k!r}")
     base = None
     if "base" in doc and doc["base"] is not None:
         base = parse_graph(_json.dumps(doc["base"]), "json")
-    return World(kind, base, doc.get("k"))
+    return World(kind, base, k)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "dominated-ray", "k": "3"},
+    [1, 2],
+    {"kind": "half-grid", "depth": None},
+])
+def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
+    f = tmp_path / "world.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "raygraph", "--world-file", str(f),
+                             "--rays", "canonical:2", "--d0", "4")
+    assert code == 2 and out is None
+    assert "Traceback" not in err
+
+
 def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--state-cap", "2", "group",
                              "--graph", k4_file, "--state", "[0,1]")

@@ -7,6 +7,7 @@ import pytest
 
 from pebblekit.disjoint_paths import disjoint_paths_exist
 from pebblekit.errors import ResourceCapError, ValidationError
+from pebblekit.linkage import _route
 from pebblekit.worlds import make_world, truncate
 
 
@@ -42,6 +43,23 @@ def brute_force(n, adj, terminals, blocked):
         return False
 
     return rec(0, set())
+
+
+def check_routed(adj, terminals, blocked, want):
+    """The router may miss a feasible family, but what it returns must be
+    one: vertex-disjoint paths avoiding ``blocked``, one per terminal pair."""
+    paths = _route(adj, terminals, set(blocked))
+    if paths is None:
+        return
+    assert want, (terminals, sorted(blocked))
+    used = set()
+    for (s, t), path in zip(terminals, paths):
+        assert path[0] == s and path[-1] == t
+        assert all(b in adj[a] for a, b in zip(path, path[1:]))
+        assert len(set(path)) == len(path)
+        assert not set(path) & set(blocked)
+        assert not set(path) & used
+        used |= set(path)
 
 
 def grid_keys(t, min_x, max_x, min_y, max_y):
@@ -123,6 +141,7 @@ def test_fuzz_against_brute_force():
         got = disjoint_paths_exist(n, adj, order, terms, blocked)
         want = brute_force(n, adj, terms, blocked)
         assert got == want, (trial, sorted(edges), terms, sorted(blocked))
+        check_routed(adj, terms, blocked, want)
 
 
 def test_fuzz_with_planarity_prune():
@@ -154,6 +173,7 @@ def test_fuzz_with_planarity_prune():
                                    chord_keys=keys, rim=rim)
         want = brute_force(n, adj, terms, blocked)
         assert got == want, (trial, terms, sorted(blocked))
+        check_routed(adj, terms, blocked, want)
 
 
 def test_crossing_pairs_on_grid_windows():

@@ -1,8 +1,16 @@
 """Linkage search and the independent walk checker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from pebblekit.errors import LinkageCheckError, NoLinkageError, ValidationError
+import pebblekit
+from pebblekit import linkage
+from pebblekit.errors import (LinkageCheckError, NoLinkageError,
+                              ResourceCapError, ValidationError)
 from pebblekit.linkage import Linkage, check_linkage, find_linkage, linkage_walks
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
@@ -151,3 +159,26 @@ def test_order_preservation_three_columns():
             else:
                 with pytest.raises(NoLinkageError):
                     find_linkage(t, cols[:3], cols[3:6], set(), sigma)
+
+
+def test_dp_decides_what_the_router_leaves(half_setup, monkeypatch):
+    # without the router, a feasible pairing is beyond the DP's state cap,
+    # so the answer is a refusal; the reversal is still refuted exactly
+    hg, t, cols = half_setup
+    monkeypatch.setattr(linkage, "_route", lambda *args: None)
+    with pytest.raises(ResourceCapError):
+        find_linkage(t, cols[:2], cols[2:4], set(), {0: 0, 1: 1})
+    with pytest.raises(NoLinkageError):
+        find_linkage(truncate(hg, 6), cols[:3], cols[3:6], set(),
+                     {0: 2, 1: 1, 2: 0})
+
+
+def test_import_leaves_numpy_and_scipy_out():
+    src = str(Path(pebblekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pebblekit; "
+         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -66,6 +66,18 @@ def test_transition_after_ball(grid_setup):
         assert not (set(p) & ball)
 
 
+def test_greedy_failure_falls_back_to_exact_search():
+    # the per-move routing runs out of room in this small window, yet a
+    # linkage inducing the same pairing exists
+    fg = make_world("full-grid")
+    t = truncate(fg, 3)
+    rays = canonical_rays(fg, 3)
+    moves = [(0, 1), (0, 2), (1, 2), (0, 2), (0, 1)]
+    lk = realize_transition(t, rays, moves, set())
+    assert lk.sigma == {0: 0, 1: 1}
+    check_linkage(t, [rays[0], rays[1]], rays, lk)
+
+
 def test_move_validation(grid_setup):
     _, t, rays, rg = grid_setup
     with pytest.raises(ValidationError):
