@@ -13,7 +13,7 @@ from .errors import (GraphParseError, LinkageCheckError, NoLinkageError,
 from .graphs import (BarePath, Graph, bridges, enumerate_connected_graphs,
                      find_bare_path_cover, is_bare_path, is_connected,
                      is_cycle_graph, max_disjoint_paths, maximal_bare_paths,
-                     min_vertex_separator_size, parse_graph)
+                     parse_graph)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, MoveSequence,
                       is_achievable, legal_moves, reachable_states, solve,
                       validate_move_sequence)
@@ -41,7 +41,7 @@ __all__ = [
     "graph_to_dot", "inverse", "is_achievable", "is_bare_path",
     "is_connected", "is_cycle_graph", "is_k_pebble_win", "is_linear_family",
     "legal_moves", "linkage_walks", "make_world", "max_disjoint_paths",
-    "maximal_bare_paths", "min_vertex_separator_size", "parse_graph",
+    "maximal_bare_paths", "parse_graph",
     "pebble_group_fast", "pebble_permutation_group", "ray_graph",
     "rb_colouring", "reachable_states", "realize_transition", "solve",
     "structure_witness", "tail_after", "transposition", "truncate",

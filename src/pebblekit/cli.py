@@ -55,22 +55,40 @@ def _load_world(args) -> World:
     return make_world(args.world, base=base, k=getattr(args, "world_k", None))
 
 
+def _is_int_array(doc) -> bool:
+    return isinstance(doc, list) and all(isinstance(x, int) for x in doc)
+
+
 def _parse_state(text: str) -> tuple[int, ...]:
     doc = json.loads(text)
-    if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
+    if not _is_int_array(doc):
         raise ValidationError(f"expected a JSON array of vertex indices, got {text!r}")
     return tuple(doc)
 
 
-def _parse_rays(world: World, spec: str):
+def _parse_moves(text: str) -> list[tuple[int, ...]]:
+    doc = json.loads(text)
+    if not isinstance(doc, list) or not all(_is_int_array(s) for s in doc):
+        raise ValidationError(
+            f"expected a JSON array of arrays of ray positions, got {text!r}")
+    return [tuple(s) for s in doc]
+
+
+def _parse_rays(world: World, spec: str | None):
+    if spec is None:
+        raise ValidationError("give --rays, e.g. canonical:4")
     if spec.startswith("canonical:"):
         m = int(spec.split(":", 1)[1])
         return canonical_rays(world, m)
     raise ValidationError(f"unsupported ray family spec {spec!r} (use canonical:M)")
 
 
-def _parse_positions(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_positions(text: str, m: int) -> list[int]:
+    out = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    for i in out:
+        if not (0 <= i < m):
+            raise ValidationError(f"position {i} out of range for {m} rays")
+    return out
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -140,11 +158,11 @@ def _cmd_linkage(args) -> dict:
         raise ValidationError("give --depth or put a depth in the world file")
     t = truncate(w, args.depth, cap=args.window_cap)
     rays = _parse_rays(w, args.rays)
-    src = [rays[i] for i in _parse_positions(args.source)]
-    tgt = [rays[i] for i in _parse_positions(args.target)]
+    src = [rays[i] for i in _parse_positions(args.source, len(rays))]
+    tgt = [rays[i] for i in _parse_positions(args.target, len(rays))]
     sigma = None
     if args.sigma:
-        targets = _parse_positions(args.sigma)
+        targets = _parse_positions(args.sigma, len(tgt))
         sigma = {i: t_pos for i, t_pos in enumerate(targets)}
     x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
     try:
@@ -162,7 +180,7 @@ def _cmd_transition(args) -> dict:
         raise ValidationError("give --depth or put a depth in the world file")
     t = truncate(w, args.depth, cap=args.window_cap)
     rays = _parse_rays(w, args.rays)
-    moves = [tuple(s) for s in json.loads(args.moves)]
+    moves = _parse_moves(args.moves)
     x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
     try:
         lk = realize_transition(t, rays, moves, x)
@@ -211,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pebblekit",
         description="pebble games, pebble-permutation groups, ray graphs, linkages")
     ap.add_argument("--pretty", action="store_true", help="indented output")
-    ap.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    ap.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                    help="most labelled states solve may visit; for group, "
+                         "most pebble configurations (C(n, k))")
     ap.add_argument("--window-cap", type=int, default=DEFAULT_WINDOW_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 

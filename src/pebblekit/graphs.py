@@ -177,39 +177,48 @@ def _parse_json(text: str) -> Graph:
 # Connectivity and bridges
 # ---------------------------------------------------------------------------
 
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Per vertex, the bitmask of its neighbours."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def mask_adjacency(n: int, mask: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Neighbour bitmasks of the graph whose edges are the set bits of
+    ``mask``, bit i standing for ``pairs[i]``."""
+    adj = [0] * n
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        u, v = pairs[b.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def mask_connected(n: int, adj: tuple[int, ...]) -> bool:
+    """True iff the n >= 1 vertices with neighbour bitmasks ``adj`` form
+    one component."""
+    seen = 1
+    frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << n) - 1
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has a single component (vacuously true for n=0)."""
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
-def component_count(g: Graph) -> int:
-    adj = g.adjacency()
-    seen: set[int] = set()
-    count = 0
-    for s in range(g.n):
-        if s in seen:
-            continue
-        count += 1
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+    return g.n == 0 or mask_connected(g.n, adjacency_masks(g))
 
 
 def bridges(g: Graph) -> frozenset[Edge]:
@@ -358,65 +367,9 @@ def max_disjoint_paths(g: Graph, a_set: Iterable[int], b_set: Iterable[int],
     return flow, paths
 
 
-def min_vertex_separator_size(g: Graph, a_set: Iterable[int], b_set: Iterable[int],
-                              forbidden: Iterable[int] = ()) -> int:
-    """Smallest vertex set whose removal leaves no A-B path in g - forbidden.
-
-    Brute force over subsets, ascending size; intended as an independent
-    oracle on small graphs.
-    """
-    A = frozenset(a_set)
-    B = frozenset(b_set)
-    F = frozenset(forbidden)
-    candidates = [v for v in range(g.n) if v not in F]
-
-    def separated(removed: frozenset[int]) -> bool:
-        blocked = F | removed
-        adj = g.adjacency()
-        seen = set(a for a in A if a not in blocked)
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            if u in B:
-                return False
-            for w in adj[u]:
-                if w not in seen and w not in blocked:
-                    seen.add(w)
-                    stack.append(w)
-        return not (seen & B)
-
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if separated(frozenset(combo)):
-                return size
-    return len(candidates)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of connected labelled graphs
 # ---------------------------------------------------------------------------
-
-def _connected_mask(n: int, mask: int, pair_bits: list[tuple[int, int]]) -> bool:
-    adj = [0] * n
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        u, v = pair_bits[b.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
 
 def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
@@ -437,9 +390,8 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     if not (1 <= n <= ENUMERATION_MAX_N):
         raise ValidationError(f"n must be between 1 and {ENUMERATION_MAX_N}, got {n}")
     pairs = vertex_pairs(n)
-    pair_bits = list(pairs)
     for mask in range(1 << len(pairs)):
-        if _connected_mask(n, mask, pair_bits):
+        if mask_connected(n, mask_adjacency(n, mask, pairs)):
             yield graph_from_mask(n, mask)
 
 

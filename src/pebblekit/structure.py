@@ -1,19 +1,13 @@
 """Group-level structure of the pebble-pushing game.
 
-Two independent routes compute the pebble-permutation group:
-
-* ``pebble_permutation_group`` harvests permutations directly from the
-  breadth-first search of the labelled state space (every visited state
-  over the start state's vertex set yields one), which is the definition
-  made executable.
-
-* The analyzer behind ``is_k_pebble_win`` and the exhaustive sweep works
-  on the much smaller space of unordered pebble configurations.  The
-  labelled state space is a covering of that configuration graph, so the
-  group is generated by the loop transports of the non-tree edges of any
-  spanning tree (one permutation per non-tree edge).  This is orders of
-  magnitude cheaper and is cross-checked against the direct route in the
-  test suite.
+The pebble-permutation group of a state is computed on the space of
+unordered pebble configurations, which has C(n, k) points instead of the
+n!/(n-k)! labelled states.  The labelled state space is a covering of
+that configuration graph, so the group is generated by the loop
+transports of the non-tree edges of any spanning tree (one permutation
+per non-tree edge).  The state caps of this module therefore bound
+configurations, not labelled states.  The test suite cross-checks the
+result against the definitional harvest from the labelled state space.
 
 A graph is k-pebble-win exactly when one (equivalently, every) state's
 group is all of S_k and the configuration graph is connected; on a
@@ -30,8 +24,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import PebbleKitError, StateCapExceeded, ValidationError
-from .graphs import (Graph, bridges, graph_from_mask, is_connected,
-                     is_cycle_graph, maximal_bare_paths, vertex_pairs)
+from .graphs import (Graph, adjacency_masks, bridges, graph_from_mask,
+                     is_connected, is_cycle_graph, mask_adjacency,
+                     mask_connected, maximal_bare_paths, vertex_pairs)
 from .pebbles import DEFAULT_STATE_CAP, GameState, validate_state
 from .permgroups import PermGroup, transposition
 
@@ -45,80 +40,31 @@ class StructureWitnessNotFound(PebbleKitError):
 
 
 # ---------------------------------------------------------------------------
-# Direct route: harvest permutations from the labelled state space
+# The group: loop transports on the configuration graph
 # ---------------------------------------------------------------------------
 
-def pebble_permutation_group(g: Graph, start: GameState,
-                             cap: int = DEFAULT_STATE_CAP) -> PermGroup:
-    """The group of label permutations achievable from ``start``.
-
-    Runs the full reachability search; every visited state occupying the
-    same vertex set as ``start`` is one achieved permutation.  Membership
-    queries for arbitrary permutations go through the returned group's
-    stabilizer chain.
-    """
-    s = validate_state(g, start)
-    if not is_connected(g):
-        raise ValidationError("graph must be connected")
-    k = len(s)
-    slot_of = {v: i for i, v in enumerate(s)}
-    base_set = frozenset(s)
-    group = PermGroup(k)
-    adj = g.adjacency()
-    visited = {s}
-    queue = deque([s])
-    while queue:
-        cur = queue.popleft()
-        occupied = set(cur)
-        for i, v in enumerate(cur):
-            for w in adj[v]:
-                if w in occupied:
-                    continue
-                nxt = cur[:i] + (w,) + cur[i + 1:]
-                if nxt in visited:
-                    continue
-                if len(visited) >= cap:
-                    raise StateCapExceeded(
-                        f"state search exceeded cap of {cap} states")
-                visited.add(nxt)
-                queue.append(nxt)
-                if base_set == frozenset(nxt):
-                    group.add(tuple(slot_of[x] for x in nxt))
-    return group
-
-
-# ---------------------------------------------------------------------------
-# Configuration-space route (covering-graph loop transports)
-# ---------------------------------------------------------------------------
-
-def _adjacency_masks(g: Graph) -> tuple[int, ...]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
-
-
-def _config_group(adj_masks: tuple[int, ...], n: int, k: int,
+def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                   cap: int = DEFAULT_STATE_CAP) -> tuple[int, PermGroup]:
-    """BFS the k-subset configuration graph, transporting one labelled
-    representative along the tree; every non-tree edge closes a loop and
-    yields one generator of the group at the base state (0, 1, ..., k-1).
+    """BFS the configuration graph from the vertex set of ``start``,
+    transporting one labelled representative along the tree; every
+    non-tree edge closes a loop and yields one generator of the group at
+    ``start``.
 
     Returns (number of configurations reached, group).
     """
+    k = len(start)
     if comb(n, k) > cap:
         raise StateCapExceeded(
             f"configuration space with {comb(n, k)} states exceeds cap {cap}")
     target_order = factorial(k)
     full = (1 << n) - 1
-    start = (1 << k) - 1
-    rep: dict[int, tuple[int, ...]] = {start: tuple(range(k))}
-    parent: dict[int, int] = {start: 0}
+    first = sum(1 << v for v in start)
+    rep: dict[int, tuple[int, ...]] = {first: tuple(start)}
+    parent: dict[int, int] = {first: 0}
     group = PermGroup(k)
     add_perm = group._add_perm
     done = target_order == 1
-    queue = deque([start])
+    queue = deque([first])
     pop = queue.popleft
     push = queue.append
     while queue:
@@ -151,11 +97,27 @@ def _config_group(adj_masks: tuple[int, ...], n: int, k: int,
     return len(rep), group
 
 
+def pebble_permutation_group(g: Graph, start: GameState,
+                             cap: int = DEFAULT_STATE_CAP) -> PermGroup:
+    """The group of label permutations achievable from ``start``.
+
+    Permutation p is in the group when the state placing pebble i on
+    ``start[p[i]]`` is reachable.  ``cap`` bounds the C(n, k) pebble
+    configurations searched, not the labelled states.  Membership queries
+    for arbitrary permutations go through the returned group's stabilizer
+    chain.
+    """
+    s = validate_state(g, start)
+    if not is_connected(g):
+        raise ValidationError("graph must be connected")
+    return _config_group(adjacency_masks(g), g.n, s, cap)[1]
+
+
 def pebble_group_fast(g: Graph, k: int) -> tuple[bool, PermGroup]:
     """(connected configuration space, group at the base state) for k pebbles."""
     if not (1 <= k <= g.n):
         raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
-    n_cfg, group = _config_group(_adjacency_masks(g), g.n, k)
+    n_cfg, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)))
     return n_cfg == comb(g.n, k), group
 
 
@@ -301,32 +263,6 @@ def structure_witness(g: Graph, k: int) -> StructureReport:
 SWEEP_MAX_N = 7
 
 
-def _masks_adjacency(n: int, mask: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
-    adj = [0] * n
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        u, v = pairs[b.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return tuple(adj)
-
-
-def _mask_connected(n: int, adj: tuple[int, ...]) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
     """Sweep one mask range for one n.  Returns (checked, non_win, failures).
 
@@ -337,16 +273,17 @@ def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
     """
     n, lo, hi, monotone_shortcut = args
     pairs = vertex_pairs(n)
+    bases = [tuple(range(k)) for k in range(n)]
     checked = 0
     non_win = 0
     failures: list[dict] = []
     for mask in range(lo, hi):
-        adj = _masks_adjacency(n, mask, pairs)
-        if not _mask_connected(n, adj):
+        adj = mask_adjacency(n, mask, pairs)
+        if not mask_connected(n, adj):
             continue
         g: Graph | None = None
         for k in range(n - 2, 0, -1):
-            n_cfg, group = _config_group(adj, n, k)
+            n_cfg, group = _config_group(adj, n, bases[k])
             win = n_cfg == comb(n, k) and group.order() == factorial(k)
             if win and monotone_shortcut:
                 checked += k

@@ -25,6 +25,7 @@ from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from oracles import harvest_group
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -105,7 +106,7 @@ def test_criterion_04_rb_colouring_contract():
                 if not reds or not blues:
                     violations += 1
                     continue
-                probe = pebble_permutation_group(g, tuple(range(k)))
+                probe = harvest_group(g, tuple(range(k)))
                 for i in reds:
                     for j in blues:
                         if transposition(k, i, j) in probe:

@@ -170,6 +170,23 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["linkage", "--world", "half-grid", "--rays", "canonical:2", "--depth", "4",
+     "--source", "0,5", "--target", "0,1"],
+    ["linkage", "--world", "half-grid", "--rays", "canonical:2", "--depth", "4",
+     "--source", "0,1", "--target", "0,9"],
+    ["transition", "--world", "full-grid", "--rays", "canonical:3",
+     "--depth", "3", "--moves", "[1]"],
+    ["raygraph", "--world", "full-grid", "--d0", "4"],
+    ["linkage", "--world", "half-grid", "--rays", "canonical:3", "--depth", "4",
+     "--source=-1", "--target=0"],
+])
+def test_bad_ray_positions_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert "Traceback" not in err
+
+
 def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--state-cap", "2", "group",
                              "--graph", k4_file, "--state", "[0,1]")

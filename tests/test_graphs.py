@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblekit.errors import GraphParseError, ValidationError
-from pebblekit.graphs import (Graph, bridges, component_count,
-                              enumerate_connected_graphs, find_bare_path_cover,
-                              is_bare_path, is_connected, is_cycle_graph,
-                              max_disjoint_paths, maximal_bare_paths,
-                              min_vertex_separator_size, parse_graph)
+from pebblekit.graphs import (Graph, bridges, enumerate_connected_graphs,
+                              find_bare_path_cover, is_bare_path, is_connected,
+                              is_cycle_graph, max_disjoint_paths,
+                              maximal_bare_paths, parse_graph)
 
 from conftest import complete_graph, cycle_graph, path_graph
+from oracles import component_count, min_vertex_separator_size
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,7 @@ def test_bridges_match_definition(n, data):
     mask = data.draw(st.integers(0, 2 ** len(pairs) - 1))
     g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
     assert bridges(g) == _bridges_by_definition(g)
+    assert is_connected(g) == (component_count(g) == 1)
 
 
 # ---------------------------------------------------------------------------

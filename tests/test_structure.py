@@ -1,6 +1,7 @@
 """Pebble-permutation groups, the win decision, colourings, witnesses."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -15,6 +16,7 @@ from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
                                  structure_witness, verify_structure_theorem)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from oracles import harvest_group
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +89,70 @@ def test_fast_win_matches_definition_small():
 
 
 def test_fast_group_matches_state_space_group():
-    import random
+    # the base state through both entry points, and every other start
+    # through pebble_permutation_group, against the definitional harvest
     rng = random.Random(3)
-    graphs = list(enumerate_connected_graphs(4))
-    graphs += rng.sample(list(enumerate_connected_graphs(5)), 25)
-    for g in graphs:
-        for k in (2, 3):
-            if k > g.n - 1:
+    cases = []
+    for g in itertools.chain(*map(enumerate_connected_graphs, (3, 4))):
+        for k in range(2, g.n):
+            cases += [(g, s) for s in itertools.permutations(range(g.n), k)]
+    for g in rng.sample(list(enumerate_connected_graphs(5)), 25):
+        for k in range(2, g.n):
+            starts = list(itertools.permutations(range(g.n), k))
+            cases += [(g, tuple(range(k)))] + [(g, s) for s in rng.sample(starts, 4)]
+    for g, start in cases:
+        slow = set(harvest_group(g, start).elements())
+        assert set(pebble_permutation_group(g, start).elements()) == slow, (g, start)
+        if start == tuple(range(len(start))):
+            _, fast = pebble_group_fast(g, len(start))
+            assert set(fast.elements()) == slow, (g, start)
+
+
+def _connected_without(adj, v):
+    rest = [u for u in range(len(adj)) if u != v]
+    seen, stack = {rest[0]}, [rest[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w != v and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(rest)
+
+
+def _is_bipartite(adj):
+    side = {0: 0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in side:
+                side[w] = 1 - side[u]
+                stack.append(w)
+            elif side[w] == side[u]:
+                return False
+    return True
+
+
+def test_wilson_groups_of_2_connected_graphs():
+    # Wilson (1974): on a 2-connected graph that is neither a cycle nor
+    # the 7-vertex theta_0, n - 1 pebbles generate A_{n-1} when the graph
+    # is bipartite and S_{n-1} otherwise
+    graphs = bipartite = 0
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n):
+            adj = g.adjacency()
+            if is_cycle_graph(g) or not all(_connected_without(adj, v)
+                                            for v in range(n)):
                 continue
-            _, fast = pebble_group_fast(g, k)
-            slow = pebble_permutation_group(g, tuple(range(k)))
-            assert fast.order() == slow.order(), (g, k)
-            assert set(fast.elements()) == set(slow.elements()), (g, k)
+            graphs += 1
+            cfg_connected, grp = pebble_group_fast(g, n - 1)
+            assert cfg_connected, g
+            if _is_bipartite(adj):
+                bipartite += 1
+                assert grp.order() == factorial(n - 1) // 2, g
+            else:
+                assert grp.order() == factorial(n - 1), g
+    assert (graphs, bipartite) == (11541, 305)
 
 
 def test_win_monotone_in_k():
@@ -135,7 +189,7 @@ def test_rb_contract_no_cross_transposition():
              (cycle_graph(5), (0, 1, 2))]
     for g, start in cases:
         col = rb_colouring(g, start)
-        grp = pebble_permutation_group(g, start)
+        grp = harvest_group(g, start)
         k = len(start)
         reds = [i for i in range(k) if col[i] == "r"]
         blues = [i for i in range(k) if col[i] == "b"]
