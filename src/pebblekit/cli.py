@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import dot
 from .errors import NoLinkageError, PebbleKitError, ResourceCapError, ValidationError
-from .graphs import Graph, parse_graph
+from .graphs import Graph, _is_int, parse_graph
 from .linkage import check_linkage, find_linkage, realize_transition
 from .pebbles import DEFAULT_STATE_CAP, solve
 from .permgroups import cycle_notation
@@ -43,11 +43,11 @@ def _load_world(args) -> World:
         from .worlds import world_from_json_dict
         world = world_from_json_dict(doc)
         if getattr(args, "depth", None) is None and "depth" in doc:
-            try:
-                args.depth = int(doc["depth"])
-            except TypeError:
+            depth = doc["depth"]
+            if not _is_int(depth):
                 raise ValidationError(
-                    f"world depth must be an integer, got {doc['depth']!r}") from None
+                    f"world depth must be an integer, got {depth!r}")
+            args.depth = depth
         return world
     if not getattr(args, "world", None):
         raise ValidationError("give either --world or --world-file")
@@ -56,7 +56,7 @@ def _load_world(args) -> World:
 
 
 def _is_int_array(doc) -> bool:
-    return isinstance(doc, list) and all(isinstance(x, int) for x in doc)
+    return isinstance(doc, list) and all(_is_int(x) for x in doc)
 
 
 def _parse_state(text: str) -> tuple[int, ...]:

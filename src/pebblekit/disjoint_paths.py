@@ -3,10 +3,11 @@
 Frontier dynamic programming along a fixed vertex order: states record,
 for every still-active vertex, which walk fragment ends there and how the
 open ends pair up.  On window graphs the sweep order keeps the frontier
-one column wide, so the reachable state count stays small even when
-branch-and-bound style searches blow up (crossing terminal pairs on grids
-are the classic bad case).  The answer is exact: True iff a family of
-pairwise vertex-disjoint paths, one per terminal pair, exists.
+one column (or one level) wide, so the reachable state count stays small
+on the narrow windows of product and comb worlds.  ``linkage`` uses it
+to refute what its rim-crossing certificate cannot see.  The answer is
+exact: True iff a family of pairwise vertex-disjoint paths, one per
+terminal pair, exists.
 """
 
 from __future__ import annotations
@@ -44,28 +45,13 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
                          order: Sequence[int],
                          terminals: Sequence[tuple[int, int]],
                          blocked: Iterable[int] = (),
-                         state_cap: int = DEFAULT_STATE_CAP,
-                         chord_keys: Sequence | None = None,
-                         rim: Iterable[int] | None = None) -> bool:
+                         state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether pairwise vertex-disjoint s_i-t_i paths exist.
 
     ``order`` is the sweep order (a permutation of 0..n-1); its quality
     only affects speed, never correctness.  ``blocked`` vertices cannot be
     used by any path.  A path may consist of a single vertex when
     s_i == t_i.
-
-    ``chord_keys``, when given, enables a planarity prune: it must assign
-    to every vertex its position along the boundary cycle of the
-    not-yet-processed region, valid whenever the vertex lies on that
-    boundary (i.e. while it is a frontier cell).  ``rim`` lists vertices
-    that stay on the boundary forever (the window rim); only rim
-    terminals pin chords before being processed.  Each incomplete walk
-    without floating fragments still needs one future connection between
-    its two loose ends; those connections are disjoint curves in the
-    unprocessed region, so their chords must be pairwise noncrossing, and
-    states violating that are dead.  Only supply chord keys when the
-    graph is planar and the sweep keeps boundary positions stable, e.g.
-    grid windows swept column by column.
     """
     k = len(terminals)
     blocked_set = set(blocked)
@@ -90,11 +76,6 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
     retire_after = [max((pos[w] for w in adjacency[v]), default=pos[v])
                     for v in range(n)]
     all_done = (1 << k) - 1
-    validator = None
-    if chord_keys is not None:
-        rim_set = set(rim) if rim is not None else set()
-        validator = _make_chord_validator(k, terminals, trivial, pos,
-                                          chord_keys, rim_set)
 
     # state: (completed_mask, tuple of (vertex, tag))
     states: set[tuple] = {(trivial_mask, ())}
@@ -108,7 +89,7 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
             # option A: leave v unused (never allowed for terminals)
             if term is None:
                 _retire_and_add(new_states, completed, labels, step,
-                                retire_after, validator)
+                                retire_after)
             if is_blocked:
                 continue
             # option B: v joins walk i, connecting to 0..2 open ends
@@ -133,8 +114,7 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
                     if res is None:
                         continue
                     nc, nl = res
-                    _retire_and_add(new_states, nc, nl, step,
-                                    retire_after, validator)
+                    _retire_and_add(new_states, nc, nl, step, retire_after)
             if len(new_states) > state_cap:
                 raise ResourceCapError(
                     f"disjoint-path state space exceeded {state_cap}")
@@ -143,77 +123,6 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
             return False
     return any(completed == all_done and not labels
                for completed, labels in states)
-
-
-def _make_chord_validator(k: int, terminals, trivial: set[int],
-                          pos: dict[int, int], chord_keys: Sequence,
-                          rim: set[int]):
-    """Future-connection noncrossing check, closed over the static data."""
-    pin = [(chord_keys[s] if s in rim else None,
-            chord_keys[t] if t in rim else None) for s, t in terminals]
-    s_pos = [pos[s] for s, _ in terminals]
-    t_pos = [pos[t] for _, t in terminals]
-
-    def validate(completed: int, labels: dict[int, tuple], step: int) -> bool:
-        skip = 0
-        s_end: dict[int, object] = {}
-        t_end: dict[int, object] = {}
-        floats: dict[int, dict] = {}
-        for v, tag in labels.items():
-            kv = chord_keys[v]
-            if tag[0] == "s":
-                s_end[tag[1]] = kv
-            elif tag[0] == "t":
-                t_end[tag[1]] = kv
-            elif tag[0] == "n":
-                skip |= 1 << tag[1]
-                floats.setdefault(tag[1], {})[("n", v)] = (kv, kv)
-            else:
-                skip |= 1 << tag[1]
-                pair = floats.setdefault(tag[1], {}).setdefault(
-                    ("f", tag[2]), [None, None])
-                if pair[0] is None:
-                    pair[0] = kv
-                else:
-                    pair[1] = kv
-        chords = []
-        ends = {}
-        for i in range(k):
-            if completed >> i & 1 or i in trivial:
-                continue
-            e1 = s_end.get(i) if s_pos[i] <= step else pin[i][0]
-            e2 = t_end.get(i) if t_pos[i] <= step else pin[i][1]
-            ends[i] = (e1, e2)
-            if skip >> i & 1:
-                continue
-            if e1 is None or e2 is None or e1 == e2:
-                continue
-            chords.append((e1, e2) if e1 < e2 else (e2, e1))
-        for a in range(len(chords)):
-            lo1, hi1 = chords[a]
-            for b in range(a + 1, len(chords)):
-                lo2, hi2 = chords[b]
-                if (lo1 < lo2 < hi1 < hi2) or (lo2 < lo1 < hi2 < hi1):
-                    return False
-        # a walk with floating fragments must still join its two ends; its
-        # in-disk hops cannot cross a mandatory chord, so ends on opposite
-        # sides need a float bridging them through the processed region
-        for i, fl in floats.items():
-            if completed >> i & 1:
-                continue
-            e1, e2 = ends.get(i, (None, None))
-            if e1 is None or e2 is None:
-                continue
-            for lo, hi in chords:
-                if (lo < e1 < hi) == (lo < e2 < hi):
-                    continue
-                if not any(p is not None and q is not None
-                           and ((lo < p < hi) != (lo < q < hi))
-                           for p, q in fl.values()):
-                    return False
-        return True
-
-    return validate
 
 
 def _apply(labels: dict[int, tuple], completed: int, v: int, i: int,
@@ -305,12 +214,10 @@ def _fresh_pid(labels: dict[int, tuple], i: int) -> int:
 
 
 def _retire_and_add(new_states: set, completed: int, labels: dict[int, tuple],
-                    step: int, retire_after: list[int], validator) -> None:
+                    step: int, retire_after: list[int]) -> None:
     # a vertex whose neighbours are all processed can never take another
     # connection; a live open end stranded there kills the state
     for u in labels:
         if retire_after[u] <= step:
             return
-    if validator is not None and not validator(completed, labels, step):
-        return
     new_states.add(_canonical(labels, completed))

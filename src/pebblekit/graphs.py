@@ -21,6 +21,9 @@ Edge = tuple[int, int]
 BarePath = tuple[int, ...]
 
 ENUMERATION_MAX_N = 8
+# most vertices a parsed graph may declare: a JSON document names n with a
+# few digits, and every use of the graph allocates per vertex
+PARSE_MAX_N = 100_000
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -92,8 +95,9 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
     ``edge-list``: one "u v" pair per line, whitespace-separated, '#' starts
     a comment.  Vertex indices are assigned in order of first appearance.
 
-    ``json``: an object with integer "n" and an array "edges" of 2-arrays,
-    plus an optional "labels" object mapping vertex index to string.
+    ``json``: an object with integer "n" (at most PARSE_MAX_N) and an
+    array "edges" of 2-arrays, plus an optional "labels" object mapping
+    vertex index to string.
     """
     if fmt == "edge-list":
         return _parse_edge_list(text)
@@ -128,6 +132,11 @@ def _parse_edge_list(text: str) -> Graph:
     return Graph(len(order), frozenset(edges), labels)
 
 
+def _is_int(x) -> bool:
+    """An integer read from JSON; ``true`` and ``false`` are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -136,15 +145,16 @@ def _parse_json(text: str) -> Graph:
     if not isinstance(doc, dict):
         raise GraphParseError("top level: expected an object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise GraphParseError("field 'n': expected a non-negative integer")
+    if not _is_int(n) or not 0 <= n <= PARSE_MAX_N:
+        raise GraphParseError(
+            f"field 'n': expected an integer from 0 to {PARSE_MAX_N}")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise GraphParseError("field 'edges': expected an array")
     edges: set[Edge] = set()
     for i, pair in enumerate(raw_edges):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(_is_int(x) for x in pair)):
             raise GraphParseError(f"edges[{i}]: expected a pair of integers")
         u, v = pair
         if u == v:

@@ -7,14 +7,15 @@ disjoint, and a linkage "after X" confines X to the pre-switch segments.
 
 ``find_linkage`` handles one pairing sigma at a time.  It reduces the
 walk system to vertex-disjoint paths between fixed terminals (X and the
-forced ray prefixes removed), routes those paths by negotiated congestion,
-and returns the routed linkage once ``check_linkage`` accepts it.  A
-pairing the router cannot route goes to the exact frontier DP of
-``disjoint_paths``: a refutation rules the pairing out, and a pairing the
-DP cannot decide within its state cap ends the search in
-ResourceCapError, a typed refusal rather than an answer.  Infeasibility
-is always reported as depth-limited: a window that admits no linkage says
-nothing about deeper windows.
+forced ray prefixes removed).  On grid windows a pairing whose terminals
+interleave around the rim is refuted at once by planarity.  Otherwise the
+paths are routed by negotiated congestion, and the routed linkage is
+returned once ``check_linkage`` accepts it.  A pairing the router cannot
+route goes to the exact frontier DP of ``disjoint_paths``: a refutation
+rules the pairing out, and a pairing the DP cannot decide within its
+state cap ends the search in ResourceCapError, a typed refusal rather
+than an answer.  Infeasibility is always reported as depth-limited: a
+window that admits no linkage says nothing about deeper windows.
 
 ``check_linkage`` re-walks a claimed linkage coordinate by coordinate and
 is deliberately independent of the search.
@@ -86,34 +87,41 @@ def _validate_families(t: Truncation, source: list[RaySpec], target: list[RaySpe
 # Fixed pairings: reduce to disjoint paths, route, refute
 # ---------------------------------------------------------------------------
 
-def _window_chord_keys(t: Truncation):
-    """Boundary-cycle positions for the planarity prune on grid windows.
+def _rim_chords_cross(t: Truncation, terminals: list[tuple[int, int]]) -> bool:
+    """True when two terminal pairs interleave around a grid window's rim.
 
-    The sweep is lexicographic in (x, y), so the unprocessed region's
-    boundary runs bottom rim, right rim, top rim, then the frontier
-    staircase downward.  Non-grid worlds get no keys.
+    Grid windows (and the brick wall, a subgraph of the half-grid drawing)
+    are drawn inside their rim rectangle.  Two disjoint paths whose four
+    ends lie on that rectangle in interleaved cyclic order would have to
+    cross (Seymour 1980, Thomassen 1980, on the outer face), so such a
+    pairing is infeasible.  Other worlds get False: they prove nothing.
     """
-    kind = t.world.kind
-    d = t.depth
-    if kind == "full-grid":
-        min_x, max_x, min_y, max_y = -d, d, -d, d
-    elif kind in ("half-grid", "hex-half-grid"):
-        min_x, max_x, min_y, max_y = -d, d, 0, d
-    else:
-        return None, None
-    keys, rim = [], set()
-    for i, (a, b) in enumerate(t.coords):
-        if b == min_y:
-            keys.append((0, a))
-        elif a == max_x:
-            keys.append((1, b))
-        elif b == max_y:
-            keys.append((2, -a))
-        else:
-            keys.append((3, -b, a))
-        if a in (min_x, max_x) or b in (min_y, max_y):
-            rim.add(i)
-    return keys, rim
+    if t.world.kind not in ("full-grid", "half-grid", "hex-half-grid"):
+        return False
+    # window coordinates run lexicographically over the whole rectangle
+    (x0, y0), (x1, y1) = t.coords[0], t.coords[-1]
+    w, h = x1 - x0, y1 - y0
+
+    def rim_pos(v: int) -> int | None:
+        # bottom, right, top, left: counterclockwise around the rectangle
+        x, y = t.coords[v]
+        if y == y0:
+            return x - x0
+        if x == x1:
+            return w + y - y0
+        if y == y1:
+            return w + h + x1 - x
+        if x == x0:
+            return 2 * w + h + y1 - y
+        return None
+
+    chords = []
+    for s, e in terminals:
+        ps, pe = rim_pos(s), rim_pos(e)
+        if s != e and ps is not None and pe is not None:
+            chords.append((min(ps, pe), max(ps, pe)))
+    return any(a < c < b < f or c < a < f < b
+               for (a, b), (c, f) in itertools.combinations(chords, 2))
 
 
 def _reduce(src_pos: list[list[int]], tgt_pos: list[list[int]],
@@ -233,11 +241,9 @@ def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
     order = list(range(n))
     if t.world.kind in ("product-Z", "product-N", "dominated-ray"):
         order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
-    keys, rim = _window_chord_keys(t)
     try:
         return not disjoint_paths_exist(n, adj, order, terminals, blocked,
-                                        state_cap=DP_STATE_CAP,
-                                        chord_keys=keys, rim=rim)
+                                        state_cap=DP_STATE_CAP)
     except ResourceCapError:
         return False
 
@@ -254,11 +260,14 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     With ``sigma`` supplied the returned linkage induces exactly that
     injection; with ``sigma`` omitted every injection is tried in
     ``itertools.permutations`` order, identity first.  Each pairing is
-    reduced to disjoint paths between fixed terminals and routed; a routed
-    witness passes ``check_linkage`` before it is returned.  When routing
-    fails, the frontier DP decides the pairing.  NoLinkageError means every
-    pairing was refuted, exactly for this window and reported as
-    depth-limited, never as a statement about the infinite world.
+    reduced to disjoint paths between fixed terminals, then decided in
+    three steps: a pairing whose terminals interleave around the rim of a
+    grid window is refuted by the planarity certificate; otherwise it is
+    routed, and a routed witness passes ``check_linkage`` before it is
+    returned; when routing fails, the frontier DP decides the pairing.
+    NoLinkageError means every pairing was refuted, exactly for this
+    window and reported as depth-limited, never as a statement about the
+    infinite world.
     ResourceCapError means some pairing was neither routed nor refuted
     within the DP's state cap.
     """
@@ -286,7 +295,7 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     undecided = False
     for sg in sigmas:
         reduced = _reduce(src_pos, tgt_pos, X, sg)
-        if reduced is None:
+        if reduced is None or _rim_chords_cross(t, reduced[0]):
             continue
         terminals, blocked = reduced
         paths = _route(adj, terminals, blocked)
@@ -412,6 +421,8 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
         raise ValidationError("move sequence must contain at least one state")
     m = len(rays)
     k = len(moves[0])
+    if k < 1:
+        raise ValidationError("game states must place at least one pebble")
     for st in moves:
         if len(st) != k or len(set(st)) != k:
             raise ValidationError(f"bad game state {st}")

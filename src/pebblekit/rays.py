@@ -17,9 +17,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError, WindowCapExceeded
+from .errors import ValidationError
 from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, Truncation, World,
-                     world_neighbors, world_norm)
+                     _window_box, _window_coords, world_neighbors,
+                     world_norm)
 
 DEFAULT_ANNULI = 3
 DEFAULT_RING_WIDTH = 2
@@ -56,12 +57,7 @@ def check_disjoint_rays(rays: list[RaySpec], depth: int) -> None:
 def _ring_coords(w: World, lo: int, hi: int,
                  cap: int = DEFAULT_WINDOW_CAP) -> set[Coord]:
     """All world coordinates with lo < norm <= hi."""
-    from .worlds import _window_coords
-    coords = _window_coords(w, hi)
-    if len(coords) > cap:
-        raise WindowCapExceeded(
-            f"shell at depth {hi} has {len(coords)} vertices, cap {cap}")
-    return {c for c in coords if world_norm(w, c) > lo}
+    return {c for c in _window_coords(w, hi, cap) if world_norm(w, c) > lo}
 
 
 def _ray_trace(r: RaySpec, limit: int) -> list[Coord]:
@@ -133,6 +129,8 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
         raise ValidationError("d0 must be >= 1")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
+    # the deepest shell bounds every window read below; refuse it up front
+    _window_box(w, d0 + 1 + annuli * ring_width, window_cap)
     check_disjoint_rays(rays, d0 + (annuli + 1) * ring_width + 1)
     idx = [r.index for r in rays]
     by_pos = {i: r.index for i, r in enumerate(rays)}

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError, WindowCapExceeded
-from .graphs import Graph, is_connected
+from .graphs import Graph, _is_int, is_connected
 
 Coord = tuple[int, int]
 
@@ -78,7 +78,7 @@ def world_from_json_dict(doc: dict) -> World:
     if not isinstance(kind, str):
         raise ValidationError(f"world kind must be a string, got {kind!r}")
     k = doc.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+    if k is not None and not _is_int(k):
         raise ValidationError(f"world k must be an integer, got {k!r}")
     base = None
     if "base" in doc and doc["base"] is not None:
@@ -186,29 +186,42 @@ class Truncation:
         return c in self._index
 
 
-def _window_coords(w: World, depth: int) -> list[Coord]:
+def _window_box(w: World, depth: int, cap: int) -> tuple[int, int, int, int]:
+    """The window as a coordinate rectangle ``(x0, x1, y0, y1)``, inclusive.
+
+    WindowCapExceeded when it holds more than ``cap`` vertices; the count
+    comes from the rectangle alone, so an oversized window is refused
+    before any coordinate is built.
+    """
     if w.kind == "full-grid":
-        return [(x, y) for x in range(-depth, depth + 1)
-                for y in range(-depth, depth + 1)]
-    if w.kind in ("half-grid", "hex-half-grid"):
-        return [(x, y) for x in range(-depth, depth + 1)
-                for y in range(0, depth + 1)]
-    if w.kind == "product-Z":
-        return [(v, t) for v in range(w.base.n)
-                for t in range(-depth, depth + 1)]
-    if w.kind == "product-N":
-        return [(v, t) for v in range(w.base.n) for t in range(0, depth + 1)]
-    return [(s, t) for s in range(w.k + 1) for t in range(0, depth + 1)]
+        box = -depth, depth, -depth, depth
+    elif w.kind in ("half-grid", "hex-half-grid"):
+        box = -depth, depth, 0, depth
+    elif w.kind == "product-Z":
+        box = 0, w.base.n - 1, -depth, depth
+    elif w.kind == "product-N":
+        box = 0, w.base.n - 1, 0, depth
+    else:
+        box = 0, w.k, 0, depth
+    x0, x1, y0, y1 = box
+    size = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if size > cap:
+        raise WindowCapExceeded(
+            f"window at depth {depth} has {size} vertices, cap {cap}")
+    return box
+
+
+def _window_coords(w: World, depth: int, cap: int) -> list[Coord]:
+    """The window's coordinates in lexicographic order."""
+    x0, x1, y0, y1 = _window_box(w, depth, cap)
+    return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
 
 
 def truncate(w: World, depth: int, cap: int = DEFAULT_WINDOW_CAP) -> Truncation:
     """Finite window of all coordinates within ``depth``."""
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    coords = sorted(_window_coords(w, depth))
-    if len(coords) > cap:
-        raise WindowCapExceeded(
-            f"window at depth {depth} has {len(coords)} vertices, cap {cap}")
+    coords = _window_coords(w, depth, cap)
     index = {c: i for i, c in enumerate(coords)}
     edges = []
     boundary = set()

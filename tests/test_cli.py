@@ -1,12 +1,17 @@
 """The command-line surface: JSON out, exit codes, thin-adapter parity."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblekit.cli import main
 from pebblekit.graphs import Graph
 from pebblekit.structure import is_k_pebble_win, verify_structure_theorem
+from pebblekit.worlds import WORLD_KINDS
 
 
 @pytest.fixture
@@ -160,6 +165,9 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     {"kind": "dominated-ray", "k": "3"},
     [1, 2],
     {"kind": "half-grid", "depth": None},
+    {"kind": "half-grid", "depth": float("inf")},
+    {"kind": "half-grid", "depth": 2.7},
+    {"kind": "half-grid", "depth": True},
 ])
 def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     f = tmp_path / "world.json"
@@ -180,6 +188,10 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     ["raygraph", "--world", "full-grid", "--d0", "4"],
     ["linkage", "--world", "half-grid", "--rays", "canonical:3", "--depth", "4",
      "--source=-1", "--target=0"],
+    ["transition", "--world", "full-grid", "--rays", "canonical:3",
+     "--depth", "3", "--moves", "[[]]"],
+    ["transition", "--world", "full-grid", "--rays", "canonical:3",
+     "--depth", "3", "--moves", "[[true], [2]]"],
 ])
 def test_bad_ray_positions_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -205,3 +217,83 @@ def test_edge_list_format(capsys, tmp_path):
     f.write_text("0 1\n1 2\n2 0\n")
     code, doc, _ = run_cli(capsys, "win", "--graph", str(f), "--k", "1")
     assert code == 0 and doc["pebble_win"] is True
+
+
+# -- fuzzed file inputs: any document ends in exit 0, 2 or 3, never a traceback
+
+def _mostly(good, bad):
+    """Draw from ``good`` three times in four, else from ``bad``."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda s: s)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+# what an integer field should not hold: huge, negative, not finite,
+# fractional, boolean, or any JSON value
+_bad_int = _mostly(st.sampled_from([0, -1, 10 ** 6, 10 ** 18, 10 ** 20, -10 ** 18,
+                                    float("inf"), float("-inf"), float("nan"),
+                                    2.7, True]), _json)
+_small_graph = st.integers(1, 5).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    "edges": st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2),
+                      max_size=2 * n)}))
+_graph_doc = _small_graph | st.fixed_dictionaries(
+    {"n": _bad_int,
+     "edges": st.lists(st.lists(st.integers(-1, 5) | _bad_int, max_size=3),
+                       max_size=3) | _json},
+    optional={"labels": _json})
+_world_doc = _mostly(st.fixed_dictionaries(
+    {"kind": st.sampled_from(WORLD_KINDS),
+     "depth": st.integers(1, 6) | _bad_int},
+    optional={"k": st.integers(1, 4) | _bad_int, "base": _graph_doc}), _json)
+_graph_file = (st.tuples(st.just("graph.json"),
+                         _mostly(_graph_doc, _json).map(json.dumps))
+               | st.tuples(st.just("graph.txt"), st.lists(
+                   st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                   max_size=6).map("\n".join)))
+
+_WORLD_VERBS = [
+    ["raygraph", "--rays", "canonical:2", "--d0", "2"],
+    ["linkage", "--rays", "canonical:2", "--source", "0", "--target", "1"],
+    ["transition", "--rays", "canonical:2", "--moves", "[[0], [1]]"],
+    ["export-dot", "--rays", "canonical:2", "--depth", "2"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_file_input(directory, name, text, verb):
+    """Run one verb on one input file with a small window cap; returns the
+    exit code and stderr.  An exception escaping ``main`` fails the test,
+    as it would end the command line in a traceback."""
+    path = directory / name
+    path.write_text(text)
+    argv = ["--window-cap", "300"] + verb
+    if verb[0] == "export-dot":
+        argv += ["--out", str(directory / "out.dot")]
+    argv += ["--graph" if name.startswith("graph") else "--world-file", str(path)]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(doc=_world_doc, verb=st.sampled_from(_WORLD_VERBS))
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_fuzzed_world_files_exit_cleanly(fuzz_dir, doc, verb):
+    code, err = run_file_input(fuzz_dir, "world.json", json.dumps(doc), verb)
+    assert code in (0, 2, 3) and "Traceback" not in err
+
+
+@given(file=_graph_file,
+       verb=st.sampled_from([["win", "--k", "2"], ["export-dot"]]))
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_fuzzed_graph_files_exit_cleanly(fuzz_dir, file, verb):
+    code, err = run_file_input(fuzz_dir, *file, verb)
+    assert code in (0, 2, 3) and "Traceback" not in err

@@ -1,4 +1,5 @@
-"""The exact disjoint-paths decision, fuzzed against brute force."""
+"""The exact disjoint-paths decision and the rim-crossing certificate,
+fuzzed against brute force."""
 
 import itertools
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from pebblekit.disjoint_paths import disjoint_paths_exist
 from pebblekit.errors import ResourceCapError, ValidationError
-from pebblekit.linkage import _route
+from pebblekit.linkage import _rim_chords_cross, _route
 from pebblekit.worlds import make_world, truncate
 
 
@@ -60,22 +61,6 @@ def check_routed(adj, terminals, blocked, want):
         assert not set(path) & set(blocked)
         assert not set(path) & used
         used |= set(path)
-
-
-def grid_keys(t, min_x, max_x, min_y, max_y):
-    keys, rim = [], set()
-    for i, (a, b) in enumerate(t.coords):
-        if b == min_y:
-            keys.append((0, a))
-        elif a == max_x:
-            keys.append((1, b))
-        elif b == max_y:
-            keys.append((2, -a))
-        else:
-            keys.append((3, -b, a))
-        if a in (min_x, max_x) or b in (min_y, max_y):
-            rim.add(i)
-    return keys, rim
 
 
 def test_simple_cases():
@@ -144,24 +129,23 @@ def test_fuzz_against_brute_force():
         check_routed(adj, terms, blocked, want)
 
 
-def test_fuzz_with_planarity_prune():
-    # the prune may never flip a feasible instance to infeasible
-    rng = random.Random(11)
-    hg = make_world("half-grid")
-    d = 3
-    t = truncate(hg, d)
+def fuzz_certificate(t, seed, trials, rim_pairs):
+    """Random terminal pairs on window ``t``, most of them from
+    ``rim_pairs(rng, k)``: the rim certificate may fire only where brute
+    force finds no disjoint paths, the unpruned DP must agree with brute
+    force, and the router may only return genuine paths.  Returns how
+    often the certificate fired."""
+    rng = random.Random(seed)
     adj = [list(a) for a in t.graph.adjacency()]
     n = t.graph.n
     order = list(range(n))
-    keys, rim = grid_keys(t, -d, d, 0, d)
-    bottom = [t.index_of((x, 0)) for x in range(-d, d + 1)]
-    top = [t.index_of((x, d)) for x in range(-d, d + 1)]
     allv = list(range(n))
-    for trial in range(250):
+    fired = 0
+    for trial in range(trials):
         k = rng.randint(1, 3)
         verts = rng.sample(allv, 2 * k)
         if rng.random() < 0.6:
-            terms = list(zip(rng.sample(bottom, k), rng.sample(top, k)))
+            terms = rim_pairs(rng, k)
         else:
             terms = [(verts[2 * i], verts[2 * i + 1]) for i in range(k)]
         used = set(itertools.chain.from_iterable(terms))
@@ -169,29 +153,63 @@ def test_fuzz_with_planarity_prune():
             continue
         pool = [v for v in allv if v not in used]
         blocked = set(rng.sample(pool, k=rng.randint(0, 3)))
-        got = disjoint_paths_exist(n, adj, order, terms, blocked,
-                                   chord_keys=keys, rim=rim)
         want = brute_force(n, adj, terms, blocked)
+        if _rim_chords_cross(t, terms):
+            fired += 1
+            assert not want, (trial, terms, sorted(blocked))
+        got = disjoint_paths_exist(n, adj, order, terms, blocked)
         assert got == want, (trial, terms, sorted(blocked))
         check_routed(adj, terms, blocked, want)
+    return fired
+
+
+def test_fuzz_with_planarity_prune():
+    # half-grid window, terminals from the bottom and top rims
+    d = 3
+    t = truncate(make_world("half-grid"), d)
+    bottom = [t.index_of((x, 0)) for x in range(-d, d + 1)]
+    top = [t.index_of((x, d)) for x in range(-d, d + 1)]
+
+    def rim_pairs(rng, k):
+        return list(zip(rng.sample(bottom, k), rng.sample(top, k)))
+
+    assert fuzz_certificate(t, 11, 250, rim_pairs) > 0
+
+
+@pytest.mark.parametrize("kind, d, seed, trials", [("full-grid", 2, 12, 100),
+                                                   ("hex-half-grid", 3, 13, 250)])
+def test_certificate_sound_on_every_rim_side(kind, d, seed, trials):
+    # terminals anywhere on the rim: all four sides of the full grid, and
+    # the brick wall, which is only a subgraph of the half-grid drawing
+    t = truncate(make_world(kind), d)
+    xs = {x for x, _ in t.coords}
+    ys = {y for _, y in t.coords}
+    rim = [v for v, (x, y) in enumerate(t.coords)
+           if x in (min(xs), max(xs)) or y in (min(ys), max(ys))]
+
+    def rim_pairs(rng, k):
+        ends = rng.sample(rim, 2 * k)
+        return list(zip(ends[::2], ends[1::2]))
+
+    assert fuzz_certificate(t, seed, trials, rim_pairs) > 0
 
 
 def test_crossing_pairs_on_grid_windows():
-    # interleaved rim terminals can never be joined by disjoint paths
+    # interleaved rim terminals can never be joined by disjoint paths;
+    # the certificate says so at every depth, the DP alone at d = 4
     hg = make_world("half-grid")
     for d in (4, 6, 9):
         t = truncate(hg, d)
-        adj = [list(a) for a in t.graph.adjacency()]
-        order = list(range(t.graph.n))
-        keys, rim = grid_keys(t, -d, d, 0, d)
 
         def term(i, j):
             return (t.index_of((i, 0)), t.index_of((j, d)))
 
-        assert not disjoint_paths_exist(
-            t.graph.n, adj, order, [term(0, 3), term(1, 2)],
-            chord_keys=keys, rim=rim)
-        if d == 4:   # the feasible side runs the sweep to completion
-            assert disjoint_paths_exist(
-                t.graph.n, adj, order, [term(0, 2), term(1, 3)],
-                chord_keys=keys, rim=rim)
+        crossing = [term(0, 3), term(1, 2)]
+        nested = [term(0, 2), term(1, 3)]
+        assert _rim_chords_cross(t, crossing)
+        assert not _rim_chords_cross(t, nested)
+        if d == 4:
+            adj = [list(a) for a in t.graph.adjacency()]
+            order = list(range(t.graph.n))
+            assert not disjoint_paths_exist(t.graph.n, adj, order, crossing)
+            assert disjoint_paths_exist(t.graph.n, adj, order, nested)

@@ -65,6 +65,9 @@ def test_parse_json_cycle():
     ('{"n":2,"edges":[[0,5]]}', "edges"),
     ('{"edges":[]}', "'n'"),
     ('{"n":3,"edges":"no"}', "edges"),
+    ('{"n":true,"edges":[]}', "'n'"),
+    ('{"n":100001,"edges":[]}', "'n'"),
+    ('{"n":3,"edges":[[true,2]]}', "edges"),
 ])
 def test_parse_json_errors(doc, field):
     with pytest.raises(GraphParseError, match=field):

@@ -11,6 +11,7 @@ import pebblekit
 from pebblekit import linkage
 from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
+from pebblekit.graphs import Graph
 from pebblekit.linkage import Linkage, check_linkage, find_linkage, linkage_walks
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
@@ -47,8 +48,14 @@ def test_free_sigma_is_injective(half_setup):
     check_linkage(t, cols[:3], cols[3:6], lk)
 
 
-def test_reversal_infeasible_at_every_depth(half_setup):
+def test_reversal_infeasible_at_every_depth(half_setup, monkeypatch):
+    # the rim certificate refutes a grid reversal before any routing
     hg, _, cols = half_setup
+
+    def no_routing(*args):
+        raise AssertionError("a crossing pairing reached the router")
+
+    monkeypatch.setattr(linkage, "_route", no_routing)
     for depth in (6, 9, 12):
         t = truncate(hg, depth)
         with pytest.raises(NoLinkageError) as err:
@@ -171,6 +178,15 @@ def test_dp_decides_what_the_router_leaves(half_setup, monkeypatch):
     with pytest.raises(NoLinkageError):
         find_linkage(truncate(hg, 6), cols[:3], cols[3:6], set(),
                      {0: 2, 1: 1, 2: 0})
+
+
+def test_dp_refutes_what_the_certificate_cannot_see():
+    # a product window has no rim certificate: the DP alone refutes the
+    # reversal of P3 x Z's three rays
+    w = make_world("product-Z", base=Graph.from_edges(3, [(0, 1), (1, 2)]))
+    rays = canonical_rays(w, 3)
+    with pytest.raises(NoLinkageError):
+        find_linkage(truncate(w, 5), rays, rays, set(), {0: 2, 1: 1, 2: 0})
 
 
 def test_import_leaves_numpy_and_scipy_out():

@@ -1,11 +1,13 @@
 """Infinite worlds, truncation windows, canonical ray families."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from pebblekit.errors import ValidationError, WindowCapExceeded
 from pebblekit.graphs import Graph, is_connected
+from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, World, canonical_rays, chebyshev_ball,
                               make_world, rayspec_from_json_dict, truncate,
                               world_from_json_dict, world_neighbors)
@@ -94,8 +96,20 @@ def test_boundary_marks_world_neighbours():
 
 
 def test_window_cap():
+    fg = make_world("full-grid")
     with pytest.raises(WindowCapExceeded):
-        truncate(make_world("full-grid"), 50, cap=100)
+        truncate(fg, 50, cap=100)
+    # an oversized window is refused before any coordinate is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowCapExceeded):
+            truncate(fg, 600)
+        with pytest.raises(WindowCapExceeded):
+            ray_graph(fg, canonical_rays(fg, 4), d0=600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_canonical_rays_disjoint_everywhere():
