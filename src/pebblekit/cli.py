@@ -182,8 +182,10 @@ def _cmd_transition(args) -> dict:
     rays = _parse_rays(w, args.rays)
     moves = _parse_moves(args.moves)
     x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
+    # the ray graph reads deeper shells than the window: bound them too
+    rg = ray_graph(w, rays, d0=max(4, t.depth), window_cap=args.window_cap)
     try:
-        lk = realize_transition(t, rays, moves, x)
+        lk = realize_transition(t, rays, moves, x, rg=rg)
     except NoLinkageError as exc:
         return {"linkage": None, "reason": "no-linkage-at-depth",
                 "depth": exc.depth}

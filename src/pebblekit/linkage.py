@@ -3,7 +3,8 @@
 A linkage re-routes a family of rays R into a family S: walk i rides its
 own ray to a switch point, follows a finite connector path, then rides the
 tail of the target ray out of the window.  The walks must be pairwise
-disjoint, and a linkage "after X" confines X to the pre-switch segments.
+disjoint, and a linkage "after X" confines X to the segments before
+the switch points.
 
 ``find_linkage`` handles one pairing sigma at a time.  It reduces the
 walk system to vertex-disjoint paths between fixed terminals (X and the
@@ -12,10 +13,11 @@ interleave around the rim is refuted at once by planarity.  Otherwise the
 paths are routed by negotiated congestion, and the routed linkage is
 returned once ``check_linkage`` accepts it.  A pairing the router cannot
 route goes to the exact frontier DP of ``disjoint_paths``: a refutation
-rules the pairing out, and a pairing the DP cannot decide within its
-state cap ends the search in ResourceCapError, a typed refusal rather
-than an answer.  Infeasibility is always reported as depth-limited: a
-window that admits no linkage says nothing about deeper windows.
+rules the pairing out, and a pairing the DP proves feasible, or cannot
+decide within its state cap, ends the search in ResourceCapError, a
+typed refusal rather than an answer.  Infeasibility is always reported
+as depth-limited: a window that admits no linkage says nothing about
+deeper windows.
 
 ``check_linkage`` re-walks a claimed linkage coordinate by coordinate and
 is deliberately independent of the search.
@@ -128,24 +130,28 @@ def _reduce(src_pos: list[list[int]], tgt_pos: list[list[int]],
             X: frozenset[int], sigma: dict[int, int]):
     """The fixed pairing as vertex-disjoint paths between fixed terminals.
 
-    A walk is its forced prefix (up to the last X hit on its source ray)
-    followed by any simple path to the last in-window vertex of its target
-    ray: once X and the forced prefixes are removed from the graph, the
-    remaining freedom is exactly a family of vertex-disjoint paths between
-    fixed terminals.  Returns ``(terminals, blocked)``, or None when two
-    walks need the same endpoint or an endpoint is blocked, so that no
-    linkage with this pairing exists.
+    A walk is its forced prefix (its source ray up to the last X hit)
+    followed by any simple path from the next ray vertex, its earliest
+    switch point, to the last in-window vertex of its target ray: once X
+    and the forced prefixes are removed from the graph, the remaining
+    freedom is exactly a family of vertex-disjoint paths between fixed
+    terminals.  When X holds the ray's last window vertex only a pure ride
+    remains, a single-vertex path on that vertex.  Returns ``(terminals,
+    blocked)``, or None when two walks need the same endpoint or an
+    endpoint is blocked, so that no linkage with this pairing exists.
     """
     blocked: set[int] = set(X)
     terminals: list[tuple[int, int]] = []
     for i, rp in enumerate(src_pos):
         last_x = max((p for p, v in enumerate(rp) if v in X), default=-1)
-        start = max(last_x, 0)
+        start = min(last_x + 1, len(rp) - 1)
         s = rp[start]
+        if s in X and tgt_pos[sigma[i]] != rp:
+            return None   # no switch point left after X
         e = tgt_pos[sigma[i]][-1]
         terminals.append((s, e))
         blocked.update(rp[:start])
-        blocked.discard(s)
+        blocked.discard(s)   # a pure ride may end on X
     seen: set[int] = set()
     for s, e in terminals:
         for v in (s, e) if s != e else (s,):
@@ -234,9 +240,9 @@ def _connector(path: list[int], tgt: list[int]) -> tuple[int, ...]:
 
 
 def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
-             blocked: set[int]) -> bool:
-    """True when the frontier DP proves the reduced problem infeasible;
-    False when it finds it feasible or exceeds DP_STATE_CAP."""
+             blocked: set[int]) -> bool | None:
+    """True when the frontier DP proves the reduced problem infeasible,
+    False when it proves it feasible, None when it exceeds DP_STATE_CAP."""
     n = t.graph.n
     order = list(range(n))
     if t.world.kind in ("product-Z", "product-N", "dominated-ray"):
@@ -245,7 +251,7 @@ def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
         return not disjoint_paths_exist(n, adj, order, terminals, blocked,
                                         state_cap=DP_STATE_CAP)
     except ResourceCapError:
-        return False
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +274,9 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     NoLinkageError means every pairing was refuted, exactly for this
     window and reported as depth-limited, never as a statement about the
     infinite world.
-    ResourceCapError means some pairing was neither routed nor refuted
-    within the DP's state cap.
+    ResourceCapError means some pairing was neither routed nor refuted;
+    its message says whether the DP proved such a pairing feasible (the
+    router found no witness in ROUTE_ROUNDS) or ran past its state cap.
     """
     nR, nS = len(source), len(target)
     if nR == 0:
@@ -292,7 +299,7 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     adj = t.graph.adjacency()
     sigmas = ([dict(sigma)] if sigma is not None else
               (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
-    undecided = False
+    unresolved: set[str] = set()
     for sg in sigmas:
         reduced = _reduce(src_pos, tgt_pos, X, sg)
         if reduced is None or _rim_chords_cross(t, reduced[0]):
@@ -305,11 +312,16 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                                 for i, p in enumerate(paths)})
             check_linkage(t, source, target, lk)
             return lk
-        undecided = undecided or not _refuted(t, adj, terminals, blocked)
-    if undecided:
+        verdict = _refuted(t, adj, terminals, blocked)
+        if verdict is False:
+            unresolved.add("a pairing is feasible by the exact DP, but the "
+                           f"router found no witness in {ROUTE_ROUNDS} rounds")
+        elif verdict is None:
+            unresolved.add(f"a pairing is undecided within {DP_STATE_CAP} DP states")
+    if unresolved:
         raise ResourceCapError(
-            f"linkage at window depth {t.depth} neither routed nor refuted "
-            f"within {DP_STATE_CAP} DP states")
+            f"linkage at window depth {t.depth} neither routed nor refuted: "
+            + "; ".join(sorted(unresolved)))
     raise NoLinkageError(
         f"no linkage at window depth {t.depth} (search exhausted)", t.depth)
 
@@ -376,6 +388,8 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
         # prefix segment of the walk along the source ray
         path = linkage.paths.get(i, ())
         if path:
+            if path[0] in X:
+                raise LinkageCheckError(f"walk {i}: its switch point lies in X")
             a = src_pos[i].index(path[0])
         else:
             a = len(src_pos[i]) - 1
@@ -500,7 +514,7 @@ def _greedy_hops(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
     for s1, s2 in zip(moves, moves[1:]):
         l = next(i for i in range(k) if s1[i] != s2[i])
         a, b = s1[l], s2[l]
-        src_from = max(cur_pos[l], last_x[a], 0)
+        src_from = max(cur_pos[l], last_x[a] + 1)
         dst_from = max(used_bound[b], last_x[b]) + 1
         srcs = {ray_pos[a][p]: p for p in range(src_from, len(ray_pos[a]))
                 if ray_pos[a][p] not in committed or p == cur_pos[l]}

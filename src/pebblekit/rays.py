@@ -101,11 +101,10 @@ def _edge_set_at(w: World, rays: list[RaySpec], d0: int, annuli: int,
         hi = d0 + t * ring_width
         shell = _ring_coords(w, lo, hi, cap=window_cap)
         shell_traces = [tr & shell for tr in traces]
+        # the rays are disjoint here, so the other rays are the union less two
+        on_rays = set().union(*shell_traces)
         for (i, j) in list(alive):
-            others: set[Coord] = set()
-            for k2 in range(len(rays)):
-                if k2 not in (i, j):
-                    others |= shell_traces[k2]
+            others = on_rays - shell_traces[i] - shell_traces[j]
             if not _shell_has_path(w, shell, shell_traces[i], shell_traces[j], others):
                 alive.discard((i, j))
     edges.update(alive)

@@ -203,6 +203,11 @@ def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--state-cap", "2", "group",
                              "--graph", k4_file, "--state", "[0,1]")
     assert code == 3 and doc is None and "cap" in err
+    # transition reads ray-graph shells beyond its window, under the same cap
+    code, doc, err = run_cli(capsys, "--window-cap", "300", "transition",
+                             "--world", "half-grid", "--depth", "6",
+                             "--rays", "canonical:3", "--moves", "[[0],[1]]")
+    assert code == 3 and doc is None and "cap" in err
 
 
 def test_pretty_flag(capsys, p5_file):

@@ -113,12 +113,14 @@ def test_fuzz_against_brute_force():
             adj[u].append(v)
             adj[v].append(u)
         adj = [sorted(a) for a in adj]
-        k = rng.randint(1, 3)
+        k = rng.randint(1, 4)
         verts = list(range(n))
         rng.shuffle(verts)
         if len(verts) < 2 * k:
             continue
         terms = [(verts[2 * i], verts[2 * i + 1]) for i in range(k)]
+        if rng.random() < 0.2:
+            terms[-1] = (terms[-1][0], terms[-1][0])   # a single-vertex walk
         pool = verts[2 * k:]
         blocked = set(rng.sample(pool, k=min(rng.randint(0, 2), len(pool))))
         order = list(range(n))

@@ -198,3 +198,47 @@ def test_import_leaves_numpy_and_scipy_out():
          "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_dp_refutes_interior_terminals():
+    # full-grid rays start next to the origin, where the rim certificate
+    # sees nothing; the DP refutes the pairing within its state cap
+    fg = make_world("full-grid")
+    t = truncate(fg, 3)
+    rays = canonical_rays(fg, 4)
+    with pytest.raises(NoLinkageError):
+        find_linkage(t, rays[:3], rays, set(chebyshev_ball(t, 1)),
+                     {0: 0, 1: 2, 2: 1})
+
+
+def test_refusal_says_why(half_setup, monkeypatch):
+    # the DP proves this pairing feasible, but the router finds no witness
+    fg = make_world("full-grid")
+    t = truncate(fg, 3)
+    rays = canonical_rays(fg, 4)
+    with pytest.raises(ResourceCapError, match="feasible by the exact DP"):
+        find_linkage(t, [rays[i] for i in (2, 0, 1, 3)],
+                     [rays[j] for j in (0, 1, 3, 2)], set(),
+                     {0: 2, 1: 0, 2: 3, 3: 1})
+    # without the router, this feasible pairing is beyond the DP's cap
+    hg, th, cols = half_setup
+    monkeypatch.setattr(linkage, "_route", lambda *args: None)
+    with pytest.raises(ResourceCapError, match="undecided within"):
+        find_linkage(th, cols[:2], cols[2:4], set(), {0: 0, 1: 1})
+
+
+def test_switch_point_lies_after_x():
+    fg = make_world("full-grid")
+    t = truncate(fg, 8)
+    rays = canonical_rays(fg, 4)[:2]
+    ball = frozenset(chebyshev_ball(t, 2))
+    lk = find_linkage(t, rays, rays, ball, {0: 1, 1: 0})
+    for p in lk.paths.values():
+        assert p and not set(p) & ball
+    # switching on the ray's last X vertex instead is rejected
+    src = rays[0].positions_in(t)
+    last_x = max(p for p, v in enumerate(src) if v in ball)
+    early = dict(lk.paths)
+    early[0] = (src[last_x],) + lk.paths[0]
+    with pytest.raises(LinkageCheckError, match="switch point"):
+        check_linkage(t, rays, rays, Linkage(lk.sigma, early, ball))
