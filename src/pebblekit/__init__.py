@@ -11,9 +11,8 @@ from .errors import (GraphParseError, LinkageCheckError, NoLinkageError,
                      PebbleKitError, ResourceCapError, StateCapExceeded,
                      ValidationError, WindowCapExceeded)
 from .graphs import (BarePath, Graph, bridges, enumerate_connected_graphs,
-                     find_bare_path_cover, is_bare_path, is_connected,
-                     is_cycle_graph, max_disjoint_paths, maximal_bare_paths,
-                     parse_graph)
+                     is_bare_path, is_connected, is_cycle_graph,
+                     maximal_bare_paths, parse_graph)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, MoveSequence,
                       is_achievable, legal_moves, reachable_states, solve,
                       validate_move_sequence)
@@ -37,11 +36,11 @@ __all__ = [
     "StateCapExceeded", "StructureReport", "Truncation", "ValidationError",
     "WindowCapExceeded", "World", "bridges", "canonical_rays",
     "check_linkage", "chebyshev_ball", "compose", "cycle_notation",
-    "enumerate_connected_graphs", "find_bare_path_cover", "find_linkage",
+    "enumerate_connected_graphs", "find_linkage",
     "graph_to_dot", "inverse", "is_achievable", "is_bare_path",
     "is_connected", "is_cycle_graph", "is_k_pebble_win", "is_linear_family",
-    "legal_moves", "linkage_walks", "make_world", "max_disjoint_paths",
-    "maximal_bare_paths", "parse_graph",
+    "legal_moves", "linkage_walks", "make_world", "maximal_bare_paths",
+    "parse_graph",
     "pebble_group_fast", "pebble_permutation_group", "ray_graph",
     "rb_colouring", "reachable_states", "realize_transition", "solve",
     "structure_witness", "tail_after", "transposition", "truncate",

@@ -2,8 +2,8 @@
 
 Vertices are the integers 0..n-1; display labels never affect semantics.
 This module carries the substrate everything else leans on: parsing,
-connectivity, bridges, maximal bare paths, vertex-disjoint path counting
-(the Menger/flow oracle), and exhaustive enumeration of small connected
+connectivity, bridges, maximal bare paths, the bitmask adjacency and
+connectivity kernel, and exhaustive enumeration of small connected
 labelled graphs.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, ValidationError
@@ -280,104 +280,6 @@ def is_cycle_graph(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vertex-disjoint paths (Menger/flow oracle)
-# ---------------------------------------------------------------------------
-
-def max_disjoint_paths(g: Graph, a_set: Iterable[int], b_set: Iterable[int],
-                       forbidden: Iterable[int] = ()) -> tuple[int, list[list[int]]]:
-    """Maximum family of fully vertex-disjoint A-B paths in g - forbidden.
-
-    Returns the count together with witnessing paths (as vertex lists,
-    endpoints included).  Exact: vertex-splitting reduction to a
-    unit-capacity max-flow, solved by BFS augmentation.
-    """
-    A = frozenset(a_set)
-    B = frozenset(b_set)
-    F = frozenset(forbidden)
-    if (A & B) or (A & F) or (B & F):
-        raise ValidationError("A, B and forbidden must be pairwise disjoint")
-    for v in itertools.chain(A, B, F):
-        if not (0 <= v < g.n):
-            raise ValidationError(f"vertex {v} out of range")
-    if not A or not B:
-        return 0, []
-
-    # Split each usable vertex v into v_in = 2v and v_out = 2v + 1 with a
-    # unit arc between them; graph edges become out->in arcs both ways.
-    src = 2 * g.n
-    snk = 2 * g.n + 1
-    cap: dict[tuple[int, int], int] = {}
-    arcs: dict[int, list[int]] = {i: [] for i in range(2 * g.n + 2)}
-    original: set[tuple[int, int]] = set()
-
-    def add_arc(x: int, y: int):
-        if (x, y) in original:
-            return
-        original.add((x, y))
-        cap[(x, y)] = 1
-        cap.setdefault((y, x), 0)
-        arcs[x].append(y)
-        if x not in arcs[y]:
-            arcs[y].append(x)
-
-    for v in range(g.n):
-        if v not in F:
-            add_arc(2 * v, 2 * v + 1)
-    for u, v in g.sorted_edges():
-        if u in F or v in F:
-            continue
-        add_arc(2 * u + 1, 2 * v)
-        add_arc(2 * v + 1, 2 * u)
-    for a in sorted(A):
-        add_arc(src, 2 * a)
-    for b in sorted(B):
-        add_arc(2 * b + 1, snk)
-    for x in arcs:
-        arcs[x].sort()
-
-    flow = 0
-    while True:
-        prev: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue and snk not in prev:
-            x = queue.popleft()
-            for y in arcs[x]:
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if snk not in prev:
-            break
-        y = snk
-        while y != src:
-            x = prev[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-            y = x
-        flow += 1
-
-    # An original unit arc carries flow iff its residual dropped to 0.
-    carrying: dict[int, list[int]] = {}
-    for (x, y) in original:
-        if cap[(x, y)] == 0:
-            carrying.setdefault(x, []).append(y)
-    for lst in carrying.values():
-        lst.sort()
-
-    paths: list[list[int]] = []
-    for first in carrying.pop(src, []):
-        path: list[int] = []
-        node = first
-        while node != snk:
-            if node % 2 == 0:
-                path.append(node // 2)
-            nxt = carrying[node].pop(0)
-            node = nxt
-        paths.append(path)
-    assert len(paths) == flow
-    return flow, paths
-
-
-# ---------------------------------------------------------------------------
 # Enumeration of connected labelled graphs
 # ---------------------------------------------------------------------------
 
@@ -458,19 +360,3 @@ def maximal_bare_paths(g: Graph) -> list[BarePath]:
         found.add(min(seq, rev))
     return sorted(found)
 
-
-def find_bare_path_cover(g: Graph, k: int) -> BarePath | None:
-    """A maximal bare path covering all but at most k vertices, if any.
-
-    Ties among qualifying paths break to the lexicographically smallest
-    vertex sequence.  Any bare path extends to a maximal one, so searching
-    maximal paths only preserves existence.
-    """
-    if not is_connected(g):
-        raise ValidationError("graph must be connected")
-    best = None
-    for seq in maximal_bare_paths(g):
-        if g.n - len(seq) <= k:
-            if best is None or seq < best:
-                best = seq
-    return best

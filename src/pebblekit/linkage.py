@@ -464,42 +464,22 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
             raise ValidationError(f"rays {a} and {b} intersect in the window")
     source = [rays[s] for s in moves[0]]
     sigma = {i: moves[-1][i] for i in range(k)}
-    hops = _greedy_hops(t, ray_pos, moves, X)
-    if hops is None:
+    paths = _greedy_paths(t, ray_pos, moves, X)
+    if paths is None:
         # the greedy routing proves nothing when it fails; the exact engine
         # finds a linkage with the same induced pairing or refutes it
         return find_linkage(t, source, rays, X, sigma)
-
-    paths: dict[int, tuple[int, ...]] = {}
-    for i in range(k):
-        if not hops[i]:
-            paths[i] = ()
-            continue
-        # composite connector: first switch vertex through final landing,
-        # riding each intermediate ray between landing and next switch
-        out: list[int] = []
-        for h_idx, (a, a_pos, conn, b, b_pos) in enumerate(hops[i]):
-            if h_idx == 0:
-                out.extend(conn)
-            else:
-                prev_b, prev_b_pos = hops[i][h_idx - 1][3], hops[i][h_idx - 1][4]
-                assert prev_b == a
-                # ride from the previous landing up to the new switch vertex,
-                # whose connector repeats it as conn[0]
-                out.extend(ray_pos[a][prev_b_pos + 1:a_pos + 1])
-                out.extend(conn[1:])
-        paths[i] = tuple(out)
     lk = Linkage(sigma=sigma, paths=paths, after=X)
     check_linkage(t, source, rays, lk)
     return lk
 
 
-def _greedy_hops(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
-                 X: frozenset[int]):
+def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
+                  X: frozenset[int]) -> dict[int, tuple[int, ...]] | None:
     """One connector per move, each by BFS strictly beyond the region used
-    so far; per slot, a list of (ray_departed, switch_pos, connector,
-    ray_landed, landing_pos) with the connector running switch..landing
-    inclusive.  None when some move finds no room."""
+    so far, composed per slot into the path from its first switch vertex
+    to its final landing that rides each intermediate ray in between.
+    None when some move finds no room."""
     m, k = len(ray_pos), len(moves[0])
     last_x = [max((p for p, v in enumerate(pos) if v in X), default=-1)
               for pos in ray_pos]
@@ -509,7 +489,7 @@ def _greedy_hops(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
     cur_pos = [-1] * k                   # last committed position on own ray
     used_bound = [-1] * m                # highest committed position per ray
     committed: set[int] = set()
-    hops: list[list[tuple[int, int, list[int], int, int]]] = [[] for _ in range(k)]
+    paths: list[list[int]] = [[] for _ in range(k)]
 
     for s1, s2 in zip(moves, moves[1:]):
         l = next(i for i in range(k) if s1[i] != s2[i])
@@ -560,8 +540,13 @@ def _greedy_hops(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
         ride = ray_pos[a][max(cur_pos[l], 0):a_pos + 1]
         committed.update(ride)
         committed.update(conn)
-        hops[l].append((a, a_pos, conn, b, b_pos))
+        if paths[l]:
+            # ride from the previous landing up to the switch vertex, which
+            # the connector repeats as conn[0]
+            paths[l] += ray_pos[a][cur_pos[l] + 1:a_pos + 1] + conn[1:]
+        else:
+            paths[l] = conn
         used_bound[a] = max(used_bound[a], a_pos)
         used_bound[b] = max(used_bound[b], b_pos)
         cur_pos[l] = b_pos
-    return hops
+    return {i: tuple(p) for i, p in enumerate(paths)}

@@ -47,21 +47,19 @@ class RayGraph:
 
 def check_disjoint_rays(rays: list[RaySpec], depth: int) -> None:
     """Raise unless the rays are pairwise vertex-disjoint within ``depth``."""
-    sets = [r.vertex_set_in_window(depth) for r in rays]
-    for a, b in itertools.combinations(range(len(rays)), 2):
-        if sets[a] & sets[b]:
-            raise ValidationError(
-                f"rays {rays[a].index} and {rays[b].index} intersect within depth {depth}")
+    owner: dict[Coord, RaySpec] = {}
+    for r in rays:
+        for c in r.coords_in_window(depth):
+            first = owner.setdefault(c, r)
+            if first is not r:
+                raise ValidationError(
+                    f"rays {first.index} and {r.index} intersect within depth {depth}")
 
 
 def _ring_coords(w: World, lo: int, hi: int,
                  cap: int = DEFAULT_WINDOW_CAP) -> set[Coord]:
     """All world coordinates with lo < norm <= hi."""
     return {c for c in _window_coords(w, hi, cap) if world_norm(w, c) > lo}
-
-
-def _ray_trace(r: RaySpec, limit: int) -> list[Coord]:
-    return r.coords_in_window(limit)
 
 
 def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
@@ -92,23 +90,24 @@ def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
 def _edge_set_at(w: World, rays: list[RaySpec], d0: int, annuli: int,
                  ring_width: int, window_cap: int) -> frozenset[tuple[int, int]]:
     hi_max = d0 + annuli * ring_width
-    traces = [set(_ray_trace(r, hi_max)) for r in rays]
-    edges: set[tuple[int, int]] = set()
-    pairs = list(itertools.combinations(range(len(rays)), 2))
-    alive = set(pairs)
+    traces = [set(r.coords_in_window(hi_max)) for r in rays]
+    alive: set[tuple[int, int]] = set()
     for t in range(1, annuli + 1):
         lo = d0 + (t - 1) * ring_width
         hi = d0 + t * ring_width
         shell = _ring_coords(w, lo, hi, cap=window_cap)
         shell_traces = [tr & shell for tr in traces]
+        if t == 1:
+            # a ray that misses the first shell has no path in it
+            alive = set(itertools.combinations(
+                [i for i, tr in enumerate(shell_traces) if tr], 2))
         # the rays are disjoint here, so the other rays are the union less two
         on_rays = set().union(*shell_traces)
         for (i, j) in list(alive):
             others = on_rays - shell_traces[i] - shell_traces[j]
             if not _shell_has_path(w, shell, shell_traces[i], shell_traces[j], others):
                 alive.discard((i, j))
-    edges.update(alive)
-    return frozenset(edges)
+    return frozenset(alive)
 
 
 def ray_graph(w: World, rays: list[RaySpec], d0: int,
@@ -172,12 +171,6 @@ def is_linear_family(rg: RayGraph) -> bool:
                 seen.add(v2)
                 stack.append(v2)
     return len(seen) == m
-
-
-def contains_subgraph(rg: RayGraph, g_edges: set[tuple[int, int]]) -> bool:
-    """Does the ray graph contain the given edge set under index identity?"""
-    norm = {(min(a, b), max(a, b)) for a, b in rg.edges}
-    return all((min(a, b), max(a, b)) in norm for a, b in g_edges)
 
 
 def tail_after(r: RaySpec, x_vertices: set[int], t: Truncation) -> RaySpec:

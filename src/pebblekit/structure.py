@@ -268,10 +268,11 @@ def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
 
     k runs downward from n-2; a k-pebble-win graph is also j-pebble-win
     for every j < k (drop the extra pebbles and project the moves), so the
-    scan stops at the first win.  The shortcut is property-tested against
-    the per-instance decision in the suite.
+    scan stops at the first win and counts the k-1 smaller instances as
+    checked wins.  The suite checks the counts against ``is_k_pebble_win``
+    on every instance with n <= 5.
     """
-    n, lo, hi, monotone_shortcut = args
+    n, lo, hi = args
     pairs = vertex_pairs(n)
     bases = [tuple(range(k)) for k in range(n)]
     checked = 0
@@ -285,12 +286,10 @@ def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
         for k in range(n - 2, 0, -1):
             n_cfg, group = _config_group(adj, n, bases[k])
             win = n_cfg == comb(n, k) and group.order() == factorial(k)
-            if win and monotone_shortcut:
+            if win:
                 checked += k
                 break
             checked += 1
-            if win:
-                continue
             non_win += 1
             if g is None:
                 g = graph_from_mask(n, mask)
@@ -304,15 +303,15 @@ def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
     return checked, non_win, failures
 
 
-def verify_structure_theorem(n_max: int, workers: int | None = None,
-                             monotone_shortcut: bool = True) -> dict:
+def verify_structure_theorem(n_max: int, workers: int | None = None) -> dict:
     """Sweep every connected labelled graph with n <= n_max and every
     1 <= k <= n-2; assert that each non-k-pebble-win instance has a
     conforming bare-path witness.
 
     Returns {"checked", "non_pebble_win", "failures", "elapsed_ms",
     "failures_detail"}.  ``workers`` distributes (graph, k) instances
-    across processes; results are aggregated order-independently.
+    across processes, at most one per CPU and one per mask range; results
+    are aggregated order-independently.
     """
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
@@ -324,8 +323,9 @@ def verify_structure_theorem(n_max: int, workers: int | None = None,
         total = 1 << len(vertex_pairs(n))
         step = max(1, min(total, 1 << 16))
         for lo in range(0, total, step):
-            jobs.append((n, lo, min(total, lo + step), monotone_shortcut))
-    if workers > 1 and len(jobs) > 1:
+            jobs.append((n, lo, min(total, lo + step)))
+    workers = max(1, min(workers, len(jobs), os.cpu_count() or 1))
+    if workers > 1:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:
             results = pool.map(_sweep_chunk, jobs)

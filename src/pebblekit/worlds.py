@@ -104,29 +104,6 @@ def world_contains(w: World, c: Coord) -> bool:
     return 0 <= x <= w.k and y >= 0
 
 
-def world_adjacent(w: World, a: Coord, b: Coord) -> bool:
-    if a == b or not (world_contains(w, a) and world_contains(w, b)):
-        return False
-    ax, ay = a
-    bx, by = b
-    if w.kind in ("full-grid", "half-grid"):
-        return abs(ax - bx) + abs(ay - by) == 1
-    if w.kind == "hex-half-grid":
-        if ay == by:
-            return abs(ax - bx) == 1
-        if ax == bx and abs(ay - by) == 1:
-            return (ax + min(ay, by)) % 2 == 0
-        return False
-    if w.kind in ("product-Z", "product-N"):
-        if ax == bx:
-            return abs(ay - by) == 1
-        return ay == by and w.base.has_edge(ax, bx)
-    # dominated-ray comb
-    if ax == bx:
-        return abs(ay - by) == 1
-    return ay == by and (ax == 0 or bx == 0)
-
-
 def world_neighbors(w: World, c: Coord) -> list[Coord]:
     x, y = c
     if w.kind in ("full-grid", "half-grid"):
@@ -276,7 +253,7 @@ class RaySpec:
             raise ValidationError("period cycle must have nonzero net displacement")
         probe = [self.coord(i) for i in range(len(self.prefix) + 4 * len(self.steps) + 1)]
         for a, b in zip(probe, probe[1:]):
-            if not world_adjacent(self.world, a, b):
+            if b not in world_neighbors(self.world, a):
                 raise ValidationError(f"ray coordinates {a} and {b} not adjacent")
         if len(set(probe)) != len(probe):
             raise ValidationError("ray coordinates must be injective")
@@ -340,23 +317,6 @@ class RaySpec:
         prefix = tuple(self.coord(p) for p in range(offset, end + 1))
         idx = self.index if new_index is None else new_index
         return RaySpec(self.world, prefix, self.steps, idx)
-
-    def to_json_dict(self) -> dict:
-        period: list = [list(s) for s in self.steps]
-        if len(period) == 1:
-            period = period[0]
-        return {"prefix": [list(c) for c in self.prefix],
-                "period": period, "index": self.index}
-
-
-def rayspec_from_json_dict(w: World, doc: dict) -> RaySpec:
-    prefix = tuple(tuple(c) for c in doc["prefix"])
-    period = doc["period"]
-    if period and isinstance(period[0], list):
-        steps = tuple(tuple(s) for s in period)
-    else:
-        steps = (tuple(period),)
-    return RaySpec(w, prefix, steps, int(doc.get("index", 0)))
 
 
 def _full_grid_ray(w: World, i: int) -> RaySpec:

@@ -4,8 +4,6 @@ Each one computes its answer by brute force or straight from the
 definition, on a different path from the library routine it checks.
 """
 
-import itertools
-
 from pebblekit.graphs import Graph
 from pebblekit.pebbles import reachable_states
 from pebblekit.permgroups import PermGroup
@@ -43,33 +41,7 @@ def component_count(g: Graph) -> int:
     return count
 
 
-def min_vertex_separator_size(g: Graph, a_set, b_set, forbidden=()) -> int:
-    """Smallest vertex set whose removal leaves no A-B path in g - forbidden.
-
-    Brute force over subsets, ascending size.
-    """
-    A = frozenset(a_set)
-    B = frozenset(b_set)
-    F = frozenset(forbidden)
-    candidates = [v for v in range(g.n) if v not in F]
-    adj = g.adjacency()
-
-    def separated(removed: frozenset[int]) -> bool:
-        blocked = F | removed
-        seen = set(a for a in A if a not in blocked)
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            if u in B:
-                return False
-            for w in adj[u]:
-                if w not in seen and w not in blocked:
-                    seen.add(w)
-                    stack.append(w)
-        return not (seen & B)
-
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if separated(frozenset(combo)):
-                return size
-    return len(candidates)
+def contains_subgraph(rg, g_edges) -> bool:
+    """Does the ray graph contain the given edge set under index identity?"""
+    norm = {(min(a, b), max(a, b)) for a, b in rg.edges}
+    return all((min(a, b), max(a, b)) in norm for a, b in g_edges)

@@ -18,14 +18,14 @@ from pebblekit.graphs import Graph, enumerate_connected_graphs
 from pebblekit.linkage import check_linkage, find_linkage, realize_transition
 from pebblekit.pebbles import reachable_states
 from pebblekit.permgroups import transposition
-from pebblekit.rays import contains_subgraph, is_linear_family, ray_graph
+from pebblekit.rays import is_linear_family, ray_graph
 from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
                                  pebble_permutation_group, rb_colouring,
                                  verify_structure_theorem)
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import harvest_group
+from oracles import contains_subgraph, harvest_group
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):

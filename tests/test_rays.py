@@ -4,11 +4,11 @@ import pytest
 
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import Graph
-from pebblekit.rays import (RayGraph, contains_subgraph, is_linear_family,
-                            ray_graph, tail_after)
+from pebblekit.rays import RayGraph, is_linear_family, ray_graph, tail_after
 from pebblekit.worlds import RaySpec, canonical_rays, make_world, truncate
 
 from conftest import cycle_graph, star_graph
+from oracles import contains_subgraph
 
 
 def test_half_grid_columns_form_a_path():
@@ -44,6 +44,26 @@ def test_star_product_ray_graph_is_star():
     assert rg.edges == frozenset({(0, 1), (0, 2), (0, 3)})
     assert contains_subgraph(rg, set(st.sorted_edges()))
     assert not is_linear_family(rg)
+
+
+def test_ray_graph_searches_only_rays_in_the_shells(monkeypatch):
+    import pebblekit.rays as rays_mod
+    calls = 0
+    search = rays_mod._shell_has_path
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(rays_mod, "_shell_has_path", counted)
+    hg = make_world("half-grid")
+    rg = ray_graph(hg, canonical_rays(hg, 2000), d0=2)
+    # columns 0-4 meet the first shell at d0 = 2 and columns 0-5 at d0 = 3:
+    # at most C(5, 2) + C(6, 2) pairs, searched in each of the 3 shells
+    assert calls <= 3 * (10 + 15)
+    # no column beyond 9 reaches the deepest shell
+    assert rg.edges == ray_graph(hg, canonical_rays(hg, 10), d0=2).edges
 
 
 def test_dominated_ray_spine_degree():

@@ -277,10 +277,15 @@ def test_sweep_n5_finds_losers():
 
 
 def test_sweep_monotone_shortcut_agrees():
-    fast = verify_structure_theorem(5, workers=1, monotone_shortcut=True)
-    slow = verify_structure_theorem(5, workers=1, monotone_shortcut=False)
-    for key in ("checked", "non_pebble_win", "failures"):
-        assert fast[key] == slow[key]
+    # the sweep stops at the first win in k; decide every instance instead
+    checked = non_win = 0
+    for n in range(3, 6):
+        for g in enumerate_connected_graphs(n):
+            for k in range(1, n - 1):
+                checked += 1
+                non_win += not is_k_pebble_win(g, k)
+    rep = verify_structure_theorem(5, workers=1)
+    assert (rep["checked"], rep["non_pebble_win"]) == (checked, non_win)
 
 
 def test_sweep_parallel_agrees():
@@ -288,6 +293,39 @@ def test_sweep_parallel_agrees():
     b = verify_structure_theorem(5, workers=2)
     for key in ("checked", "non_pebble_win", "failures"):
         assert a[key] == b[key]
+
+
+@pytest.mark.parametrize("cpus, size", [(3, 3), (64, 4)])
+def test_sweep_worker_count_is_bounded(monkeypatch, cpus, size):
+    # n <= 4 is 4 mask ranges: the pool gets at most one worker per CPU and
+    # per range; a fake pool records its size and maps in this process
+    import multiprocessing
+    import os
+    sizes = []
+
+    class FakePool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rep = verify_structure_theorem(4, workers=100_000)
+    assert sizes == [size]
+    serial = verify_structure_theorem(4, workers=1)
+    for key in ("checked", "non_pebble_win", "failures"):
+        assert rep[key] == serial[key]
 
 
 def test_sweep_rejects_large_n():

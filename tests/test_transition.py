@@ -78,6 +78,30 @@ def test_greedy_failure_falls_back_to_exact_search():
     check_linkage(t, [rays[0], rays[1]], rays, lk)
 
 
+def test_greedy_composition_needs_no_exact_search(grid_setup, monkeypatch):
+    # the greedy router must realize these itself: were it to give up, the
+    # exact engine would answer instead and the tests above would still pass
+    import pebblekit.linkage as linkage_mod
+
+    def no_fallback(*args, **kwargs):
+        pytest.fail("realize_transition fell back to find_linkage")
+
+    monkeypatch.setattr(linkage_mod, "find_linkage", no_fallback)
+    _, t, rays, rg = grid_setup
+    ball = set(chebyshev_ball(t, 3))
+    cases = [([(0, 1)], set()),
+             ([(0, 1), (2, 1)], set()),
+             ([(0, 1), (2, 1), (2, 0)], set()),
+             ([(0, 1), (2, 1), (2, 0), (1, 0)], set()),
+             # there and back: rides ray 2 from the landing to the switch
+             ([(0, 1), (2, 1), (0, 1)], set()),
+             ([(0, 1), (2, 1)], ball)]
+    for moves, x in cases:
+        lk = realize_transition(t, rays, moves, x, rg=rg)
+        assert lk.sigma == dict(enumerate(moves[-1]))
+        check_linkage(t, [rays[s] for s in moves[0]], rays, lk)
+
+
 def test_move_validation(grid_setup):
     _, t, rays, rg = grid_setup
     with pytest.raises(ValidationError):
