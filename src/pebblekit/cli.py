@@ -74,11 +74,16 @@ def _parse_moves(text: str) -> list[tuple[int, ...]]:
     return [tuple(s) for s in doc]
 
 
-def _parse_rays(world: World, spec: str | None):
+def _parse_rays(world: World, spec: str | None, window_cap: int):
     if spec is None:
         raise ValidationError("give --rays, e.g. canonical:4")
     if spec.startswith("canonical:"):
         m = int(spec.split(":", 1)[1])
+        # m disjoint rays need m vertices in any window that meets them
+        # all, so the window cap bounds m before any ray is built
+        if m > window_cap:
+            raise ResourceCapError(
+                f"{m} rays exceed the window cap of {window_cap} vertices")
         return canonical_rays(world, m)
     raise ValidationError(f"unsupported ray family spec {spec!r} (use canonical:M)")
 
@@ -144,7 +149,7 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_raygraph(args) -> dict:
     w = _load_world(args)
-    rays = _parse_rays(w, args.rays)
+    rays = _parse_rays(w, args.rays, args.window_cap)
     rg = ray_graph(w, rays, d0=args.d0, annuli=args.annuli,
                    ring_width=args.ring_width, window_cap=args.window_cap)
     doc = rg.to_json_dict()
@@ -157,7 +162,7 @@ def _cmd_linkage(args) -> dict:
     if args.depth is None:
         raise ValidationError("give --depth or put a depth in the world file")
     t = truncate(w, args.depth, cap=args.window_cap)
-    rays = _parse_rays(w, args.rays)
+    rays = _parse_rays(w, args.rays, args.window_cap)
     src = [rays[i] for i in _parse_positions(args.source, len(rays))]
     tgt = [rays[i] for i in _parse_positions(args.target, len(rays))]
     sigma = None
@@ -179,7 +184,7 @@ def _cmd_transition(args) -> dict:
     if args.depth is None:
         raise ValidationError("give --depth or put a depth in the world file")
     t = truncate(w, args.depth, cap=args.window_cap)
-    rays = _parse_rays(w, args.rays)
+    rays = _parse_rays(w, args.rays, args.window_cap)
     moves = _parse_moves(args.moves)
     x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
     # the ray graph reads deeper shells than the window: bound them too
@@ -202,7 +207,7 @@ def _cmd_export_dot(args) -> dict:
     else:
         w = _load_world(args)
         t = truncate(w, args.depth, cap=args.window_cap)
-        rays = _parse_rays(w, args.rays) if args.rays else None
+        rays = _parse_rays(w, args.rays, args.window_cap) if args.rays else None
         text = dot.truncation_to_dot(t, rays)
     Path(args.out).write_text(text)
     return {"written": args.out, "bytes": len(text)}

@@ -13,6 +13,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, ValidationError
@@ -58,16 +59,20 @@ class Graph:
                    labels: tuple[str, ...] | None = None) -> "Graph":
         return cls(n, frozenset(_norm_edge(u, v) for u, v in edges), labels)
 
-    def adjacency(self) -> list[tuple[int, ...]]:
-        """Sorted neighbour tuples, index per vertex."""
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return [tuple(sorted(a)) for a in adj]
+        return tuple(tuple(sorted(a)) for a in adj)
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, index per vertex; built once per graph."""
+        return self._adjacency
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
 from .disjoint_paths import disjoint_paths_exist
-from .pebbles import MoveSequence
+from .graphs import Graph
+from .pebbles import MoveSequence, validate_move_sequence
 from .rays import RayGraph, ray_graph
 from .worlds import RaySpec, Truncation
 
@@ -421,41 +422,29 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
                        rg: RayGraph | None = None) -> Linkage:
     """Compose one single-switch linkage per pebble move.
 
-    ``moves`` is a sequence of game states on the ray indices (positions in
-    ``rays``); each move sends one pebble from its ray to an unoccupied ray
-    adjacent in the ray graph.  Every move consumes one connecting path
-    strictly beyond the region used so far, so the composite walks stay
-    disjoint.  The returned linkage maps source position i (the i-th entry
-    of the initial state) to the i-th entry of the final state, and passes
-    ``check_linkage``.  When this greedy composition runs out of room,
+    ``moves`` is a sequence of game states on ray positions (indices into
+    ``rays``), checked by ``validate_move_sequence`` on the ray graph ``rg``
+    read over those positions: each move sends one pebble from its ray to
+    an unoccupied ray adjacent in ``rg``.  ``rg`` must be the ray graph of
+    ``rays`` (the same ray indices in the same order), else
+    ValidationError; it is built when omitted.  Every move consumes one
+    connecting path strictly beyond the region used so far, so the
+    composite walks stay disjoint.  The returned linkage maps source
+    position i (the i-th entry of the initial state) to the i-th entry of
+    the final state, and passes ``check_linkage``.  When this greedy composition runs out of room,
     ``find_linkage`` decides the induced pairing instead, so a
     NoLinkageError is exact for the window, as there.
     """
-    if not moves:
-        raise ValidationError("move sequence must contain at least one state")
-    m = len(rays)
-    k = len(moves[0])
-    if k < 1:
-        raise ValidationError("game states must place at least one pebble")
-    for st in moves:
-        if len(st) != k or len(set(st)) != k:
-            raise ValidationError(f"bad game state {st}")
-        for r in st:
-            if not (0 <= r < m):
-                raise ValidationError(f"state mentions ray {r}, have {m} rays")
     if rg is None:
         rg = ray_graph(t.world, rays, d0=max(4, t.depth))
-    rg_edges = {(min(a, b), max(a, b)) for a, b in rg.edges}
-    for s1, s2 in zip(moves, moves[1:]):
-        diff = [i for i in range(k) if s1[i] != s2[i]]
-        if len(diff) != 1:
-            raise ValidationError(f"{s1} -> {s2} is not a single-pebble move")
-        l = diff[0]
-        if s2[l] in s1:
-            raise ValidationError(f"{s1} -> {s2} moves onto an occupied ray")
-        if (min(s1[l], s2[l]), max(s1[l], s2[l])) not in rg_edges:
-            raise ValidationError(
-                f"{s1} -> {s2} moves along a non-edge of the ray graph")
+    elif rg.indices != tuple(r.index for r in rays):
+        raise ValidationError(
+            f"ray graph is over rays {list(rg.indices)}, "
+            f"not {[r.index for r in rays]}")
+    m = len(rays)
+    pos = {r.index: i for i, r in enumerate(rays)}
+    validate_move_sequence(
+        Graph.from_edges(m, ((pos[a], pos[b]) for a, b in rg.edges)), moves)
 
     X = frozenset(x_vertices)
     ray_pos = [_ray_window_positions(t, r) for r in rays]
@@ -463,7 +452,7 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
         if set(ray_pos[a]) & set(ray_pos[b]):
             raise ValidationError(f"rays {a} and {b} intersect in the window")
     source = [rays[s] for s in moves[0]]
-    sigma = {i: moves[-1][i] for i in range(k)}
+    sigma = dict(enumerate(moves[-1]))
     paths = _greedy_paths(t, ray_pos, moves, X)
     if paths is None:
         # the greedy routing proves nothing when it fails; the exact engine

@@ -32,18 +32,6 @@ def validate_state(g: Graph, state: Iterable[int]) -> GameState:
     return s
 
 
-def _state_key_maker(n: int, k: int):
-    """Pack states into one integer key when n^k fits comfortably in 64 bits."""
-    if n ** k <= 1 << 62:
-        def key(s: GameState) -> int:
-            acc = 0
-            for x in s:
-                acc = acc * n + x
-            return acc
-        return key
-    return lambda s: s
-
-
 def legal_moves(g: Graph, state: GameState) -> list[GameState]:
     """All states reachable by a single move, ordered by (pebble index,
     target vertex index)."""
@@ -58,65 +46,60 @@ def legal_moves(g: Graph, state: GameState) -> list[GameState]:
     return out
 
 
-def _bfs(g: Graph, start: GameState, goal: GameState | None, cap: int,
-         want_parents: bool):
-    """Shared BFS core.
+def _bfs(g: Graph, start: GameState, goal: GameState | None,
+         cap: int) -> dict[GameState, GameState | None]:
+    """Shared BFS core: every state reached, mapped to its BFS parent
+    (None for ``start``).
 
-    Returns (found_goal, visited_keys, parents, key_fn).  Stops early when
-    the goal is dequeued; raises StateCapExceeded before visiting more than
+    Stops as soon as ``goal`` is generated, so the goal is in the map iff
+    it is reachable; raises StateCapExceeded before holding more than
     ``cap`` states.
     """
     adj = g.adjacency()
-    k = len(start)
-    key = _state_key_maker(g.n, k)
-    start_key = key(start)
-    goal_key = key(goal) if goal is not None else None
-    visited = {start_key: start}
-    parents = {start_key: None} if want_parents else None
+    parents: dict[GameState, GameState | None] = {start: None}
+    if goal == start:
+        return parents
     queue = deque([start])
-    if goal_key == start_key:
-        return True, visited, parents, key
     while queue:
         s = queue.popleft()
-        s_key = key(s)
         occupied = set(s)
         for i, v in enumerate(s):
             for w in adj[v]:
                 if w in occupied:
                     continue
                 t = s[:i] + (w,) + s[i + 1:]
-                t_key = key(t)
-                if t_key in visited:
+                if t in parents:
                     continue
-                if len(visited) >= cap:
+                if len(parents) >= cap:
                     raise StateCapExceeded(
                         f"state search exceeded cap of {cap} states")
-                visited[t_key] = t
-                if want_parents:
-                    parents[t_key] = s_key
-                if t_key == goal_key:
-                    return True, visited, parents, key
+                parents[t] = s
+                if t == goal:
+                    return parents
                 queue.append(t)
-    return False, visited, parents, key
+    return parents
 
 
 def reachable_states(g: Graph, start: GameState,
                      cap: int = DEFAULT_STATE_CAP) -> set[GameState]:
     """The full reachability class of ``start``."""
+    return set(_bfs(g, validate_state(g, start), None, cap))
+
+
+def _validate_pair(g: Graph, start: GameState,
+                   goal: GameState) -> tuple[GameState, GameState]:
     s = validate_state(g, start)
-    _, visited, _, _ = _bfs(g, s, None, cap, want_parents=False)
-    return set(visited.values())
+    t = validate_state(g, goal)
+    if len(s) != len(t):
+        raise ValidationError("states must place the same number of pebbles")
+    return s, t
 
 
 def is_achievable(g: Graph, start: GameState, goal: GameState,
                   cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff ``goal`` is reachable from ``start`` by a move sequence."""
-    s = validate_state(g, start)
-    t = validate_state(g, goal)
-    if len(s) != len(t):
-        raise ValidationError("states must place the same number of pebbles")
-    found, _, _, _ = _bfs(g, s, t, cap, want_parents=False)
-    return found
+    s, t = _validate_pair(g, start, goal)
+    return t in _bfs(g, s, t, cap)
 
 
 def solve(g: Graph, start: GameState, goal: GameState,
@@ -126,17 +109,14 @@ def solve(g: Graph, start: GameState, goal: GameState,
     The sequence includes both endpoints; its length is 1 when start == goal.
     Deterministic: BFS expands moves in (pebble index, target vertex) order.
     """
-    s = validate_state(g, start)
-    t = validate_state(g, goal)
-    if len(s) != len(t):
-        raise ValidationError("states must place the same number of pebbles")
-    found, visited, parents, key = _bfs(g, s, t, cap, want_parents=True)
-    if not found:
+    s, t = _validate_pair(g, start, goal)
+    parents = _bfs(g, s, t, cap)
+    if t not in parents:
         return None
     seq: MoveSequence = []
-    cur = key(t)
+    cur: GameState | None = t
     while cur is not None:
-        seq.append(visited[cur])
+        seq.append(cur)
         cur = parents[cur]
     seq.reverse()
     return seq

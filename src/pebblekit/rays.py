@@ -125,6 +125,8 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
         raise ValidationError("annuli must be >= 3")
     if d0 < 1:
         raise ValidationError("d0 must be >= 1")
+    if ring_width < 1:
+        raise ValidationError("ring_width must be >= 1")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
     # the deepest shell bounds every window read below; refuse it up front

@@ -26,6 +26,7 @@ coordinate identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError, WindowCapExceeded
 from .graphs import Graph, _is_int, is_connected
@@ -151,13 +152,9 @@ class Truncation:
     def index_of(self, c: Coord) -> int | None:
         return self._index.get(c)
 
-    @property
+    @cached_property
     def _index(self) -> dict[Coord, int]:
-        d = self.__dict__.get("_index_cache")
-        if d is None:
-            d = {c: i for i, c in enumerate(self.coords)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
+        return {c: i for i, c in enumerate(self.coords)}
 
     def contains(self, c: Coord) -> bool:
         return c in self._index
@@ -298,9 +295,6 @@ class RaySpec:
                 raise ValidationError(f"ray coordinate {c} missing from window")
             out.append(i)
         return out
-
-    def vertex_set_in_window(self, w_depth: int) -> frozenset[Coord]:
-        return frozenset(self.coords_in_window(w_depth))
 
     def shifted(self, offset: int, new_index: int | None = None) -> "RaySpec":
         """The tail starting ``offset`` positions in, re-anchored so that the

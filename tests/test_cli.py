@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -192,6 +193,8 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
      "--depth", "3", "--moves", "[[]]"],
     ["transition", "--world", "full-grid", "--rays", "canonical:3",
      "--depth", "3", "--moves", "[[true], [2]]"],
+    ["raygraph", "--world", "half-grid", "--rays", "canonical:3",
+     "--ring-width", "0"],
 ])
 def test_bad_ray_positions_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -207,6 +210,11 @@ def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--window-cap", "300", "transition",
                              "--world", "half-grid", "--depth", "6",
                              "--rays", "canonical:3", "--moves", "[[0],[1]]")
+    assert code == 3 and doc is None and "cap" in err
+    # a ray family larger than the window cap is refused before it is built
+    code, doc, err = run_cli(capsys, "--window-cap", "300", "raygraph",
+                             "--world", "half-grid", "--rays", "canonical:301",
+                             "--d0", "2")
     assert code == 3 and doc is None and "cap" in err
 
 
@@ -283,6 +291,12 @@ def run_file_input(directory, name, text, verb):
     if verb[0] == "export-dot":
         argv += ["--out", str(directory / "out.dot")]
     argv += ["--graph" if name.startswith("graph") else "--world-file", str(path)]
+    return run_quiet(argv)
+
+
+def run_quiet(argv):
+    """Run the command line, keeping its output; returns the exit code and
+    stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
@@ -302,3 +316,70 @@ def test_fuzzed_world_files_exit_cleanly(fuzz_dir, doc, verb):
 def test_fuzzed_graph_files_exit_cleanly(fuzz_dir, file, verb):
     code, err = run_file_input(fuzz_dir, *file, verb)
     assert code in (0, 2, 3) and "Traceback" not in err
+
+
+# -- fuzzed numeric options: any value ends in exit 0, 2 or 3, never a
+# traceback, and within a time bound
+
+# small values make valid calls likely; the others probe every bound
+_num = (st.integers(1, 4) | st.integers(-3, 12)
+        | st.sampled_from([-10 ** 18, 10 ** 6, 10 ** 18]))
+# n_max 6 and 7 would run sweeps of seconds to minutes; 8 and up are refused
+_n_max = st.integers(-3, 5) | st.integers(8, 12) | st.just(10 ** 18)
+# a window cap of at most 300 keeps every window small, whatever depth
+_window_cap = st.integers(-3, 300) | st.just(300) | st.just(-10 ** 18)
+
+
+def _opts(**strategies):
+    """Each option given with a drawn value, or left at its default."""
+    return st.tuples(*(st.none() | s.map(lambda v, o=name: f"--{o.replace('_', '-')}={v}")
+                       for name, s in strategies.items())).map(
+        lambda opts: [o for o in opts if o is not None])
+
+
+_world = st.sampled_from(["half-grid", "full-grid", "hex-half-grid"]).map(
+    lambda w: ["--world", w])
+_ray_family = _num.map(lambda m: ["--rays", f"canonical:{m}"])
+
+
+def _world_verb(verb, tail=(), **options):
+    return st.tuples(_world, _ray_family, _opts(**options)).map(
+        lambda t: [verb] + t[0] + t[1] + t[2] + list(tail))
+
+
+@pytest.fixture(scope="module")
+def theta_file(tmp_path_factory):
+    # a 6-cycle with the chord 0-3
+    f = tmp_path_factory.mktemp("numeric") / "theta.json"
+    f.write_text(json.dumps({"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                               [4, 5], [5, 0], [0, 3]]}))
+    return str(f)
+
+
+def _numeric_argv(graph, out):
+    g = ["--graph", graph]
+    verbs = st.one_of(
+        st.just(["solve"] + g + ["--start", "[0,1]", "--goal", "[1,0]"]),
+        st.just(["group"] + g + ["--state", "[0,1,2]"]),
+        _num.map(lambda k: ["win"] + g + [f"--k={k}"]),
+        _num.map(lambda k: ["structure"] + g + [f"--k={k}"]),
+        _n_max.map(lambda n: ["verify", "--structure", "--workers", "1",
+                              f"--n-max={n}"]),
+        _world_verb("raygraph", d0=_num, annuli=_num, ring_width=_num),
+        _world_verb("linkage", ["--source", "0", "--target", "1"],
+                    depth=_num, x_ball=_num),
+        _world_verb("transition", ["--moves", "[[0],[1]]"],
+                    depth=_num, x_ball=_num),
+        _world_verb("export-dot", ["--out", out], depth=_num))
+    return st.tuples(_opts(state_cap=_num), _window_cap, verbs).map(
+        lambda t: t[0] + [f"--window-cap={t[1]}"] + t[2])
+
+
+@given(data=st.data())
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+def test_fuzzed_numeric_options_exit_cleanly(theta_file, fuzz_dir, data):
+    argv = data.draw(_numeric_argv(theta_file, str(fuzz_dir / "out.dot")))
+    t0 = time.perf_counter()
+    code, err = run_quiet(argv)
+    assert time.perf_counter() - t0 < 10, argv
+    assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)

@@ -150,6 +150,15 @@ def test_ray_graph_validations():
         ray_graph(hg, [rays[0], rays[0]], d0=10)
 
 
+@pytest.mark.parametrize("ring_width", [0, -5])
+def test_ray_graph_refuses_empty_shells(ring_width):
+    # a shell of width < 1 holds no vertex, so every pair would lose its
+    # edge and three columns, a path, would read as edgeless
+    hg = make_world("half-grid")
+    with pytest.raises(ValidationError, match="ring_width"):
+        ray_graph(hg, canonical_rays(hg, 3), d0=10, ring_width=ring_width)
+
+
 def test_tail_after_examples():
     hg = make_world("half-grid")
     t = truncate(hg, 6)

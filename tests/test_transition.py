@@ -125,3 +125,21 @@ def test_half_grid_move_respects_ray_graph():
         realize_transition(t, cols, [(0, 1), (2, 1)], set(), rg=rg)
     lk = realize_transition(t, cols, [(0, 2), (1, 2)], set(), rg=rg)
     check_linkage(t, [cols[0], cols[2]], cols, lk)
+
+
+def test_moves_are_read_on_ray_positions():
+    # rays with indices 2, 3, 4 sit at positions 0, 1, 2: the ray graph's
+    # edges name indices, the moves name positions
+    hg = make_world("half-grid")
+    t = truncate(hg, 6)
+    cols = canonical_rays(hg, 5)[2:]
+    rg = ray_graph(hg, cols, d0=6)
+    lk = realize_transition(t, cols, [(0,), (1,)], set(), rg=rg)
+    assert lk.sigma == {0: 1}
+    check_linkage(t, [cols[0]], cols, lk)
+    with pytest.raises(ValidationError):
+        realize_transition(t, cols, [(0,), (2,)], set(), rg=rg)
+    # a ray graph of other rays is refused, not read over these
+    other = ray_graph(hg, canonical_rays(hg, 3), d0=6)
+    with pytest.raises(ValidationError):
+        realize_transition(t, cols, [(0,), (1,)], set(), rg=other)

@@ -120,7 +120,7 @@ def test_canonical_rays_disjoint_everywhere():
     for w, m in worlds:
         rays = canonical_rays(w, m)
         assert [r.index for r in rays] == list(range(m))
-        sets = [r.vertex_set_in_window(12) for r in rays]
+        sets = [frozenset(r.coords_in_window(12)) for r in rays]
         for a, b in itertools.combinations(range(m), 2):
             assert not (sets[a] & sets[b]), (w.kind, a, b)
 
