@@ -23,7 +23,7 @@ from .structure import (BarePathWitness, StructureReport, is_k_pebble_win,
                         verify_structure_theorem)
 from .worlds import (RaySpec, Truncation, World, canonical_rays,
                      chebyshev_ball, make_world, truncate)
-from .rays import RayGraph, is_linear_family, ray_graph, tail_after
+from .rays import RayGraph, is_linear_family, ray_graph
 from .linkage import Linkage, check_linkage, find_linkage, linkage_walks, realize_transition
 from .dot import graph_to_dot, truncation_to_dot
 
@@ -43,7 +43,7 @@ __all__ = [
     "parse_graph",
     "pebble_group_fast", "pebble_permutation_group", "ray_graph",
     "rb_colouring", "reachable_states", "realize_transition", "solve",
-    "structure_witness", "tail_after", "transposition", "truncate",
+    "structure_witness", "transposition", "truncate",
     "truncation_to_dot", "validate_move_sequence", "verify_structure_theorem",
     "DEFAULT_STATE_CAP",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import dot
 from .errors import NoLinkageError, PebbleKitError, ResourceCapError, ValidationError
 from .graphs import Graph, _is_int, parse_graph
-from .linkage import check_linkage, find_linkage, realize_transition
+from .linkage import find_linkage, realize_transition
 from .pebbles import DEFAULT_STATE_CAP, solve
 from .permgroups import cycle_notation
 from .rays import is_linear_family, ray_graph
@@ -175,7 +175,6 @@ def _cmd_linkage(args) -> dict:
     except NoLinkageError as exc:
         return {"linkage": None, "reason": "no-linkage-at-depth",
                 "depth": exc.depth}
-    check_linkage(t, src, tgt, lk)
     return {"linkage": lk.to_json_dict(t), "depth": t.depth}
 
 
@@ -194,8 +193,6 @@ def _cmd_transition(args) -> dict:
     except NoLinkageError as exc:
         return {"linkage": None, "reason": "no-linkage-at-depth",
                 "depth": exc.depth}
-    src = [rays[i] for i in moves[0]]
-    check_linkage(t, src, rays, lk)
     return {"linkage": lk.to_json_dict(t), "depth": t.depth,
             "induced": {str(i): j for i, j in sorted(lk.sigma.items())}}
 

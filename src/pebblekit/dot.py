@@ -1,13 +1,12 @@
 """DOT export for finite graphs and truncation windows.
 
-Truncations render with their coordinates as fixed positions, rays in
-colour, and linkage connector paths dashed.
+Truncations render with their coordinates as fixed positions and rays in
+colour.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph
-from .linkage import Linkage
 from .worlds import RaySpec, Truncation
 
 _RAY_COLORS = ("red", "blue", "forestgreen", "darkorange", "purple",
@@ -25,19 +24,13 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def truncation_to_dot(t: Truncation, rays: list[RaySpec] | None = None,
-                      linkage: Linkage | None = None, name: str = "W") -> str:
+def truncation_to_dot(t: Truncation, rays: list[RaySpec] | None = None) -> str:
     ray_of_vertex: dict[int, int] = {}
     if rays:
         for pos, r in enumerate(rays):
             for v in r.positions_in(t):
                 ray_of_vertex[v] = pos
-    dashed: set[tuple[int, int]] = set()
-    if linkage:
-        for path in linkage.paths.values():
-            for a, b in zip(path, path[1:]):
-                dashed.add((min(a, b), max(a, b)))
-    lines = [f"graph {name} {{", "  node [shape=point];"]
+    lines = ["graph W {", "  node [shape=point];"]
     for v, (x, y) in enumerate(t.coords):
         attrs = [f'pos="{x},{y}!"']
         if v in ray_of_vertex:
@@ -45,15 +38,9 @@ def truncation_to_dot(t: Truncation, rays: list[RaySpec] | None = None,
             attrs.append(f"color={color}")
             attrs.append("shape=circle")
             attrs.append("width=0.15")
-        if linkage and v in linkage.after:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=gray")
         lines.append(f"  {v} [{', '.join(attrs)}];")
     for u, v in t.graph.sorted_edges():
         attrs = []
-        if (u, v) in dashed:
-            attrs.append("style=dashed")
-            attrs.append("penwidth=2")
         ru, rv = ray_of_vertex.get(u), ray_of_vertex.get(v)
         if ru is not None and ru == rv:
             attrs.append(f"color={_RAY_COLORS[ru % len(_RAY_COLORS)]}")

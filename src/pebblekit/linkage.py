@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
 from .disjoint_paths import disjoint_paths_exist
-from .graphs import Graph
 from .pebbles import MoveSequence, validate_move_sequence
-from .rays import RayGraph, ray_graph
+from .rays import RayGraph, _position_graph, check_disjoint_rays, ray_graph
 from .worlds import RaySpec, Truncation
 
 DP_STATE_CAP = 6_000
@@ -73,10 +72,8 @@ def _ray_window_positions(t: Truncation, r: RaySpec) -> list[int]:
 def _validate_families(t: Truncation, source: list[RaySpec], target: list[RaySpec]):
     src_pos = [_ray_window_positions(t, r) for r in source]
     tgt_pos = [_ray_window_positions(t, r) for r in target]
-    for fam, name in ((src_pos, "source"), (tgt_pos, "target")):
-        for a, b in itertools.combinations(range(len(fam)), 2):
-            if set(fam[a]) & set(fam[b]):
-                raise ValidationError(f"{name} rays {a} and {b} intersect in the window")
+    check_disjoint_rays(source, t.depth)
+    check_disjoint_rays(target, t.depth)
     for i, rp in enumerate(src_pos):
         for j, sp in enumerate(tgt_pos):
             if rp != sp and set(rp) & set(sp):
@@ -441,16 +438,11 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
         raise ValidationError(
             f"ray graph is over rays {list(rg.indices)}, "
             f"not {[r.index for r in rays]}")
-    m = len(rays)
-    pos = {r.index: i for i, r in enumerate(rays)}
-    validate_move_sequence(
-        Graph.from_edges(m, ((pos[a], pos[b]) for a, b in rg.edges)), moves)
+    validate_move_sequence(_position_graph(rg), moves)
 
     X = frozenset(x_vertices)
     ray_pos = [_ray_window_positions(t, r) for r in rays]
-    for a, b in itertools.combinations(range(m), 2):
-        if set(ray_pos[a]) & set(ray_pos[b]):
-            raise ValidationError(f"rays {a} and {b} intersect in the window")
+    check_disjoint_rays(rays, t.depth)
     source = [rays[s] for s in moves[0]]
     sigma = dict(enumerate(moves[-1]))
     paths = _greedy_paths(t, ray_pos, moves, X)
@@ -496,14 +488,6 @@ def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
         parent: dict[int, int | None] = {v: None for v in sorted(srcs)}
         queue = deque(sorted(srcs))
         hit = None
-        for u in sorted(srcs):
-            for w in adj[u]:
-                if w in dsts:
-                    parent[w] = u
-                    hit = w
-                    break
-            if hit is not None:
-                break
         while queue and hit is None:
             u = queue.popleft()
             for w in adj[u]:

@@ -1,4 +1,4 @@
-"""Ray graphs, end-linearity, and tails.
+"""Ray graphs, ray disjointness and end-linearity.
 
 The ray graph of a disjoint ray family has an edge between two rays when
 infinitely many disjoint paths connect them while avoiding every other ray
@@ -18,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, Truncation, World,
-                     _window_box, _window_coords, world_neighbors,
-                     world_norm)
+from .graphs import Graph, is_connected
+from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, World, _window_box,
+                     _window_coords, world_neighbors, world_norm)
 
 DEFAULT_ANNULI = 3
 DEFAULT_RING_WIDTH = 2
@@ -46,14 +46,19 @@ class RayGraph:
 
 
 def check_disjoint_rays(rays: list[RaySpec], depth: int) -> None:
-    """Raise unless the rays are pairwise vertex-disjoint within ``depth``."""
-    owner: dict[Coord, RaySpec] = {}
-    for r in rays:
+    """Raise unless the rays are pairwise vertex-disjoint within ``depth``.
+
+    Coordinates are owned by list position, so a family that names one ray
+    twice is refused too.
+    """
+    owner: dict[Coord, int] = {}
+    for p, r in enumerate(rays):
         for c in r.coords_in_window(depth):
-            first = owner.setdefault(c, r)
-            if first is not r:
+            first = owner.setdefault(c, p)
+            if first != p:
                 raise ValidationError(
-                    f"rays {first.index} and {r.index} intersect within depth {depth}")
+                    f"rays {rays[first].index} and {r.index} (list positions "
+                    f"{first} and {p}) intersect within depth {depth}")
 
 
 def _ring_coords(w: World, lo: int, hi: int,
@@ -141,61 +146,18 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
                     depth_range=(d0, d0 + 1 + annuli * ring_width))
 
 
+def _position_graph(rg: RayGraph) -> Graph:
+    """The ray graph as a ``Graph`` over ray positions (indices into
+    ``rg.indices``)."""
+    pos = {i: p for p, i in enumerate(rg.indices)}
+    return Graph.from_edges(len(rg.indices), ((pos[a], pos[b]) for a, b in rg.edges))
+
+
 def is_linear_family(rg: RayGraph) -> bool:
     """True iff the (stabilized) ray graph is a path on its indices."""
     if not rg.stabilized:
         raise ValidationError("ray graph did not stabilize; deepen d0")
-    m = len(rg.indices)
-    if m == 0:
-        return False
-    if m == 1:
-        return not rg.edges
-    if len(rg.edges) != m - 1:
-        return False
-    deg = {i: 0 for i in rg.indices}
-    for a, b in rg.edges:
-        deg[a] += 1
-        deg[b] += 1
-    if any(d > 2 for d in deg.values()) or sum(1 for d in deg.values() if d == 1) != 2:
-        return False
-    # connected with m-1 edges and max degree 2: a path
-    adj: dict[int, list[int]] = {i: [] for i in rg.indices}
-    for a, b in rg.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    start = rg.indices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v2 in adj[u]:
-            if v2 not in seen:
-                seen.add(v2)
-                stack.append(v2)
-    return len(seen) == m
-
-
-def tail_after(r: RaySpec, x_vertices: set[int], t: Truncation) -> RaySpec:
-    """The tail of the ray starting just after its last meeting with X.
-
-    X is given as window vertex indices of ``t``; the tail of a ray after
-    a finite set is its unique infinite part beyond the last intersection.
-    Returns ``r`` unchanged when they do not meet.
-    """
-    xcoords = set()
-    for v in x_vertices:
-        if not (0 <= v < len(t.coords)):
-            raise ValidationError(f"window vertex {v} out of range")
-        xcoords.add(t.coords[v])
-    if not xcoords:
-        return r
-    max_norm = max(world_norm(r.world, c) for c in xcoords)
-    last_hit = -1
-    pos = 0
-    while pos < len(r.prefix) or world_norm(r.world, r.coord(pos)) <= max_norm:
-        if r.coord(pos) in xcoords:
-            last_hit = pos
-        pos += 1
-    if last_hit < 0:
-        return r
-    return r.shifted(last_hit + 1)
+    g = _position_graph(rg)
+    # connected with m-1 edges and no degree above 2: a path
+    return (len(g.edges) == g.n - 1 and is_connected(g)
+            and all(g.degree(v) <= 2 for v in range(g.n)))

@@ -137,40 +137,13 @@ def is_k_pebble_win(g: Graph, k: int) -> bool:
 # Red/blue colouring and the structure witness
 # ---------------------------------------------------------------------------
 
-def _transposition_components(group: PermGroup, k: int) -> list[list[int]]:
-    """Components of the graph on pebble indices whose edges are the
-    transpositions lying in the group."""
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if transposition(k, i, j) in group:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for s in range(k):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _rb_from_group(group: PermGroup, k: int) -> dict[int, str]:
-    comps = _transposition_components(group, k)
-    if len(comps) == 1:
+    # (i l) = (i j)(j l)(i j), so the transpositions in a group form an
+    # equivalence relation: pebble 0's class is 0 and every j with (0 j)
+    red = {0} | {j for j in range(1, k) if transposition(k, 0, j) in group}
+    if len(red) == k:
         raise ValidationError(
             f"graph is {k}-pebble-win; no red/blue colouring exists")
-    red = set(comps[0]) if 0 in comps[0] else set(next(c for c in comps if 0 in c))
     return {i: ("r" if i in red else "b") for i in range(k)}
 
 
@@ -179,10 +152,11 @@ def rb_colouring(g: Graph, start: GameState,
     """Two-colour the pebbles of ``start`` so that no red/blue pair can be
     swapped.
 
-    The red class is the component of pebble 0 in the transposition graph;
-    both classes are non-empty, and for every red i and blue j the
-    transposition (i j) is not in the pebble-permutation group.  Errors
-    out when the graph is k-pebble-win for k = len(start).
+    The red class is pebble 0 with every pebble j whose transposition
+    (0 j) lies in the pebble-permutation group; both classes are
+    non-empty, and for every red i and blue j the transposition (i j) is
+    not in the group.  Errors out when the graph is k-pebble-win for
+    k = len(start).
     """
     group = pebble_permutation_group(g, start, cap=cap)
     return _rb_from_group(group, len(start))

@@ -156,9 +156,6 @@ class Truncation:
     def _index(self) -> dict[Coord, int]:
         return {c: i for i, c in enumerate(self.coords)}
 
-    def contains(self, c: Coord) -> bool:
-        return c in self._index
-
 
 def _window_box(w: World, depth: int, cap: int) -> tuple[int, int, int, int]:
     """The window as a coordinate rectangle ``(x0, x1, y0, y1)``, inclusive.
@@ -295,22 +292,6 @@ class RaySpec:
                 raise ValidationError(f"ray coordinate {c} missing from window")
             out.append(i)
         return out
-
-    def shifted(self, offset: int, new_index: int | None = None) -> "RaySpec":
-        """The tail starting ``offset`` positions in, re-anchored so that the
-        delta cycle still starts at phase zero."""
-        if offset == 0 and new_index is None:
-            return self
-        cyc = len(self.steps)
-        # the delta leaving position p (p >= len(prefix) - 1) is
-        # steps[(p - len(prefix) + 1) % cyc]; anchor the new prefix so the
-        # cycle restarts at phase zero
-        end = max(len(self.prefix) - 1, offset)
-        while (end - len(self.prefix) + 1) % cyc != 0:
-            end += 1
-        prefix = tuple(self.coord(p) for p in range(offset, end + 1))
-        idx = self.index if new_index is None else new_index
-        return RaySpec(self.world, prefix, self.steps, idx)
 
 
 def _full_grid_ray(w: World, i: int) -> RaySpec:

@@ -195,6 +195,11 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
      "--depth", "3", "--moves", "[[true], [2]]"],
     ["raygraph", "--world", "half-grid", "--rays", "canonical:3",
      "--ring-width", "0"],
+    # a family that names one ray twice
+    ["linkage", "--world", "half-grid", "--depth", "6", "--rays", "canonical:4",
+     "--source", "0,0", "--target", "1,2"],
+    ["linkage", "--world", "half-grid", "--depth", "6", "--rays", "canonical:4",
+     "--source", "0,1", "--target", "2,2"],
 ])
 def test_bad_ray_positions_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -13,7 +13,8 @@ from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
 from pebblekit.graphs import Graph
 from pebblekit.linkage import Linkage, check_linkage, find_linkage, linkage_walks
-from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
+from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
+                              truncate)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,13 @@ def test_validations(half_setup):
         find_linkage(t, cols[:2], cols[:2], set(), {0: 5, 1: 0})
     with pytest.raises(ValidationError):
         find_linkage(t, cols[:2], cols[:2], {-3}, {0: 0, 1: 1})
+    # a family that names one ray twice is refused like one whose rays cross
+    crossing = RaySpec(hg, ((-1, 1), (0, 1)), ((0, 1),), 9)   # joins column 0
+    for src, tgt in (([cols[0], cols[0]], cols[1:3]),
+                     (cols[:2], [cols[2], cols[2]]),
+                     ([cols[0], crossing], cols[2:4])):
+        with pytest.raises(ValidationError, match="intersect"):
+            find_linkage(t, src, tgt)
 
 
 def test_checker_rejects_corrupted_linkages(half_setup):

@@ -4,7 +4,7 @@ import pytest
 
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import Graph
-from pebblekit.rays import RayGraph, is_linear_family, ray_graph, tail_after
+from pebblekit.rays import RayGraph, is_linear_family, ray_graph
 from pebblekit.worlds import RaySpec, canonical_rays, make_world, truncate
 
 from conftest import cycle_graph, star_graph
@@ -132,9 +132,16 @@ def test_is_linear_family_shapes():
     cyc4 = RayGraph((0, 1, 2, 3),
                     frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), True, (5, 10))
     single = RayGraph((0,), frozenset(), True, (5, 10))
+    # three edges on four rays, but a triangle beside an isolated ray
+    tri_plus = RayGraph((0, 1, 2, 3),
+                        frozenset({(0, 1), (1, 2), (0, 2)}), True, (5, 10))
+    claw = RayGraph((0, 1, 2, 3),
+                    frozenset({(0, 1), (0, 2), (0, 3)}), True, (5, 10))
     assert is_linear_family(path)
     assert not is_linear_family(tri)
     assert not is_linear_family(cyc4)
+    assert not is_linear_family(tri_plus)
+    assert not is_linear_family(claw)
     assert is_linear_family(single)
     unstable = RayGraph((0, 1), frozenset(), False, (5, 10))
     with pytest.raises(ValidationError):
@@ -157,21 +164,3 @@ def test_ray_graph_refuses_empty_shells(ring_width):
     hg = make_world("half-grid")
     with pytest.raises(ValidationError, match="ring_width"):
         ray_graph(hg, canonical_rays(hg, 3), d0=10, ring_width=ring_width)
-
-
-def test_tail_after_examples():
-    hg = make_world("half-grid")
-    t = truncate(hg, 6)
-    col = canonical_rays(hg, 1)[0]
-    # no intersection: returned unchanged
-    x_off = {t.index_of((3, 3))}
-    assert tail_after(col, x_off, t) is col
-    # first three vertices: shift by three
-    x3 = {t.index_of((0, y)) for y in range(3)}
-    sh = tail_after(col, x3, t)
-    assert [sh.coord(i) for i in range(3)] == [(0, 3), (0, 4), (0, 5)]
-    # hits at positions 1 and 5: tail from position 6
-    x15 = {t.index_of((0, 1)), t.index_of((0, 5))}
-    sh2 = tail_after(col, x15, t)
-    assert sh2.coord(0) == (0, 6)
-    assert all(sh2.coord(i) == col.coord(6 + i) for i in range(10))

@@ -4,8 +4,9 @@ import pytest
 
 from pebblekit.errors import ValidationError
 from pebblekit.linkage import check_linkage, realize_transition
-from pebblekit.rays import ray_graph
-from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
+from pebblekit.rays import RayGraph, ray_graph
+from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
+                              truncate)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,13 @@ def test_move_validation(grid_setup):
     # moving onto an occupied ray
     with pytest.raises(ValidationError):
         realize_transition(t, rays, [(0, 1), (1, 1)], set(), rg=rg)
+    # rays that meet, or one ray named twice; ray_graph refuses both
+    # families, so their ray graphs are built by hand
+    crossing = RaySpec(t.world, ((-1, 1), (0, 1)), ((0, 1),), 9)   # joins ray 0
+    for fam in ([rays[0], rays[0]], [rays[0], crossing]):
+        fam_rg = RayGraph(tuple(r.index for r in fam), frozenset(), True, (8, 15))
+        with pytest.raises(ValidationError, match="intersect"):
+            realize_transition(t, fam, [(0,)], set(), rg=fam_rg)
 
 
 def test_half_grid_move_respects_ray_graph():

@@ -91,7 +91,7 @@ def test_boundary_marks_world_neighbours():
     t = truncate(make_world("half-grid"), 3)
     for v in range(t.graph.n):
         outside = [c for c in world_neighbors(t.world, t.coords[v])
-                   if not t.contains(c)]
+                   if t.index_of(c) is None]
         assert (v in t.boundary) == bool(outside)
 
 
@@ -148,8 +148,6 @@ def test_rayspec_coords_and_shift():
     fg = make_world("full-grid")
     r = RaySpec(fg, ((0, 1), (1, 1)), ((1, 0),), 0)
     assert [r.coord(i) for i in range(4)] == [(0, 1), (1, 1), (2, 1), (3, 1)]
-    s = r.shifted(2)
-    assert all(s.coord(i) == r.coord(i + 2) for i in range(12))
 
 
 def test_ray_positions_contiguous():
