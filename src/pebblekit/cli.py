@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pretty", action="store_true", help="indented output")
     ap.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                     help="most labelled states solve may visit; for group, "
-                         "most pebble configurations (C(n, k))")
+                         "most pebble configurations reached (C(n, k) on a "
+                         "connected graph)")
     ap.add_argument("--window-cap", type=int, default=DEFAULT_WINDOW_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -215,11 +215,10 @@ def mask_adjacency(n: int, mask: int, pairs: list[tuple[int, int]]) -> tuple[int
     return tuple(adj)
 
 
-def mask_connected(n: int, adj: tuple[int, ...]) -> bool:
-    """True iff the n >= 1 vertices with neighbour bitmasks ``adj`` form
-    one component."""
-    seen = 1
-    frontier = 1
+def _mask_component(adj: tuple[int, ...], seed: int) -> int:
+    """Bitmask of every vertex joined to a vertex of the bitmask ``seed``
+    in the graph with neighbour bitmasks ``adj``."""
+    seen = frontier = seed
     while frontier:
         nxt = 0
         while frontier:
@@ -228,7 +227,13 @@ def mask_connected(n: int, adj: tuple[int, ...]) -> bool:
             nxt |= adj[b.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << n) - 1
+    return seen
+
+
+def mask_connected(n: int, adj: tuple[int, ...]) -> bool:
+    """True iff the n >= 1 vertices with neighbour bitmasks ``adj`` form
+    one component."""
+    return _mask_component(adj, 1) == (1 << n) - 1
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,18 +1,26 @@
 """The pebble-pushing game on a finite graph.
 
 A game state places k labelled pebbles on k distinct vertices.  A move
-slides one pebble along an edge to an unoccupied vertex.  Everything here
-is breadth-first search over the state space; the cap is a hard error,
-never a truncation, so a wrong "unreachable" is impossible.
+slides one pebble along an edge to an unoccupied vertex.  Reachability is
+decided on the C(n, k) unordered configurations, which the n!/(n-k)!
+labelled states cover: one BFS over configurations gives a labelled
+representative r of each reachable configuration and the pebble group G
+of the start, and the states reached there are the (r[p[0]], ...,
+r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Only
+``solve``, which promises a shortest plan, searches labelled states.  Caps
+are hard errors, never truncations, so a wrong "unreachable" is impossible.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import StateCapExceeded, ValidationError
-from .graphs import Graph
+from .graphs import Graph, _mask_component, adjacency_masks
+from .permgroups import PermGroup
 
 GameState = tuple[int, ...]
 MoveSequence = list[GameState]
@@ -46,9 +54,9 @@ def legal_moves(g: Graph, state: GameState) -> list[GameState]:
     return out
 
 
-def _bfs(g: Graph, start: GameState, goal: GameState | None,
+def _bfs(g: Graph, start: GameState, goal: GameState,
          cap: int) -> dict[GameState, GameState | None]:
-    """Shared BFS core: every state reached, mapped to its BFS parent
+    """Labelled-state BFS: every state reached, mapped to its BFS parent
     (None for ``start``).
 
     Stops as soon as ``goal`` is generated, so the goal is in the map iff
@@ -80,10 +88,81 @@ def _bfs(g: Graph, start: GameState, goal: GameState | None,
     return parents
 
 
+def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
+                  cap: int = DEFAULT_STATE_CAP) -> tuple[dict[int, GameState], PermGroup]:
+    """BFS the configuration graph from the vertex set of ``start``,
+    transporting one labelled representative along the tree; every
+    non-tree edge closes a loop and yields one generator of the group at
+    ``start``.
+
+    Returns ({configuration bitmask: its representative}, group).  Raises
+    StateCapExceeded up front when over ``cap`` configurations are reachable.
+    """
+    k = len(start)
+    first = sum(1 << v for v in start)
+    full = (1 << n) - 1
+    if comb(n, k) > cap:
+        # a pebble never leaves its component, and inside a component
+        # every placement of its pebbles is reachable
+        reached, left = 1, full
+        while left:
+            comp = _mask_component(adj_masks, left & -left)
+            left ^= comp
+            reached *= comb(comp.bit_count(), (comp & first).bit_count())
+        if reached > cap:
+            raise StateCapExceeded(
+                f"configuration space with {reached} states exceeds cap {cap}")
+    target_order = factorial(k)
+    rep: dict[int, GameState] = {first: tuple(start)}
+    parent: dict[int, int] = {first: 0}
+    group = PermGroup(k)
+    add_perm = group._add_perm
+    done = target_order == 1
+    queue = deque([first])
+    pop = queue.popleft
+    push = queue.append
+    while queue:
+        cfg = pop()
+        pos = rep[cfg]
+        free = full ^ cfg
+        for slot in range(k):
+            u = pos[slot]
+            m = adj_masks[u] & free
+            if not m:
+                continue
+            ubit = 1 << u
+            while m:
+                b = m & -m
+                m ^= b
+                ncfg = (cfg ^ ubit) | b
+                if ncfg in rep:
+                    if done or parent[cfg] == ncfg or cfg > ncfg:
+                        continue
+                    npos = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
+                    if add_perm(tuple(map(rep[ncfg].index, npos))):
+                        if group.order_lower_bound() >= target_order:
+                            done = True
+                else:
+                    rep[ncfg] = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
+                    parent[ncfg] = cfg
+                    push(ncfg)
+    return rep, group
+
+
 def reachable_states(g: Graph, start: GameState,
                      cap: int = DEFAULT_STATE_CAP) -> set[GameState]:
-    """The full reachability class of ``start``."""
-    return set(_bfs(g, validate_state(g, start), None, cap))
+    """The full reachability class of ``start``.  ``cap`` bounds the
+    labelled states returned, counted before any is built."""
+    s = validate_state(g, start)
+    rep, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    size = len(rep) * group.order()
+    if size > cap:
+        raise StateCapExceeded(
+            f"reachability class of {size} states exceeds cap {cap}")
+    if len(s) == 1:
+        return set(rep.values())
+    getters = [itemgetter(*p) for p in group.elements(cap)]
+    return {get(r) for r in rep.values() for get in getters}
 
 
 def _validate_pair(g: Graph, start: GameState,
@@ -97,9 +176,13 @@ def _validate_pair(g: Graph, start: GameState,
 
 def is_achievable(g: Graph, start: GameState, goal: GameState,
                   cap: int = DEFAULT_STATE_CAP) -> bool:
-    """True iff ``goal`` is reachable from ``start`` by a move sequence."""
+    """True iff ``goal`` is reachable from ``start`` by a move sequence:
+    its configuration is reached, with representative r, and p with
+    goal[i] = r[p[i]] is in the group.  ``cap`` bounds configurations."""
     s, t = _validate_pair(g, start, goal)
-    return t in _bfs(g, s, t, cap)
+    rep, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    r = rep.get(sum(1 << v for v in t))
+    return r is not None and tuple(map(r.index, t)) in group
 
 
 def solve(g: Graph, start: GameState, goal: GameState,
@@ -108,6 +191,7 @@ def solve(g: Graph, start: GameState, goal: GameState,
 
     The sequence includes both endpoints; its length is 1 when start == goal.
     Deterministic: BFS expands moves in (pebble index, target vertex) order.
+    ``cap`` bounds the labelled states visited.
     """
     s, t = _validate_pair(g, start, goal)
     parents = _bfs(g, s, t, cap)

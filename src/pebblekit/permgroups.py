@@ -205,21 +205,14 @@ class PermGroup:
         return self.order() == self._full
 
     def elements(self, cap: int = 50_000) -> Iterator[Perm]:
-        """Enumerate all elements by closure; guarded by a cap."""
+        """Enumerate all elements, each once, as the products of one coset
+        representative per chain level; guarded by a cap."""
         if self.order() > cap:
             raise ValidationError(f"group order {self.order()} exceeds cap {cap}")
-        gens = self.generators or [self._id]
-        seen = {self._id}
-        queue = [self._id]
-        yield self._id
-        while queue:
-            p = queue.pop()
-            for g in gens:
-                q = compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-                    yield q
+        out = [self._id]
+        for trans in reversed(self._trans):
+            out = [compose(u, p) for u, _ in trans.values() for p in out]
+        yield from out
 
     def __repr__(self):
         return (f"PermGroup(degree={self.degree}, order={self.order()}, "

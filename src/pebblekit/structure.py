@@ -5,9 +5,9 @@ unordered pebble configurations, which has C(n, k) points instead of the
 n!/(n-k)! labelled states.  The labelled state space is a covering of
 that configuration graph, so the group is generated by the loop
 transports of the non-tree edges of any spanning tree (one permutation
-per non-tree edge).  The state caps of this module therefore bound
-configurations, not labelled states.  The test suite cross-checks the
-result against the definitional harvest from the labelled state space.
+per non-tree edge).  That BFS lives in ``pebbles._config_group``, which
+also answers reachability, and the caps here bound configurations, not
+labelled states.  The suite checks it against a labelled-state oracle.
 
 A graph is k-pebble-win exactly when one (equivalently, every) state's
 group is all of S_k and the configuration graph is connected; on a
@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import PebbleKitError, StateCapExceeded, ValidationError
+from .errors import PebbleKitError, ValidationError
 from .graphs import (Graph, adjacency_masks, bridges, graph_from_mask,
                      is_connected, is_cycle_graph, mask_adjacency,
                      mask_connected, maximal_bare_paths, vertex_pairs)
-from .pebbles import DEFAULT_STATE_CAP, GameState, validate_state
+from .pebbles import (DEFAULT_STATE_CAP, GameState, _config_group,
+                      validate_state)
 from .permgroups import PermGroup, transposition
 
 
@@ -40,62 +40,8 @@ class StructureWitnessNotFound(PebbleKitError):
 
 
 # ---------------------------------------------------------------------------
-# The group: loop transports on the configuration graph
+# The group and the win decision
 # ---------------------------------------------------------------------------
-
-def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
-                  cap: int = DEFAULT_STATE_CAP) -> tuple[int, PermGroup]:
-    """BFS the configuration graph from the vertex set of ``start``,
-    transporting one labelled representative along the tree; every
-    non-tree edge closes a loop and yields one generator of the group at
-    ``start``.
-
-    Returns (number of configurations reached, group).
-    """
-    k = len(start)
-    if comb(n, k) > cap:
-        raise StateCapExceeded(
-            f"configuration space with {comb(n, k)} states exceeds cap {cap}")
-    target_order = factorial(k)
-    full = (1 << n) - 1
-    first = sum(1 << v for v in start)
-    rep: dict[int, tuple[int, ...]] = {first: tuple(start)}
-    parent: dict[int, int] = {first: 0}
-    group = PermGroup(k)
-    add_perm = group._add_perm
-    done = target_order == 1
-    queue = deque([first])
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        cfg = pop()
-        pos = rep[cfg]
-        free = full ^ cfg
-        for slot in range(k):
-            u = pos[slot]
-            m = adj_masks[u] & free
-            if not m:
-                continue
-            ubit = 1 << u
-            while m:
-                b = m & -m
-                m ^= b
-                ncfg = (cfg ^ ubit) | b
-                if ncfg in rep:
-                    if done or parent[cfg] == ncfg or cfg > ncfg:
-                        continue
-                    npos = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    tgt = rep[ncfg]
-                    loc = {vert: i for i, vert in enumerate(tgt)}
-                    if add_perm(tuple(loc[x] for x in npos)):
-                        if group.order_lower_bound() >= target_order:
-                            done = True
-                else:
-                    rep[ncfg] = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    parent[ncfg] = cfg
-                    push(ncfg)
-    return len(rep), group
-
 
 def pebble_permutation_group(g: Graph, start: GameState,
                              cap: int = DEFAULT_STATE_CAP) -> PermGroup:
@@ -117,8 +63,8 @@ def pebble_group_fast(g: Graph, k: int) -> tuple[bool, PermGroup]:
     """(connected configuration space, group at the base state) for k pebbles."""
     if not (1 <= k <= g.n):
         raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
-    n_cfg, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)))
-    return n_cfg == comb(g.n, k), group
+    rep, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)))
+    return len(rep) == comb(g.n, k), group
 
 
 def is_k_pebble_win(g: Graph, k: int) -> bool:
@@ -258,8 +204,8 @@ def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
             continue
         g: Graph | None = None
         for k in range(n - 2, 0, -1):
-            n_cfg, group = _config_group(adj, n, bases[k])
-            win = n_cfg == comb(n, k) and group.order() == factorial(k)
+            rep, group = _config_group(adj, n, bases[k])
+            win = len(rep) == comb(n, k) and group.order() == factorial(k)
             if win:
                 checked += k
                 break

@@ -4,9 +4,29 @@ Each one computes its answer by brute force or straight from the
 definition, on a different path from the library routine it checks.
 """
 
+from collections import deque
+
 from pebblekit.graphs import Graph
-from pebblekit.pebbles import reachable_states
 from pebblekit.permgroups import PermGroup
+
+
+def labelled_class(g: Graph, start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The reachability class of ``start`` by definition: breadth-first
+    search over labelled states, one pebble slid onto a free neighbour
+    per move."""
+    adj = g.adjacency()
+    seen = {tuple(start)}
+    queue = deque(seen)
+    while queue:
+        s = queue.popleft()
+        for i, v in enumerate(s):
+            for w in adj[v]:
+                if w not in s:
+                    t = s[:i] + (w,) + s[i + 1:]
+                    if t not in seen:
+                        seen.add(t)
+                        queue.append(t)
+    return seen
 
 
 def harvest_group(g: Graph, start: tuple[int, ...]) -> PermGroup:
@@ -16,7 +36,7 @@ def harvest_group(g: Graph, start: tuple[int, ...]) -> PermGroup:
     slot_of = {v: i for i, v in enumerate(start)}
     base = frozenset(start)
     group = PermGroup(len(start))
-    for s in reachable_states(g, start):
+    for s in labelled_class(g, start):
         if frozenset(s) == base:
             group.add(tuple(slot_of[x] for x in s))
     return group

@@ -16,7 +16,6 @@ import pytest
 from pebblekit.errors import NoLinkageError
 from pebblekit.graphs import Graph, enumerate_connected_graphs
 from pebblekit.linkage import check_linkage, find_linkage, realize_transition
-from pebblekit.pebbles import reachable_states
 from pebblekit.permgroups import transposition
 from pebblekit.rays import is_linear_family, ray_graph
 from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
@@ -25,7 +24,7 @@ from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import contains_subgraph, harvest_group
+from oracles import contains_subgraph, harvest_group, labelled_class
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -58,7 +57,7 @@ def test_criterion_02_win_oracle_equivalence():
         for g in enumerate_connected_graphs(n):
             for k in range(1, min(3, n) + 1):
                 states = list(itertools.permutations(range(n), k))
-                definitional = len(reachable_states(g, states[0])) == len(states)
+                definitional = len(labelled_class(g, states[0])) == len(states)
                 instances += 1
                 if is_k_pebble_win(g, k) != definitional:
                     mismatches += 1

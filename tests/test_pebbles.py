@@ -1,18 +1,21 @@
 """The pebble-pushing game: moves, achievability, shortest plans."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblekit.errors import StateCapExceeded, ValidationError
-from pebblekit.graphs import Graph, enumerate_connected_graphs, is_connected
+from pebblekit.graphs import (Graph, enumerate_connected_graphs, graph_from_mask,
+                              is_connected, vertex_pairs)
 from pebblekit.pebbles import (is_achievable, is_move, legal_moves,
                                reachable_states, solve,
                                validate_move_sequence)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from oracles import labelled_class
 
 
 def test_legal_moves_path_blocked():
@@ -106,6 +109,44 @@ def test_state_cap_is_hard_error():
     g = complete_graph(5)
     with pytest.raises(StateCapExceeded):
         reachable_states(g, (0, 1), cap=3)
+
+
+def _labelled_cases(seed):
+    """(graph, start, labelled class) for every labelled graph with
+    n <= 5, connected or not, every k and two seeded starts each."""
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for mask in range(1 << len(vertex_pairs(n))):
+            g = graph_from_mask(n, mask)
+            for k in range(1, n + 1):
+                for _ in range(2):
+                    start = tuple(rng.sample(range(n), k))
+                    yield g, start, labelled_class(g, start)
+
+
+def test_configuration_answers_match_labelled_bfs():
+    rng = random.Random(11)
+    for g, start, cls in _labelled_cases(7):
+        assert reachable_states(g, start) == cls, (g, start)
+        goal = rng.choice(sorted(cls))
+        assert is_achievable(g, start, goal), (g, start, goal)
+        outside = [t for t in itertools.permutations(range(g.n), len(start))
+                   if t not in cls]
+        if outside:
+            goal = rng.choice(outside)
+            assert not is_achievable(g, start, goal), (g, start, goal)
+
+
+def test_state_cap_is_exact():
+    # the least cap that reachable_states accepts is the class size, on
+    # disconnected graphs too, where fewer than C(n, k) configurations
+    # are reachable
+    rng = random.Random(13)
+    cases = [c for c in _labelled_cases(17) if len(c[2]) > 1]
+    for g, start, cls in rng.sample(cases, 400):
+        assert reachable_states(g, start, cap=len(cls)) == cls
+        with pytest.raises(StateCapExceeded):
+            reachable_states(g, start, cap=len(cls) - 1)
 
 
 def _idastar_length(g, start, goal):

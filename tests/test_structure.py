@@ -16,7 +16,7 @@ from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
                                  structure_witness, verify_structure_theorem)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import harvest_group
+from oracles import harvest_group, labelled_class
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_every_connected_graph_is_1_pebble_win():
 def _definitional_win(g, k):
     """All-pairs achievability: one reachability class covering every state."""
     states = list(itertools.permutations(range(g.n), k))
-    return len(reachable_states(g, states[0])) == len(states)
+    return len(labelled_class(g, states[0])) == len(states)
 
 
 def test_fast_win_matches_definition_small():
