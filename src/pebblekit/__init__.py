@@ -24,7 +24,7 @@ from .structure import (BarePathWitness, StructureReport, is_k_pebble_win,
 from .worlds import (RaySpec, Truncation, World, canonical_rays,
                      chebyshev_ball, make_world, truncate)
 from .rays import RayGraph, is_linear_family, ray_graph
-from .linkage import Linkage, check_linkage, find_linkage, linkage_walks, realize_transition
+from .linkage import Linkage, check_linkage, find_linkage, realize_transition
 from .dot import graph_to_dot, truncation_to_dot
 
 __version__ = "0.1.0"
@@ -39,8 +39,7 @@ __all__ = [
     "enumerate_connected_graphs", "find_linkage",
     "graph_to_dot", "inverse", "is_achievable", "is_bare_path",
     "is_connected", "is_cycle_graph", "is_k_pebble_win", "is_linear_family",
-    "legal_moves", "linkage_walks", "make_world", "maximal_bare_paths",
-    "parse_graph",
+    "legal_moves", "make_world", "maximal_bare_paths", "parse_graph",
     "pebble_group_fast", "pebble_permutation_group", "ray_graph",
     "rb_colouring", "reachable_states", "realize_transition", "solve",
     "structure_witness", "transposition", "truncate",

@@ -69,11 +69,24 @@ def _ray_window_positions(t: Truncation, r: RaySpec) -> list[int]:
     return pos
 
 
+def _family_positions(t: Truncation, rays: list[RaySpec]) -> list[list[int]]:
+    """Each ray's window vertices, refused unless the rays are disjoint."""
+    pos = [_ray_window_positions(t, r) for r in rays]
+    check_disjoint_rays(rays, pos, t.depth)
+    return pos
+
+
+def _window_set(t: Truncation, x_vertices) -> frozenset[int]:
+    """X as a set of window vertices, refused unless each one is in range."""
+    X = frozenset(x_vertices)
+    for v in X:
+        if not (0 <= v < t.graph.n):
+            raise ValidationError(f"X vertex {v} outside the window")
+    return X
+
+
 def _validate_families(t: Truncation, source: list[RaySpec], target: list[RaySpec]):
-    src_pos = [_ray_window_positions(t, r) for r in source]
-    tgt_pos = [_ray_window_positions(t, r) for r in target]
-    check_disjoint_rays(source, t.depth)
-    check_disjoint_rays(target, t.depth)
+    src_pos, tgt_pos = _family_positions(t, source), _family_positions(t, target)
     for i, rp in enumerate(src_pos):
         for j, sp in enumerate(tgt_pos):
             if rp != sp and set(rp) & set(sp):
@@ -281,10 +294,7 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
         raise ValidationError("source family is empty")
     if nR > nS:
         raise ValidationError(f"need |source| <= |target|, got {nR} > {nS}")
-    X = frozenset(x_vertices)
-    for v in X:
-        if not (0 <= v < t.graph.n):
-            raise ValidationError(f"X vertex {v} outside the window")
+    X = _window_set(t, x_vertices)
     if sigma is not None:
         if sorted(sigma) != list(range(nR)):
             raise ValidationError("sigma must map every source position")
@@ -328,50 +338,51 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
 # Independent checker
 # ---------------------------------------------------------------------------
 
-def linkage_walks(t: Truncation, source: list[RaySpec], target: list[RaySpec],
+def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                   linkage: Linkage) -> list[list[int]]:
-    """Reconstruct the in-window transitioned walks (window vertex lists)."""
+    """Verify a linkage literally and return its walks (window vertex lists).
+
+    Raises LinkageCheckError on any violation.  Checks: sigma is an
+    injection into the target positions; every connector vertex lies in
+    the window; every walk is a path in the window (adjacent consecutive
+    vertices, no repeats); walks are pairwise vertex-disjoint; every walk
+    leaves the window along its target ray; X meets each source ray only
+    before the switch point and meets no other walk vertex.
+    """
+    X = linkage.after
     src_pos = [_ray_window_positions(t, r) for r in source]
     tgt_pos = [_ray_window_positions(t, r) for r in target]
+    if len(set(linkage.sigma.values())) != len(linkage.sigma):
+        raise LinkageCheckError("sigma is not injective")
+    # walk i rides its source ray to the switch point src_pos[i][switch[i]],
+    # follows its connector, then rides its target ray beyond the landing
     walks: list[list[int]] = []
+    switch: list[int] = []
     for i in range(len(source)):
         if i not in linkage.sigma:
             raise LinkageCheckError(f"walk {i} missing from sigma")
         j = linkage.sigma[i]
+        if not 0 <= j < len(target):
+            raise LinkageCheckError(f"walk {i}: sigma target {j} out of range")
         path = list(linkage.paths.get(i, ()))
         if not path:
             if src_pos[i] != tgt_pos[j]:
                 raise LinkageCheckError(
                     f"walk {i} has an empty connector but rides a different ray")
             walks.append(list(src_pos[i]))
+            switch.append(len(src_pos[i]) - 1)
             continue
+        for v in path:
+            if not 0 <= v < t.graph.n:
+                raise LinkageCheckError(f"walk {i}: connector vertex {v} outside the window")
         if path[0] not in src_pos[i]:
             raise LinkageCheckError(f"walk {i}: connector must start on its source ray")
         if path[-1] not in tgt_pos[j]:
             raise LinkageCheckError(f"walk {i}: connector must end on its target ray")
         a = src_pos[i].index(path[0])
         b = tgt_pos[j].index(path[-1])
-        walk = src_pos[i][:a] + path + tgt_pos[j][b + 1:]
-        walks.append(walk)
-    return walks
-
-
-def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
-                  linkage: Linkage) -> list[list[int]]:
-    """Verify a linkage literally; raises LinkageCheckError on any violation.
-
-    Checks: sigma is injective; every walk is a path in the window (adjacent
-    consecutive vertices, no repeats); walks are pairwise vertex-disjoint;
-    every walk leaves the window along its target ray; X meets each source
-    ray only before the switch point and meets no other walk vertex.
-    """
-    X = linkage.after
-    src_pos = [_ray_window_positions(t, r) for r in source]
-    tgt_pos = [_ray_window_positions(t, r) for r in target]
-    vals = sorted(linkage.sigma.values())
-    if len(set(vals)) != len(vals):
-        raise LinkageCheckError("sigma is not injective")
-    walks = linkage_walks(t, source, target, linkage)
+        walks.append(src_pos[i][:a] + path + tgt_pos[j][b + 1:])
+        switch.append(a)
     for i, walk in enumerate(walks):
         if len(set(walk)) != len(walk):
             raise LinkageCheckError(f"walk {i} repeats a vertex")
@@ -379,26 +390,18 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
             if not t.graph.has_edge(u, v):
                 raise LinkageCheckError(
                     f"walk {i}: {t.coords[u]} and {t.coords[v]} not adjacent")
-        j = linkage.sigma[i]
-        tail_last = tgt_pos[j][-1]
-        if walk[-1] != tail_last:
+        if walk[-1] != tgt_pos[linkage.sigma[i]][-1]:
             raise LinkageCheckError(f"walk {i} does not ride its target ray to the rim")
-        # prefix segment of the walk along the source ray
-        path = linkage.paths.get(i, ())
-        if path:
-            if path[0] in X:
-                raise LinkageCheckError(f"walk {i}: its switch point lies in X")
-            a = src_pos[i].index(path[0])
-        else:
-            a = len(src_pos[i]) - 1
-        prefix = set(src_pos[i][:a + 1])
-        # X on the source ray must sit inside the prefix
-        for p, v in enumerate(src_pos[i]):
-            if v in X and p > a:
-                raise LinkageCheckError(
-                    f"walk {i}: X meets its source ray beyond the switch point")
-        for v in walk:
-            if v in X and v not in prefix:
+        a = switch[i]
+        if linkage.paths.get(i) and src_pos[i][a] in X:
+            raise LinkageCheckError(f"walk {i}: its switch point lies in X")
+        # X on the source ray must sit inside the prefix up to the switch point
+        if any(v in X for v in src_pos[i][a + 1:]):
+            raise LinkageCheckError(
+                f"walk {i}: X meets its source ray beyond the switch point")
+        # the walk has no repeats, so its first a + 1 vertices are that prefix
+        for v in walk[a + 1:]:
+            if v in X:
                 raise LinkageCheckError(
                     f"walk {i} uses X vertex {t.coords[v]} beyond its prefix")
     for a_i, b_i in itertools.combinations(range(len(walks)), 2):
@@ -440,9 +443,8 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
             f"not {[r.index for r in rays]}")
     validate_move_sequence(_position_graph(rg), moves)
 
-    X = frozenset(x_vertices)
-    ray_pos = [_ray_window_positions(t, r) for r in rays]
-    check_disjoint_rays(rays, t.depth)
+    X = _window_set(t, x_vertices)
+    ray_pos = _family_positions(t, rays)
     source = [rays[s] for s in moves[0]]
     sigma = dict(enumerate(moves[-1]))
     paths = _greedy_paths(t, ray_pos, moves, X)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .graphs import Graph, is_connected
-from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, World, _window_box,
-                     _window_coords, world_neighbors, world_norm)
+from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, World, _window_coords,
+                     world_neighbors, world_norm)
 
 DEFAULT_ANNULI = 3
 DEFAULT_RING_WIDTH = 2
@@ -45,37 +45,29 @@ class RayGraph:
         }
 
 
-def check_disjoint_rays(rays: list[RaySpec], depth: int) -> None:
-    """Raise unless the rays are pairwise vertex-disjoint within ``depth``.
+def check_disjoint_rays(rays: list[RaySpec], traces: list[list], depth: int) -> None:
+    """Raise unless the rays' traces within ``depth`` are pairwise disjoint.
 
-    Coordinates are owned by list position, so a family that names one ray
-    twice is refused too.
+    ``traces[p]`` is ray p's trace, as coordinates or as window vertices.
+    Traces are owned by list position, so one ray named twice is refused.
     """
-    owner: dict[Coord, int] = {}
-    for p, r in enumerate(rays):
-        for c in r.coords_in_window(depth):
+    owner: dict = {}
+    for p, trace in enumerate(traces):
+        for c in trace:
             first = owner.setdefault(c, p)
             if first != p:
                 raise ValidationError(
-                    f"rays {rays[first].index} and {r.index} (list positions "
+                    f"rays {rays[first].index} and {rays[p].index} (list positions "
                     f"{first} and {p}) intersect within depth {depth}")
-
-
-def _ring_coords(w: World, lo: int, hi: int,
-                 cap: int = DEFAULT_WINDOW_CAP) -> set[Coord]:
-    """All world coordinates with lo < norm <= hi."""
-    return {c for c in _window_coords(w, hi, cap) if world_norm(w, c) > lo}
 
 
 def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
                     dst: set[Coord], forbid: set[Coord]) -> bool:
     """Is there a path inside ``shell`` from src to dst avoiding forbid?"""
-    if not src or not dst:
-        return False
     allowed = shell - forbid
     src = src & allowed
     dst = dst & allowed
-    if not src:
+    if not src or not dst:
         return False
     if src & dst:
         return True
@@ -92,15 +84,14 @@ def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
     return False
 
 
-def _edge_set_at(w: World, rays: list[RaySpec], d0: int, annuli: int,
-                 ring_width: int, window_cap: int) -> frozenset[tuple[int, int]]:
-    hi_max = d0 + annuli * ring_width
-    traces = [set(r.coords_in_window(hi_max)) for r in rays]
+def _edge_set_at(w: World, rings: list[list[Coord]], traces: list[set[Coord]],
+                 d0: int, annuli: int, ring_width: int) -> frozenset[tuple[int, int]]:
+    """Annulus-rule edges over list positions; ``rings[n]`` holds the
+    window coordinates of norm n."""
     alive: set[tuple[int, int]] = set()
     for t in range(1, annuli + 1):
         lo = d0 + (t - 1) * ring_width
-        hi = d0 + t * ring_width
-        shell = _ring_coords(w, lo, hi, cap=window_cap)
+        shell = set().union(*rings[lo + 1:lo + ring_width + 1])
         shell_traces = [tr & shell for tr in traces]
         if t == 1:
             # a ray that misses the first shell has no path in it
@@ -134,16 +125,23 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
         raise ValidationError("ring_width must be >= 1")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
-    # the deepest shell bounds every window read below; refuse it up front
-    _window_box(w, d0 + 1 + annuli * ring_width, window_cap)
-    check_disjoint_rays(rays, d0 + (annuli + 1) * ring_width + 1)
+    # one scan of the deepest shell's window, grouped by norm, serves every shell
+    deepest = d0 + 1 + annuli * ring_width
+    coords = _window_coords(w, deepest, window_cap)   # refuses an oversized window
+    rings: list[list[Coord]] = [[] for _ in range(deepest + 1)]
+    for c in coords:
+        rings[world_norm(w, c)].append(c)
+    # one trace per ray, deep enough for the disjointness check and both edge sets
+    depth = deepest + ring_width
+    traces = [r.coords_in_window(depth) for r in rays]
+    check_disjoint_rays(rays, traces, depth)
+    trace_sets = [set(tr) for tr in traces]
     idx = [r.index for r in rays]
-    by_pos = {i: r.index for i, r in enumerate(rays)}
-    e0 = _edge_set_at(w, rays, d0, annuli, ring_width, window_cap)
-    e1 = _edge_set_at(w, rays, d0 + 1, annuli, ring_width, window_cap)
-    edges = frozenset((by_pos[a], by_pos[b]) for a, b in e0)
+    e0 = _edge_set_at(w, rings, trace_sets, d0, annuli, ring_width)
+    e1 = _edge_set_at(w, rings, trace_sets, d0 + 1, annuli, ring_width)
+    edges = frozenset((idx[a], idx[b]) for a, b in e0)
     return RayGraph(tuple(idx), edges, stabilized=(e0 == e1),
-                    depth_range=(d0, d0 + 1 + annuli * ring_width))
+                    depth_range=(d0, deepest))
 
 
 def _position_graph(rg: RayGraph) -> Graph:

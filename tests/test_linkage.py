@@ -12,7 +12,7 @@ from pebblekit import linkage
 from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
 from pebblekit.graphs import Graph
-from pebblekit.linkage import Linkage, check_linkage, find_linkage, linkage_walks
+from pebblekit.linkage import Linkage, check_linkage, find_linkage
 from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
                               truncate)
 
@@ -123,6 +123,45 @@ def test_checker_rejects_corrupted_linkages(half_setup):
     bad3 = Linkage(sigma=lk.sigma, paths={0: (), 1: lk.paths[1]}, after=lk.after)
     with pytest.raises(LinkageCheckError):
         check_linkage(t, src, tgt, bad3)
+
+
+# a sigma value of -1 must not wrap round to the last target ray, nor a
+# connector vertex -1 read as the window's last coordinate
+@pytest.mark.parametrize("field, value", [
+    ("sigma", -1), ("sigma", 2), ("connector", 10**6), ("connector", -1)])
+def test_checker_refuses_out_of_range_values(half_setup, field, value):
+    hg, t, cols = half_setup
+    src, tgt = cols[:2], cols[2:4]
+    lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1})
+    sigma, paths = dict(lk.sigma), dict(lk.paths)
+    if field == "sigma":
+        sigma[1] = value
+        message = "out of range"
+    else:
+        paths[0] = paths[0][:1] + (value,) + paths[0][1:]
+        message = "outside the window"
+    with pytest.raises(LinkageCheckError, match=message):
+        check_linkage(t, src, tgt, Linkage(sigma, paths, lk.after))
+
+
+def test_find_linkage_traces_each_ray_once_for_search_and_check(half_setup, monkeypatch):
+    hg, t, cols = half_setup
+    calls = 0
+    trace = RaySpec.coords_in_window
+
+    def counted(self, depth):
+        nonlocal calls
+        calls += 1
+        return trace(self, depth)
+
+    monkeypatch.setattr(RaySpec, "coords_in_window", counted)
+    src, tgt = cols[:3], cols[3:6]
+    lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1, 2: 2})
+    # one trace per ray for the search, one for its check_linkage
+    assert calls <= 2 * (len(src) + len(tgt))
+    calls = 0
+    check_linkage(t, src, tgt, lk)
+    assert calls == len(src) + len(tgt)
 
 
 def test_checker_rejects_overlapping_walks(half_setup):

@@ -19,3 +19,26 @@ def test_oracles_do_not_import_the_game_engine():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert not imported & {"reachable_states", "is_achievable"}, imported
+
+
+def test_modules_use_every_name_they_import():
+    import ast
+    from pathlib import Path
+    pkg = Path(pebblekit.__file__).parent
+    stale = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        stale += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                  if name not in used]
+    assert not stale, stale

@@ -66,6 +66,22 @@ def test_ray_graph_searches_only_rays_in_the_shells(monkeypatch):
     assert rg.edges == ray_graph(hg, canonical_rays(hg, 10), d0=2).edges
 
 
+def test_ray_graph_traces_each_ray_once(monkeypatch):
+    hg = make_world("half-grid")
+    rays = canonical_rays(hg, 5)
+    calls = 0
+    trace = RaySpec.coords_in_window
+
+    def counted(self, depth):
+        nonlocal calls
+        calls += 1
+        return trace(self, depth)
+
+    monkeypatch.setattr(RaySpec, "coords_in_window", counted)
+    ray_graph(hg, rays, d0=6)
+    assert calls == len(rays)
+
+
 def test_dominated_ray_spine_degree():
     for k in (3, 4):
         dr = make_world("dominated-ray", k=k)

@@ -123,6 +123,16 @@ def test_move_validation(grid_setup):
             realize_transition(t, fam, [(0,)], set(), rg=fam_rg)
 
 
+@pytest.mark.parametrize("x", [-1, 10**6])
+def test_x_outside_the_window_is_refused(grid_setup, x):
+    # as in find_linkage: -1 is not the window's last vertex, and a vertex
+    # past the window is refused, not left to fail deep in the routing
+    fg, _, rays, rg = grid_setup
+    t = truncate(fg, 6)
+    with pytest.raises(ValidationError, match="outside the window"):
+        realize_transition(t, rays, [(0, 1), (2, 1)], {x}, rg=rg)
+
+
 def test_half_grid_move_respects_ray_graph():
     hg = make_world("half-grid")
     t = truncate(hg, 8)
