@@ -22,8 +22,8 @@ from .permgroups import cycle_notation
 from .rays import is_linear_family, ray_graph
 from .structure import (is_k_pebble_win, pebble_permutation_group,
                         structure_witness, verify_structure_theorem)
-from .worlds import (DEFAULT_WINDOW_CAP, World, canonical_rays, chebyshev_ball,
-                     make_world, truncate)
+from .worlds import (DEFAULT_WINDOW_CAP, WORLD_KINDS, World, canonical_rays,
+                     chebyshev_ball, make_world, truncate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -220,8 +220,7 @@ def _add_graph_args(p):
 
 
 def _add_world_args(p):
-    p.add_argument("--world", choices=["full-grid", "half-grid", "hex-half-grid",
-                                       "product-Z", "product-N", "dominated-ray"])
+    p.add_argument("--world", choices=WORLD_KINDS)
     p.add_argument("--world-file", help="world descriptor JSON file")
     p.add_argument("--base", help="base graph JSON (product worlds)")
     p.add_argument("--world-k", type=int, help="k for the dominated ray")

@@ -106,10 +106,10 @@ def _rim_chords_cross(t: Truncation, terminals: list[tuple[int, int]]) -> bool:
     Grid windows (and the brick wall, a subgraph of the half-grid drawing)
     are drawn inside their rim rectangle.  Two disjoint paths whose four
     ends lie on that rectangle in interleaved cyclic order would have to
-    cross (Seymour 1980, Thomassen 1980, on the outer face), so such a
-    pairing is infeasible.  Other worlds get False: they prove nothing.
+    cross (Seymour 1980, Thomassen 1980, on the outer face): infeasible.
+    Worlds on a finite row get False: they prove nothing.
     """
-    if t.world.kind not in ("full-grid", "half-grid", "hex-half-grid"):
+    if t.world.row is not None:
         return False
     # window coordinates run lexicographically over the whole rectangle
     (x0, y0), (x1, y1) = t.coords[0], t.coords[-1]
@@ -256,7 +256,7 @@ def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
     False when it proves it feasible, None when it exceeds DP_STATE_CAP."""
     n = t.graph.n
     order = list(range(n))
-    if t.world.kind in ("product-Z", "product-N", "dominated-ray"):
+    if t.world.row is not None:   # a finite row: sweep level by level
         order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     try:
         return not disjoint_paths_exist(n, adj, order, terminals, blocked,
@@ -342,18 +342,26 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                   linkage: Linkage) -> list[list[int]]:
     """Verify a linkage literally and return its walks (window vertex lists).
 
-    Raises LinkageCheckError on any violation.  Checks: sigma is an
-    injection into the target positions; every connector vertex lies in
-    the window; every walk is a path in the window (adjacent consecutive
-    vertices, no repeats); walks are pairwise vertex-disjoint; every walk
-    leaves the window along its target ray; X meets each source ray only
-    before the switch point and meets no other walk vertex.
+    Raises LinkageCheckError on any violation.  Checks: sigma and paths
+    are keyed by source positions, and sigma is an injection into the
+    target positions; X and every connector vertex lie in the window;
+    every walk is a path in the window (adjacent consecutive vertices, no
+    repeats); walks are pairwise vertex-disjoint; every walk leaves the
+    window along its target ray; X meets each source ray only before the
+    switch point and meets no other walk vertex.
     """
     X = linkage.after
     src_pos = [_ray_window_positions(t, r) for r in source]
     tgt_pos = [_ray_window_positions(t, r) for r in target]
+    for name, keys in (("sigma", linkage.sigma), ("paths", linkage.paths)):
+        for i in keys:
+            if i not in range(len(source)):
+                raise LinkageCheckError(f"{name} key {i!r} is not a source position")
     if len(set(linkage.sigma.values())) != len(linkage.sigma):
         raise LinkageCheckError("sigma is not injective")
+    for v in X:
+        if not 0 <= v < t.graph.n:
+            raise LinkageCheckError(f"X vertex {v} outside the window")
     # walk i rides its source ray to the switch point src_pos[i][switch[i]],
     # follows its connector, then rides its target ray beyond the landing
     walks: list[list[int]] = []

@@ -1,6 +1,7 @@
 """Permutation groups on {0..k-1} with stabilizer-chain membership.
 
-Degrees here are tiny (k <= 8), so a plain deterministic Schreier-Sims
+Any degree is accepted.  The groups the pebble game builds act on the
+pebbles of a small graph, so a plain deterministic Schreier-Sims
 suffices.  Closure of the chain is deferred: adding generators only
 rebuilds orbits, which keeps the hot path (feeding many redundant
 generators) cheap.  The product of orbit sizes always counts distinct

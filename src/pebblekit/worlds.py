@@ -1,20 +1,22 @@
 """Finitely presented infinite graphs and their finite windows.
 
-Supported worlds, all with pair coordinates:
+Every world is a *row* times *levels*, with pair coordinates (x, y): x is a
+position in the row, y a level.  Each level is a copy of the row, and a
+rung joins (x, y) to (x, y + 1).  The row is the integer line or a finite
+connected graph; the levels run over Z or over N (y >= 0).
 
-* ``full-grid``    -- vertex set Z x Z, edges between coordinate neighbours.
-* ``half-grid``    -- Z x N (x any integer, y >= 0).
+* ``full-grid``    -- the line times Z: vertex set Z x Z.
+* ``half-grid``    -- the line times N: Z x N.
 * ``hex-half-grid``-- the cubic brick wall: the half grid with every second
-  vertical rung removed (the rung at (x, y)-(x, y+1) survives iff x + y is
-  even), so every interior vertex has degree 3.
-* ``product-Z`` / ``product-N`` -- base graph times a double ray / ray;
-  coordinates (base vertex, level).
-* ``dominated-ray`` -- the k-fold dominated ray in its comb presentation:
-  spine strand 0 carries the ray, strands 1..k are the dominating vertices
-  expanded into handles, with a rung from every handle vertex down to the
-  spine vertex on its level.  Coordinates (strand, level).  The expansion
-  is what makes k+1 disjoint rays (spine plus one per handle) exist at
-  all; with literal dominating vertices the world admits a single ray.
+  rung removed (the rung at (x, y)-(x, y+1) survives iff x + y is even),
+  so every interior vertex has degree 3.
+* ``product-Z`` / ``product-N`` -- a base graph times Z / N.
+* ``dominated-ray`` -- the k-fold dominated ray in its comb presentation,
+  the star K_{1,k} times N: spine strand 0 carries the ray, strands 1..k
+  are the dominating vertices expanded into handles, with a rung from
+  every handle vertex to the spine vertex on its level.  The expansion is
+  what makes k+1 disjoint rays (spine plus one per handle) exist at all;
+  with literal dominating vertices the world admits a single ray.
 
 A truncation is the induced subgraph on all coordinates within ``depth``
 under the world's window norm, with the boundary (vertices having a
@@ -25,7 +27,7 @@ coordinate identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ValidationError, WindowCapExceeded
@@ -41,21 +43,35 @@ DEFAULT_WINDOW_CAP = 250_000
 
 @dataclass(frozen=True)
 class World:
+    """A world named by ``kind``; ``row`` and ``half`` are its geometry.
+
+    ``row`` is the finite graph each level copies, None for the integer
+    line; ``half`` says the levels run over N rather than Z.
+    """
+
     kind: str
     base: Graph | None = None
     k: int | None = None
+    row: Graph | None = field(init=False, repr=False, compare=False)
+    half: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in WORLD_KINDS:
             raise ValidationError(f"unknown world kind {self.kind!r}")
+        row = None
         if self.kind in ("product-Z", "product-N"):
             if self.base is None:
                 raise ValidationError(f"{self.kind} requires a base graph")
             if self.base.n == 0 or not is_connected(self.base):
                 raise ValidationError("product base must be non-empty and connected")
+            row = self.base
         if self.kind == "dominated-ray":
             if self.k is None or self.k < 1:
                 raise ValidationError("dominated-ray requires k >= 1")
+            # the star K_{1,k}: spine 0, handles 1..k
+            row = Graph.from_edges(self.k + 1, [(0, j) for j in range(1, self.k + 1)])
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "half", self.kind not in ("full-grid", "product-Z"))
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -93,48 +109,30 @@ def world_from_json_dict(doc: dict) -> World:
 
 def world_contains(w: World, c: Coord) -> bool:
     x, y = c
-    if w.kind == "full-grid":
-        return True
-    if w.kind in ("half-grid", "hex-half-grid"):
-        return y >= 0
-    if w.kind == "product-Z":
-        return 0 <= x < w.base.n
-    if w.kind == "product-N":
-        return 0 <= x < w.base.n and y >= 0
-    # dominated-ray comb: strand 0..k, level >= 0
-    return 0 <= x <= w.k and y >= 0
+    return (w.row is None or 0 <= x < w.row.n) and (y >= 0 or not w.half)
 
 
 def world_neighbors(w: World, c: Coord) -> list[Coord]:
+    """The sorted neighbours of world vertex c: its row neighbours on its
+    level and its rungs to the levels above and below."""
     x, y = c
-    if w.kind in ("full-grid", "half-grid"):
-        cand = [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
-    elif w.kind == "hex-half-grid":
-        cand = [(x - 1, y), (x + 1, y)]
-        if (x + y) % 2 == 0:
-            cand.append((x, y + 1))
-        if y >= 1 and (x + y - 1) % 2 == 0:
-            cand.append((x, y - 1))
-    elif w.kind in ("product-Z", "product-N"):
-        cand = [(x, y - 1), (x, y + 1)]
-        cand.extend((b, y) for b in w.base.adjacency()[x])
-    else:  # dominated-ray comb
-        cand = [(x, y - 1), (x, y + 1)]
-        if x == 0:
-            cand.extend((j, y) for j in range(1, w.k + 1))
-        else:
-            cand.append((0, y))
-    return sorted(c2 for c2 in cand if world_contains(w, c2))
+    if w.row is None:
+        out = [(x - 1, y), (x + 1, y)]
+    else:
+        out = [(b, y) for b in w.row.adjacency()[x]]
+    # the brick wall keeps the rung (x, y)-(x, y+1) only when x + y is even
+    brick = w.kind == "hex-half-grid"
+    if not brick or (x + y) % 2 == 0:
+        out.append((x, y + 1))
+    if (y > 0 or not w.half) and (not brick or (x + y) % 2 == 1):
+        out.append((x, y - 1))
+    return sorted(out)
 
 
 def world_norm(w: World, c: Coord) -> int:
-    """Window norm: Chebyshev for grids, level distance for layered worlds."""
+    """Window norm: the level distance, and Chebyshev on the integer line."""
     x, y = c
-    if w.kind == "full-grid":
-        return max(abs(x), abs(y))
-    if w.kind in ("half-grid", "hex-half-grid"):
-        return max(abs(x), y)
-    return abs(y)
+    return abs(y) if w.row is not None else max(abs(x), abs(y))
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +162,13 @@ def _window_box(w: World, depth: int, cap: int) -> tuple[int, int, int, int]:
     comes from the rectangle alone, so an oversized window is refused
     before any coordinate is built.
     """
-    if w.kind == "full-grid":
-        box = -depth, depth, -depth, depth
-    elif w.kind in ("half-grid", "hex-half-grid"):
-        box = -depth, depth, 0, depth
-    elif w.kind == "product-Z":
-        box = 0, w.base.n - 1, -depth, depth
-    elif w.kind == "product-N":
-        box = 0, w.base.n - 1, 0, depth
-    else:
-        box = 0, w.k, 0, depth
-    x0, x1, y0, y1 = box
-    size = (x1 - x0 + 1) * (y1 - y0 + 1)
+    x0, x1 = (-depth, depth) if w.row is None else (0, w.row.n - 1)
+    y0 = 0 if w.half else -depth
+    size = (x1 - x0 + 1) * (depth - y0 + 1)
     if size > cap:
         raise WindowCapExceeded(
             f"window at depth {depth} has {size} vertices, cap {cap}")
-    return box
+    return x0, x1, y0, depth
 
 
 def _window_coords(w: World, depth: int, cap: int) -> list[Coord]:
@@ -222,11 +211,13 @@ class RaySpec:
     """An eventually periodic one-way infinite path.
 
     ``prefix`` lists the first coordinates; afterwards the ``steps`` delta
-    cycle repeats forever.  Two requirements keep finite-window analysis
+    cycle repeats forever.  Three requirements keep finite-window analysis
     sound: the window norm never decreases along the ray (so the in-window
-    part is always a contiguous initial segment) and the net displacement
-    per cycle is nonzero (so the ray diverges).  Both are checked on a
-    probe of the first few cycles.
+    part is always a contiguous initial segment), the net displacement
+    per cycle is nonzero (so the ray diverges), and it stays in the world
+    (no sideways drift on a finite row, no descent on N levels).  The
+    first two are checked on a probe of the first few cycles; with the
+    third, the probe vouches for every later cycle.
     """
 
     world: World
@@ -245,6 +236,8 @@ class RaySpec:
         net = (sum(dx for dx, _ in self.steps), sum(dy for _, dy in self.steps))
         if net == (0, 0):
             raise ValidationError("period cycle must have nonzero net displacement")
+        if (self.world.row is not None and net[0]) or (self.world.half and net[1] < 0):
+            raise ValidationError(f"period cycle's net displacement {net} leaves the world")
         probe = [self.coord(i) for i in range(len(self.prefix) + 4 * len(self.steps) + 1)]
         for a, b in zip(probe, probe[1:]):
             if b not in world_neighbors(self.world, a):
@@ -322,29 +315,22 @@ def _hex_zigzag_ray(w: World, i: int) -> RaySpec:
 def canonical_rays(w: World, m: int) -> list[RaySpec]:
     """m pairwise disjoint eventually periodic rays converging to one end.
 
-    Per kind: vertical columns x = 0..m-1 in the half grid; the four
-    directional families (with parallels) in the full grid; zigzag column
-    pairs in the brick wall; one ray {v} x levels per base vertex in the
-    products; the handle rays followed by the spine in the dominated ray.
-    Raises when m exceeds the world's canonical supply.
+    The four directional families (with parallels) in the full grid;
+    zigzag column pairs in the brick wall; elsewhere one vertical ray
+    {x} x levels per row position: columns x = 0..m-1 in the half grid
+    and the products, the handle rays followed by the spine in the
+    dominated ray.  Raises when m exceeds the world's canonical supply.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if w.kind == "half-grid":
-        return [RaySpec(w, ((i, 0),), ((0, 1),), i) for i in range(m)]
     if w.kind == "full-grid":
         return [_full_grid_ray(w, i) for i in range(m)]
     if w.kind == "hex-half-grid":
         return [_hex_zigzag_ray(w, i) for i in range(m)]
-    if w.kind in ("product-Z", "product-N"):
-        if m > w.base.n:
-            raise ValidationError(
-                f"product world supplies at most {w.base.n} canonical rays")
-        return [RaySpec(w, ((v, 0),), ((0, 1),), v) for v in range(m)]
-    # dominated-ray comb: handles first, spine last
-    if m > w.k + 1:
+    dominated = w.kind == "dominated-ray"
+    if w.row is not None and m > w.row.n:
         raise ValidationError(
-            f"dominated-ray world supplies at most {w.k + 1} canonical rays")
-    rays = [RaySpec(w, ((j + 1, 0),), ((0, 1),), j) for j in range(m - 1)]
-    rays.append(RaySpec(w, ((0, 0),), ((0, 1),), m - 1))
-    return rays
+            f"{w.kind if dominated else 'product'} world supplies at most "
+            f"{w.row.n} canonical rays")
+    xs = [*range(1, m), 0] if dominated else range(m)
+    return [RaySpec(w, ((x, 0),), ((0, 1),), i) for i, x in enumerate(xs)]

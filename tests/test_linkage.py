@@ -144,6 +144,30 @@ def test_checker_refuses_out_of_range_values(half_setup, field, value):
         check_linkage(t, src, tgt, Linkage(sigma, paths, lk.after))
 
 
+@pytest.mark.parametrize("field", ["sigma", "paths"])
+def test_checker_refuses_keys_that_are_not_source_positions(half_setup, field):
+    hg, t, cols = half_setup
+    src, tgt = cols[:2], cols[2:4]
+    lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1})
+    sigma, paths = dict(lk.sigma), dict(lk.paths)
+    if field == "sigma":
+        sigma[5] = 7
+    else:
+        paths[9] = paths[0]
+    with pytest.raises(LinkageCheckError, match=f"{field} key"):
+        check_linkage(t, src, tgt, Linkage(sigma, paths, lk.after))
+
+
+# X = {-1} must not be read as the window's last coordinate
+@pytest.mark.parametrize("vertex", [-1, 10**6])
+def test_checker_refuses_x_outside_the_window(half_setup, vertex):
+    hg, t, cols = half_setup
+    src, tgt = cols[:2], cols[2:4]
+    lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1})
+    with pytest.raises(LinkageCheckError, match="outside the window"):
+        check_linkage(t, src, tgt, Linkage(lk.sigma, lk.paths, frozenset({vertex})))
+
+
 def test_find_linkage_traces_each_ray_once_for_search_and_check(half_setup, monkeypatch):
     hg, t, cols = half_setup
     calls = 0

@@ -42,3 +42,19 @@ def test_modules_use_every_name_they_import():
         stale += [f"{path.name}:{line} {name}" for name, line in bound.items()
                   if name not in used]
     assert not stale, stale
+
+
+def test_only_worlds_names_the_world_kinds():
+    # every other module reads a world's geometry, never its kind
+    import ast
+    from pathlib import Path
+    from pebblekit.worlds import WORLD_KINDS
+    pkg = Path(pebblekit.__file__).parent
+    named = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "worlds.py":
+            continue
+        named += [f"{path.name}:{node.lineno} {node.value}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Constant) and node.value in WORLD_KINDS]
+    assert not named, named

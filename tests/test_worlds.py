@@ -12,7 +12,7 @@ from pebblekit.worlds import (RaySpec, World, canonical_rays, chebyshev_ball,
                               make_world, truncate, world_from_json_dict,
                               world_neighbors)
 
-from conftest import complete_graph, cycle_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def triangle():
@@ -142,6 +142,27 @@ def test_rayspec_validation():
         RaySpec(hg, ((0, 0), (5, 5)), ((0, 1),), 0)  # jump
     with pytest.raises(ValidationError):
         RaySpec(hg, ((0, 0),), ((0, 1), (0, -1)), 0)  # zero net displacement
+
+
+def test_rayspec_refuses_a_period_that_walks_out_of_the_world():
+    # both rays pass the probe of their first cycles, then leave the world
+    hg = make_world("half-grid")
+    with pytest.raises(ValidationError, match="leaves the world"):
+        RaySpec(hg, ((10, 5),), ((1, 0), (1, 0), (0, -1)), 1)   # drifts down
+    strip = make_world("product-N", base=path_graph(12))
+    with pytest.raises(ValidationError, match="leaves the world"):
+        RaySpec(strip, ((0, 0),), ((1, 0), (0, 1)), 0)            # drifts sideways
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_dominated_ray_is_the_star_times_n(k):
+    dominated = make_world("dominated-ray", k=k)
+    product = make_world("product-N", base=star_graph(k))
+    for depth in range(1, 6):
+        a, b = truncate(dominated, depth), truncate(product, depth)
+        assert a.coords == b.coords
+        assert a.graph.edges == b.graph.edges
+        assert a.boundary == b.boundary
 
 
 def test_rayspec_coords_and_shift():
