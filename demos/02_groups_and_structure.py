@@ -7,8 +7,8 @@ all of S_k (then every state reaches every other).  Graphs that are NOT
 k-pebble-win are extremely constrained: they carry a maximal bare path
 (interior degrees 2) covering all but at most k vertices whose edges are
 all bridges, unless the whole graph is a cycle.  The exhaustive sweep at
-the end checks that statement on every connected labelled graph up to 6
-vertices.
+the end checks that statement on every connected graph up to 6
+vertices, one graph per isomorphism class.
 """
 
 from pebblekit import (Graph, cycle_notation, is_k_pebble_win,
@@ -53,6 +53,10 @@ print("6-cycle, k=3: witness is the cycle itself ->", rep.witness.cycle)
 
 show("exhaustive sweep up to 6 vertices")
 report = verify_structure_theorem(6)
-print({k: v for k, v in report.items() if k != "failures_detail"})
+print({k: v for k, v in report.items() if k not in ("failures_detail", "per_n")})
+for row in report["per_n"]:
+    print(f"   n={row['n']}: {row['classes']:>3} classes up to isomorphism, "
+          f"{row['checked']:>6} labelled (graph, k) instances, "
+          f"{row['non_pebble_win']:>4} not won")
 assert report["failures"] == 0
 print("every losing graph carries its bare-path witness.")

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import PebbleKitError, ValidationError
-from .graphs import (Graph, adjacency_masks, bridges, graph_from_mask,
-                     is_connected, is_cycle_graph, mask_adjacency,
-                     mask_connected, maximal_bare_paths, vertex_pairs)
+from .graphs import (Graph, adjacency_masks, augmentations, bridges,
+                     graph_from_masks, is_connected, is_cycle_graph,
+                     maximal_bare_paths)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, _config_group,
                       validate_state)
 from .permgroups import PermGroup, transposition
@@ -180,88 +180,103 @@ def structure_witness(g: Graph, k: int) -> StructureReport:
 # Exhaustive sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_MAX_N = 7
+SWEEP_MAX_N = 9
+# parent classes per pool job: small enough to balance two workers at n = 7
+SWEEP_CHUNK = 16
 
 
-def _sweep_chunk(args) -> tuple[int, int, list[dict]]:
-    """Sweep one mask range for one n.  Returns (checked, non_win, failures).
+def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
+    """Sweep the classes on n vertices whose canonical parents are in one
+    chunk.  Returns (n, classes, checked, non_win, failures).
 
-    k runs downward from n-2; a k-pebble-win graph is also j-pebble-win
-    for every j < k (drop the extra pebbles and project the moves), so the
+    Each class stands for its n!/|Aut G| labelled graphs: k-pebble-win and
+    the bare-path witness do not change under relabelling.  k runs
+    downward from n-2; a k-pebble-win graph is also j-pebble-win for
+    every j < k (drop the extra pebbles and project the moves), so the
     scan stops at the first win and counts the k-1 smaller instances as
-    checked wins.  The suite checks the counts against ``is_k_pebble_win``
-    on every instance with n <= 5.
+    checked wins.  The suite checks the counts against the labelled sweep
+    for n <= 6.
     """
-    n, lo, hi = args
-    pairs = vertex_pairs(n)
+    n, parents = job
     bases = [tuple(range(k)) for k in range(n)]
-    checked = 0
-    non_win = 0
+    classes = checked = non_win = 0
     failures: list[dict] = []
-    for mask in range(lo, hi):
-        adj = mask_adjacency(n, mask, pairs)
-        if not mask_connected(n, adj):
-            continue
-        g: Graph | None = None
-        for k in range(n - 2, 0, -1):
-            rep, group = _config_group(adj, n, bases[k])
-            win = len(rep) == comb(n, k) and group.order() == factorial(k)
-            if win:
-                checked += k
-                break
-            checked += 1
-            non_win += 1
-            if g is None:
-                g = graph_from_mask(n, mask)
-            if _find_witness(g, k) is None:
-                failures.append({
-                    "n": n,
-                    "k": k,
-                    "edges": [list(e) for e in g.sorted_edges()],
-                    "reason": "no conforming bare-path witness",
-                })
-    return checked, non_win, failures
+    for parent in parents:
+        for adj, aut in augmentations(parent):
+            classes += 1
+            copies = factorial(n) // aut
+            g: Graph | None = None
+            for k in range(n - 2, 0, -1):
+                rep, group = _config_group(adj, n, bases[k])
+                if len(rep) == comb(n, k) and group.order() == factorial(k):
+                    checked += k * copies
+                    break
+                checked += copies
+                non_win += copies
+                if g is None:
+                    g = graph_from_masks(adj)
+                if _find_witness(g, k) is None:
+                    failures.append({
+                        "n": n,
+                        "k": k,
+                        "representative": [list(e) for e in g.sorted_edges()],
+                        "labelled_copies": copies,
+                        "reason": "no conforming bare-path witness",
+                    })
+    return n, classes, checked, non_win, failures
 
 
 def verify_structure_theorem(n_max: int, workers: int | None = None) -> dict:
-    """Sweep every connected labelled graph with n <= n_max and every
-    1 <= k <= n-2; assert that each non-k-pebble-win instance has a
-    conforming bare-path witness.
+    """Check the structure theorem on every connected graph with
+    n <= n_max vertices and every 1 <= k <= n-2: each instance that is not
+    k-pebble-win has a conforming bare-path witness.
 
-    Returns {"checked", "non_pebble_win", "failures", "elapsed_ms",
-    "failures_detail"}.  ``workers`` distributes (graph, k) instances
-    across processes, at most one per CPU and one per mask range; results
-    are aggregated order-independently.
+    One representative per isomorphism class is decided, weighted by the
+    n!/|Aut G| labelled graphs in its class, so ``checked``,
+    ``non_pebble_win`` and ``failures`` count labelled (graph, k)
+    instances.  Returns
+    {"n_max", "checked", "non_pebble_win", "failures", "elapsed_ms",
+    "per_n", "failures_detail"}; ``per_n`` lists, for each n, the classes
+    swept and the instances checked and not won, and each entry of
+    ``failures_detail`` names a class representative and its k.  ``workers`` spreads the pool jobs, each the
+    children of up to SWEEP_CHUNK parent classes, over processes: at most
+    one per CPU and one per job.  By default the sweep runs in this
+    process up to n = 7 and on every CPU beyond.
     """
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
     if workers is None:
-        workers = os.cpu_count() or 1 if n_max >= 6 else 1
+        workers = (os.cpu_count() or 1) if n_max > 7 else 1
     t0 = time.perf_counter()
     jobs = []
+    level: list[tuple[int, ...]] = [()]
     for n in range(1, n_max + 1):
-        total = 1 << len(vertex_pairs(n))
-        step = max(1, min(total, 1 << 16))
-        for lo in range(0, total, step):
-            jobs.append((n, lo, min(total, lo + step)))
+        jobs += [(n, level[i:i + SWEEP_CHUNK]) for i in range(0, len(level), SWEEP_CHUNK)]
+        if n < n_max:
+            level = [c for p in level for c, _ in augmentations(p)]
     workers = max(1, min(workers, len(jobs), os.cpu_count() or 1))
     if workers > 1:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_chunk, jobs)
+            results = pool.map(_sweep_children, jobs)
     else:
-        results = [_sweep_chunk(job) for job in jobs]
-    checked = sum(r[0] for r in results)
-    non_win = sum(r[1] for r in results)
+        results = [_sweep_children(job) for job in jobs]
+    per_n = [{"n": n, "classes": 0, "checked": 0, "non_pebble_win": 0}
+             for n in range(1, n_max + 1)]
     failures: list[dict] = []
-    for r in results:
-        failures.extend(r[2])
+    for n, classes, checked, non_win, fails in results:
+        row = per_n[n - 1]
+        row["classes"] += classes
+        row["checked"] += checked
+        row["non_pebble_win"] += non_win
+        failures.extend(fails)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return {
         "n_max": n_max,
-        "checked": checked,
-        "non_pebble_win": non_win,
-        "failures": len(failures),
+        "checked": sum(row["checked"] for row in per_n),
+        "non_pebble_win": sum(row["non_pebble_win"] for row in per_n),
+        "failures": sum(f["labelled_copies"] for f in failures),
         "elapsed_ms": elapsed_ms,
+        "per_n": per_n,
         "failures_detail": failures,
     }

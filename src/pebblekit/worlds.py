@@ -114,12 +114,17 @@ def world_contains(w: World, c: Coord) -> bool:
 
 def world_neighbors(w: World, c: Coord) -> list[Coord]:
     """The sorted neighbours of world vertex c: its row neighbours on its
-    level and its rungs to the levels above and below."""
+    level and its rungs to the levels above and below.  Raises
+    ValidationError when c is not a vertex of the world."""
     x, y = c
+    if y < 0 and w.half:
+        raise ValidationError(f"{c} is not a vertex of the {w.kind} world")
     if w.row is None:
         out = [(x - 1, y), (x + 1, y)]
-    else:
+    elif 0 <= x < w.row.n:
         out = [(b, y) for b in w.row.adjacency()[x]]
+    else:
+        raise ValidationError(f"{c} is not a vertex of the {w.kind} world")
     # the brick wall keeps the rung (x, y)-(x, y+1) only when x + y is even
     brick = w.kind == "hex-half-grid"
     if not brick or (x + y) % 2 == 0:

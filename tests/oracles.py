@@ -5,9 +5,13 @@ definition, on a different path from the library routine it checks.
 """
 
 from collections import deque
+from math import comb, factorial
 
-from pebblekit.graphs import Graph
+from pebblekit.graphs import (Graph, graph_from_mask, mask_adjacency,
+                              mask_connected, vertex_pairs)
+from pebblekit.pebbles import _config_group
 from pebblekit.permgroups import PermGroup
+from pebblekit.structure import _find_witness
 
 
 def labelled_class(g: Graph, start: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -40,6 +44,27 @@ def harvest_group(g: Graph, start: tuple[int, ...]) -> PermGroup:
         if frozenset(s) == base:
             group.add(tuple(slot_of[x] for x in s))
     return group
+
+
+def labelled_sweep(n: int) -> tuple[int, int, int]:
+    """(checked, non-win, failures) of the structure sweep over every
+    connected labelled graph on n vertices, one edge bitmask at a time,
+    with the same downward scan in k as the class sweep."""
+    pairs = vertex_pairs(n)
+    checked = non_win = failures = 0
+    for mask in range(1 << len(pairs)):
+        adj = mask_adjacency(n, mask, pairs)
+        if not mask_connected(n, adj):
+            continue
+        for k in range(n - 2, 0, -1):
+            rep, group = _config_group(adj, n, tuple(range(k)))
+            if len(rep) == comb(n, k) and group.order() == factorial(k):
+                checked += k
+                break
+            checked += 1
+            non_win += 1
+            failures += _find_witness(graph_from_mask(n, mask), k) is None
+    return checked, non_win, failures
 
 
 def component_count(g: Graph) -> int:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from pebblekit.cli import main
 from pebblekit.graphs import Graph
-from pebblekit.structure import is_k_pebble_win, verify_structure_theorem
+from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
+                                 verify_structure_theorem)
 from pebblekit.worlds import WORLD_KINDS
 
 
@@ -329,8 +330,9 @@ def test_fuzzed_graph_files_exit_cleanly(fuzz_dir, file, verb):
 # small values make valid calls likely; the others probe every bound
 _num = (st.integers(1, 4) | st.integers(-3, 12)
         | st.sampled_from([-10 ** 18, 10 ** 6, 10 ** 18]))
-# n_max 6 and 7 would run sweeps of seconds to minutes; 8 and up are refused
-_n_max = st.integers(-3, 5) | st.integers(8, 12) | st.just(10 ** 18)
+# n_max 8 and 9 would run sweeps of seconds to minutes; beyond is refused
+_n_max = (st.integers(-3, 7) | st.integers(SWEEP_MAX_N + 1, SWEEP_MAX_N + 5)
+          | st.just(10 ** 18))
 # a window cap of at most 300 keeps every window small, whatever depth
 _window_cap = st.integers(-3, 300) | st.just(300) | st.just(-10 ** 18)
 

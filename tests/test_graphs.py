@@ -1,13 +1,18 @@
 """Graph substrate: parsing, connectivity, bridges, bare paths, enumeration."""
 
 import itertools
+import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblekit.errors import GraphParseError, ValidationError
-from pebblekit.graphs import (Graph, bridges, enumerate_connected_graphs,
+from pebblekit.graphs import (CLASSES_MAX_N, Graph, adjacency_masks,
+                              augmentations, bridges,
+                              canonical_form, connected_graph_classes,
+                              enumerate_connected_graphs, graph_from_masks,
                               is_bare_path, is_connected, is_cycle_graph,
                               maximal_bare_paths, parse_graph)
 
@@ -154,6 +159,68 @@ def test_enumeration_range_check():
         list(enumerate_connected_graphs(0))
     with pytest.raises(ValidationError):
         list(enumerate_connected_graphs(9))
+
+
+# ---------------------------------------------------------------------------
+# connected graphs up to isomorphism
+# ---------------------------------------------------------------------------
+
+def test_class_counts_and_orbit_sums():
+    # OEIS A001349 (classes) and A001187 (labelled connected graphs)
+    classes = [1, 1, 2, 6, 21, 112, 853]
+    labelled = [1, 1, 4, 38, 728, 26_704, 1_866_256]
+    for n in range(1, 8):
+        reps = connected_graph_classes(n)
+        assert len(reps) == classes[n - 1], n
+        assert sum(factorial(n) // aut for _, aut in reps) == labelled[n - 1], n
+        assert len({adj for adj, _ in reps}) == len(reps)
+        assert all(is_connected(graph_from_masks(adj)) for adj, _ in reps)
+
+
+def test_classes_cover_the_labelled_graphs():
+    # every labelled connected graph on 5 vertices canonises to one class
+    reps = {adj for adj, _ in connected_graph_classes(5)}
+    assert {canonical_form(adjacency_masks(g))[0]
+            for g in enumerate_connected_graphs(5)} == reps
+
+
+def _relabel(adj, perm):
+    """The masks of the graph with vertex v renamed perm[v]."""
+    out = [0] * len(adj)
+    for v, mask in enumerate(adj):
+        for u in range(len(adj)):
+            if mask >> u & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return tuple(out)
+
+
+def test_canonical_form_ignores_relabelling():
+    rng = random.Random(15)
+    for n in range(1, 8):
+        for adj, aut in connected_graph_classes(n):
+            for _ in range(3 if n < 7 else 1):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert canonical_form(_relabel(adj, perm)) == (adj, aut), (adj, perm)
+
+
+def test_automorphism_count_is_brute_force():
+    for n in range(1, 7):
+        for adj, aut in connected_graph_classes(n):
+            fixed = sum(_relabel(adj, p) == adj
+                        for p in itertools.permutations(range(n)))
+            assert fixed == aut, adj
+
+
+def test_classes_range_check():
+    for n in (0, CLASSES_MAX_N + 1):
+        with pytest.raises(ValidationError):
+            connected_graph_classes(n)
+    too_big = complete_graph(CLASSES_MAX_N + 1)
+    with pytest.raises(ValidationError):
+        canonical_form(adjacency_masks(too_big))
+    with pytest.raises(ValidationError):
+        augmentations(canonical_form(adjacency_masks(complete_graph(CLASSES_MAX_N)))[0])
 
 
 # ---------------------------------------------------------------------------

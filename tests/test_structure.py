@@ -7,16 +7,19 @@ from math import factorial
 import pytest
 
 from pebblekit.errors import ValidationError
-from pebblekit.graphs import (Graph, bridges, enumerate_connected_graphs,
+from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
+                              connected_graph_classes,
+                              enumerate_connected_graphs, graph_from_masks,
                               is_bare_path, is_connected, is_cycle_graph)
 from pebblekit.pebbles import reachable_states
 from pebblekit.permgroups import transposition
-from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
-                                 pebble_permutation_group, rb_colouring,
-                                 structure_witness, verify_structure_theorem)
+from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
+                                 pebble_group_fast, pebble_permutation_group,
+                                 rb_colouring, structure_witness,
+                                 verify_structure_theorem)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import harvest_group, labelled_class
+from oracles import harvest_group, labelled_class, labelled_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +139,34 @@ def _is_bipartite(adj):
 def test_wilson_groups_of_2_connected_graphs():
     # Wilson (1974): on a 2-connected graph that is neither a cycle nor
     # the 7-vertex theta_0, n - 1 pebbles generate A_{n-1} when the graph
-    # is bipartite and S_{n-1} otherwise
+    # is bipartite and S_{n-1} otherwise.  Each class counts for its
+    # n!/|Aut| labelled graphs.
     graphs = bipartite = 0
-    for n in range(3, 7):
-        for g in enumerate_connected_graphs(n):
+    exceptions = []
+    for n in range(3, 8):
+        for masks, aut in connected_graph_classes(n):
+            g = graph_from_masks(masks)
             adj = g.adjacency()
             if is_cycle_graph(g) or not all(_connected_without(adj, v)
                                             for v in range(n)):
                 continue
-            graphs += 1
+            copies = factorial(n) // aut if n < 7 else 0
+            graphs += copies
             cfg_connected, grp = pebble_group_fast(g, n - 1)
             assert cfg_connected, g
             if _is_bipartite(adj):
-                bipartite += 1
-                assert grp.order() == factorial(n - 1) // 2, g
+                bipartite += copies
+                wilson = factorial(n - 1) // 2
             else:
-                assert grp.order() == factorial(n - 1), g
+                wilson = factorial(n - 1)
+            if grp.order() != wilson:
+                exceptions.append((masks, grp.order()))
     assert (graphs, bipartite) == (11541, 305)
+    # theta_0 = theta(2,3,3): paths of 2, 3 and 3 edges between 0 and 1;
+    # its six pebbles generate PGL(2,5), of order 120
+    theta0 = Graph.from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
+                                  (0, 5), (5, 6), (6, 1)])
+    assert exceptions == [(canonical_form(adjacency_masks(theta0))[0], 120)]
 
 
 def test_win_monotone_in_k():
@@ -288,6 +302,31 @@ def test_sweep_monotone_shortcut_agrees():
     assert (rep["checked"], rep["non_pebble_win"]) == (checked, non_win)
 
 
+def test_class_sweep_matches_labelled_oracle():
+    rep = verify_structure_theorem(6, workers=1)
+    for row in rep["per_n"]:
+        checked, non_win, failures = labelled_sweep(row["n"])
+        assert (row["checked"], row["non_pebble_win"]) == (checked, non_win), row
+        assert failures == 0
+    assert [row["classes"] for row in rep["per_n"]] == [1, 1, 2, 6, 21, 112]
+    assert (rep["checked"], rep["non_pebble_win"]) == (109_080, 6_024)
+
+
+def test_sweep_failures_name_representatives(monkeypatch):
+    # with every witness refused, each non-win is a failure, counted per
+    # labelled graph and reported once per class
+    import pebblekit.structure as structure
+    monkeypatch.setattr(structure, "_find_witness", lambda g, k: None)
+    rep = verify_structure_theorem(5, workers=1)
+    assert rep["failures"] == rep["non_pebble_win"] == 264
+    detail = rep["failures_detail"]
+    assert sum(f["labelled_copies"] for f in detail) == 264
+    assert len(detail) < 264
+    for f in detail:
+        g = Graph.from_edges(f["n"], f["representative"])
+        assert is_connected(g) and not is_k_pebble_win(g, f["k"])
+
+
 def test_sweep_parallel_agrees():
     a = verify_structure_theorem(5, workers=1)
     b = verify_structure_theorem(5, workers=2)
@@ -297,8 +336,8 @@ def test_sweep_parallel_agrees():
 
 @pytest.mark.parametrize("cpus, size", [(3, 3), (64, 4)])
 def test_sweep_worker_count_is_bounded(monkeypatch, cpus, size):
-    # n <= 4 is 4 mask ranges: the pool gets at most one worker per CPU and
-    # per range; a fake pool records its size and maps in this process
+    # n <= 4 is 4 jobs, one per n: the pool gets at most one worker per CPU
+    # and per job; a fake pool records its size and maps in this process
     import multiprocessing
     import os
     sizes = []
@@ -328,6 +367,17 @@ def test_sweep_worker_count_is_bounded(monkeypatch, cpus, size):
         assert rep[key] == serial[key]
 
 
+def test_sweep_default_is_serial_up_to_n7(monkeypatch):
+    # a pool costs more than it saves below n = 8
+    import multiprocessing
+
+    def no_pool(method):
+        raise AssertionError("the default sweep started a pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert verify_structure_theorem(5)["failures"] == 0
+
+
 def test_sweep_rejects_large_n():
     with pytest.raises(ValidationError):
-        verify_structure_theorem(8)
+        verify_structure_theorem(SWEEP_MAX_N + 1)

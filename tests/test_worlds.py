@@ -95,6 +95,17 @@ def test_boundary_marks_world_neighbours():
         assert (v in t.boundary) == bool(outside)
 
 
+def test_world_neighbors_refuses_outside_coordinates():
+    # a negative x must not wrap round to the row's last vertices
+    product = make_world("product-Z", base=triangle())
+    for c in ((-1, 0), (3, 0)):
+        with pytest.raises(ValidationError, match="not a vertex"):
+            world_neighbors(product, c)
+    with pytest.raises(ValidationError, match="not a vertex"):
+        world_neighbors(make_world("half-grid"), (0, -1))
+    assert world_neighbors(product, (2, -1)) == [(0, -1), (1, -1), (2, -2), (2, 0)]
+
+
 def test_window_cap():
     fg = make_world("full-grid")
     with pytest.raises(WindowCapExceeded):
