@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="pebble games, pebble-permutation groups, ray graphs, linkages")
     ap.add_argument("--pretty", action="store_true", help="indented output")
     ap.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                    help="most labelled states solve may visit; for group, "
-                         "most pebble configurations reached (C(n, k) on a "
-                         "connected graph)")
+                    help="most pebble configurations reached (C(n, k) on a "
+                         "connected graph); for solve, also the most "
+                         "labelled states stored")
     ap.add_argument("--window-cap", type=int, default=DEFAULT_WINDOW_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -7,13 +7,14 @@ labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
 r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Only
-``solve``, which promises a shortest plan, searches labelled states.  Caps
-are hard errors, never truncations, so a wrong "unreachable" is impossible.
+``solve`` searches labelled states by A* on summed goal distances (Hart,
+Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never wrong.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable
@@ -52,40 +53,6 @@ def legal_moves(g: Graph, state: GameState) -> list[GameState]:
             if w not in occupied:
                 out.append(s[:i] + (w,) + s[i + 1:])
     return out
-
-
-def _bfs(g: Graph, start: GameState, goal: GameState,
-         cap: int) -> dict[GameState, GameState | None]:
-    """Labelled-state BFS: every state reached, mapped to its BFS parent
-    (None for ``start``).
-
-    Stops as soon as ``goal`` is generated, so the goal is in the map iff
-    it is reachable; raises StateCapExceeded before holding more than
-    ``cap`` states.
-    """
-    adj = g.adjacency()
-    parents: dict[GameState, GameState | None] = {start: None}
-    if goal == start:
-        return parents
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        occupied = set(s)
-        for i, v in enumerate(s):
-            for w in adj[v]:
-                if w in occupied:
-                    continue
-                t = s[:i] + (w,) + s[i + 1:]
-                if t in parents:
-                    continue
-                if len(parents) >= cap:
-                    raise StateCapExceeded(
-                        f"state search exceeded cap of {cap} states")
-                parents[t] = s
-                if t == goal:
-                    return parents
-                queue.append(t)
-    return parents
 
 
 def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
@@ -190,20 +157,53 @@ def solve(g: Graph, start: GameState, goal: GameState,
     """A shortest move sequence from start to goal, or None if unreachable.
 
     The sequence includes both endpoints; its length is 1 when start == goal.
-    Deterministic: BFS expands moves in (pebble index, target vertex) order.
-    ``cap`` bounds the labelled states visited.
+    A* over labelled states with h(s) = sum of d(s[i], goal[i]), which a
+    move changes by at most 1; ties go to the deeper state, then the lesser
+    tuple.  ``cap`` bounds the labelled states stored; a search that reaches
+    it asks ``is_achievable``, with the same cap, whether to answer None.
     """
     s, t = _validate_pair(g, start, goal)
-    parents = _bfs(g, s, t, cap)
-    if t not in parents:
-        return None
-    seq: MoveSequence = []
-    cur: GameState | None = t
-    while cur is not None:
-        seq.append(cur)
-        cur = parents[cur]
-    seq.reverse()
-    return seq
+    adj = g.adjacency()
+    rows = []                   # rows[i][v]: distance from v to t[i]
+    for v in t:
+        row, queue = {v: 0}, [v]
+        for u in queue:
+            for w in adj[u]:
+                if w not in row:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        rows.append(row)
+    if any(v not in row for row, v in zip(rows, s)):
+        return None             # a pebble and its goal in different components
+    seen = {s: (0, s)}          # state: (moves, parent)
+    heap = [(sum(row[v] for row, v in zip(rows, s)), 0, s)]
+    while heap:
+        f, neg, u = heappop(heap)
+        if u == t:
+            plan = [t]
+            while plan[-1] != s:
+                plan.append(seen[plan[-1]][1])
+            return plan[::-1]
+        if -neg > seen[u][0]:
+            continue            # a shorter route to u was pushed later
+        occupied = set(u)
+        d = 1 - neg             # moves to each successor of u
+        for i, v in enumerate(u):
+            row = rows[i]
+            for w in adj[v]:
+                if w in occupied:
+                    continue
+                x = u[:i] + (w,) + u[i + 1:]
+                old = seen.get(x)
+                if old is None and len(seen) >= cap:
+                    if is_achievable(g, s, t, cap):
+                        raise StateCapExceeded(f"state search exceeded cap of {cap} states")
+                    return None
+                if old is not None and old[0] <= d:
+                    continue
+                seen[x] = (d, u)
+                heappush(heap, (f + 1 - row[v] + row[w], -d, x))
+    return None
 
 
 def is_move(g: Graph, a: GameState, b: GameState) -> bool:

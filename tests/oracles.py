@@ -7,9 +7,10 @@ definition, on a different path from the library routine it checks.
 from collections import deque
 from math import comb, factorial
 
+from pebblekit.errors import StateCapExceeded
 from pebblekit.graphs import (Graph, graph_from_mask, mask_adjacency,
                               mask_connected, vertex_pairs)
-from pebblekit.pebbles import _config_group
+from pebblekit.pebbles import DEFAULT_STATE_CAP, _config_group
 from pebblekit.permgroups import PermGroup
 from pebblekit.structure import _find_witness
 
@@ -31,6 +32,37 @@ def labelled_class(g: Graph, start: tuple[int, ...]) -> set[tuple[int, ...]]:
                         seen.add(t)
                         queue.append(t)
     return seen
+
+
+def labelled_distance(g: Graph, start: tuple[int, ...], goal: tuple[int, ...],
+                      cap: int = DEFAULT_STATE_CAP) -> int | None:
+    """The fewest moves from ``start`` to ``goal`` by breadth-first search
+    over labelled states, or None if ``goal`` is unreachable.  Stops as
+    soon as ``goal`` is generated; raises StateCapExceeded before holding
+    more than ``cap`` states."""
+    start, goal = tuple(start), tuple(goal)
+    if start == goal:
+        return 0
+    adj = g.adjacency()
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for i, v in enumerate(s):
+            for w in adj[v]:
+                if w in s:
+                    continue
+                t = s[:i] + (w,) + s[i + 1:]
+                if t in dist:
+                    continue
+                if len(dist) >= cap:
+                    raise StateCapExceeded(
+                        f"state search exceeded cap of {cap} states")
+                dist[t] = dist[s] + 1
+                if t == goal:
+                    return dist[t]
+                queue.append(t)
+    return None
 
 
 def harvest_group(g: Graph, start: tuple[int, ...]) -> PermGroup:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from pebblekit.errors import StateCapExceeded, ValidationError
 from pebblekit.graphs import (Graph, enumerate_connected_graphs, graph_from_mask,
                               is_connected, vertex_pairs)
-from pebblekit.pebbles import (is_achievable, is_move, legal_moves,
-                               reachable_states, solve,
+from pebblekit.pebbles import (DEFAULT_STATE_CAP, is_achievable, is_move,
+                               legal_moves, reachable_states, solve,
                                validate_move_sequence)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import labelled_class
+from oracles import labelled_class, labelled_distance
 
 
 def test_legal_moves_path_blocked():
@@ -191,6 +192,116 @@ def test_solve_is_shortest_on_small_graphs():
             assert seq[0] == start and seq[-1] == goal
             if len(seq) - 1 <= 7:
                 assert len(seq) - 1 == _idastar_length(g, start, goal)
+
+
+def test_solve_is_none_exactly_off_the_labelled_class():
+    # disconnected graphs included: there a pebble's goal may lie off its
+    # component, which solve must answer before the search starts
+    rng = random.Random(19)
+    for g, start, cls in _labelled_cases(23):
+        for goal in (tuple(rng.sample(range(g.n), len(start))),
+                     rng.choice(sorted(cls))):
+            seq = solve(g, start, goal)
+            assert (seq is None) == (goal not in cls), (g, start, goal)
+            if seq is not None:
+                validate_move_sequence(g, seq)
+                assert seq[0] == start and seq[-1] == goal
+
+
+def _theta(rng, n):
+    """Three internally disjoint paths between vertices 0 and 1 through
+    the other n - 2 vertices, at most one of them a bare edge."""
+    while True:
+        a, b = sorted(rng.randint(0, n - 2) for _ in range(2))
+        sizes = (a, b - a, n - 2 - b)
+        if sizes.count(0) <= 1:
+            break
+    edges, nxt = [], 2
+    for size in sizes:
+        path = [0, *range(nxt, nxt + size), 1]
+        edges += zip(path, path[1:])
+        nxt += size
+    return Graph.from_edges(n, edges)
+
+
+def _dense(rng, n):
+    """A random Hamiltonian path plus every other pair with probability 1/2."""
+    order = rng.sample(range(n), n)
+    pairs = {(min(e), max(e)) for e in zip(order, order[1:])}
+    pairs |= {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5}
+    return Graph.from_edges(n, pairs)
+
+
+def _far_instance(family, n, k, seed):
+    """(graph, start, goal) with the goal 400 random moves from the start."""
+    rng = random.Random(f"{family}:{n}:{k}:{seed}")
+    g = {"theta": _theta, "dense": _dense}[family](rng, n)
+    start = goal = tuple(range(k))
+    for _ in range(400):
+        goal = rng.choice(legal_moves(g, goal))
+    return g, start, goal
+
+
+# seeds with long plans, 7 to 24 moves: all but dense n=8 are beyond the
+# iterative-deepening oracle's 7, and theta n=10 makes A* store thousands
+# of states
+@pytest.mark.parametrize("family,n,k,seed", [
+    ("dense", 8, 4, 3), ("dense", 9, 5, 1), ("dense", 10, 6, 1),
+    ("theta", 8, 4, 3), ("theta", 9, 5, 2), ("theta", 10, 6, 2),
+])
+def test_solve_is_shortest_on_far_goals(family, n, k, seed):
+    g, start, goal = _far_instance(family, n, k, seed)
+    seq = solve(g, start, goal)
+    validate_move_sequence(g, seq)
+    assert seq[0] == start and seq[-1] == goal
+    assert len(seq) - 1 == labelled_distance(g, start, goal)
+
+
+def test_solve_stores_a_tenth_of_the_space():
+    # a search that expands the whole labelled space cannot pass this
+    g, start, goal = _far_instance("dense", 10, 6, 1)
+    cap = perm(10, 6) // 10
+    assert solve(g, start, goal, cap=cap)[-1] == goal
+    with pytest.raises(StateCapExceeded):
+        labelled_distance(g, start, goal, cap=cap)
+
+
+def test_solve_cap_below_the_search_raises():
+    # a reachable goal never reads as unreachable for want of cap: below
+    # C(n, k) the configuration check raises, from there the search does
+    g, start, goal = _far_instance("theta", 10, 6, 2)
+    cap = 1
+    while True:
+        try:
+            seq = solve(g, start, goal, cap=cap)
+            break
+        except StateCapExceeded as exc:
+            assert cap < comb(10, 6) or "state search" in str(exc)
+        cap *= 2
+    assert seq[-1] == goal
+    assert cap > 4 * comb(10, 6)
+
+
+def test_solve_unreachable_at_the_cap_asks_configurations():
+    # a spider with legs 1, 2 and 3-4: 10 configurations, 20 labelled
+    # states in the class of (0, 1, 2), and (0, 1, 3) outside it; the
+    # search reaches the cap and the configuration check decides
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    start, goal = (0, 1, 2), (0, 1, 3)
+    cls = labelled_class(g, start)
+    assert len(cls) == 20 and goal not in cls
+    assert solve(g, start, goal, cap=comb(5, 3)) is None
+    with pytest.raises(StateCapExceeded):
+        solve(g, start, goal, cap=comb(5, 3) - 1)
+
+
+def test_solve_near_goal_on_a_large_graph():
+    # C(1000, 3) configurations are far above the default cap; a goal one
+    # move away needs only the labelled states around the start
+    g = cycle_graph(1000)
+    assert comb(1000, 3) > DEFAULT_STATE_CAP
+    assert solve(g, (0, 1, 2), (0, 1, 3)) == [(0, 1, 2), (0, 1, 3)]
+    assert solve(g, (0, 1, 2), (999, 1, 2)) == [(0, 1, 2), (999, 1, 2)]
 
 
 def test_reversibility_exhaustive_small():
