@@ -22,8 +22,9 @@ from .permgroups import cycle_notation
 from .rays import is_linear_family, ray_graph
 from .structure import (is_k_pebble_win, pebble_permutation_group,
                         structure_witness, verify_structure_theorem)
-from .worlds import (DEFAULT_WINDOW_CAP, WORLD_KINDS, World, canonical_rays,
-                     chebyshev_ball, make_world, truncate)
+from .worlds import (DEFAULT_WINDOW_CAP, WORLD_KINDS, Truncation, World,
+                     canonical_rays, chebyshev_ball, make_world, truncate,
+                     world_from_json_dict)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,22 +38,30 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return parse_graph(text, fmt)
 
 
-def _load_world(args) -> World:
-    if getattr(args, "world_file", None):
+def _load_world(args) -> tuple[World, int | None]:
+    """The world the arguments name, and the depth its file gives (None
+    without a file or a depth in it)."""
+    if args.world_file:
         doc = json.loads(Path(args.world_file).read_text())
-        from .worlds import world_from_json_dict
         world = world_from_json_dict(doc)
-        if getattr(args, "depth", None) is None and "depth" in doc:
-            depth = doc["depth"]
-            if not _is_int(depth):
-                raise ValidationError(
-                    f"world depth must be an integer, got {depth!r}")
-            args.depth = depth
-        return world
-    if not getattr(args, "world", None):
+        depth = doc.get("depth")
+        if "depth" in doc and not _is_int(depth):
+            raise ValidationError(f"world depth must be an integer, got {depth!r}")
+        return world, depth
+    if not args.world:
         raise ValidationError("give either --world or --world-file")
-    base = _load_graph(args.base, None) if getattr(args, "base", None) else None
-    return make_world(args.world, base=base, k=getattr(args, "world_k", None))
+    base = _load_graph(args.base, None) if args.base else None
+    return make_world(args.world, base=base, k=args.world_k), None
+
+
+def _window(args) -> Truncation:
+    """The window a world verb works in, at ``--depth``, else at the world
+    file's depth."""
+    world, file_depth = _load_world(args)
+    depth = file_depth if args.depth is None else args.depth
+    if depth is None:
+        raise ValidationError("give --depth or put a depth in the world file")
+    return truncate(world, depth, cap=args.window_cap)
 
 
 def _is_int_array(doc) -> bool:
@@ -148,21 +157,17 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_raygraph(args) -> dict:
-    w = _load_world(args)
+    w, _ = _load_world(args)
     rays = _parse_rays(w, args.rays, args.window_cap)
-    rg = ray_graph(w, rays, d0=args.d0, annuli=args.annuli,
-                   ring_width=args.ring_width, window_cap=args.window_cap)
+    rg = ray_graph(w, rays, d0=args.d0, window_cap=args.window_cap)
     doc = rg.to_json_dict()
     doc["linear"] = is_linear_family(rg) if rg.stabilized else None
     return doc
 
 
 def _cmd_linkage(args) -> dict:
-    w = _load_world(args)
-    if args.depth is None:
-        raise ValidationError("give --depth or put a depth in the world file")
-    t = truncate(w, args.depth, cap=args.window_cap)
-    rays = _parse_rays(w, args.rays, args.window_cap)
+    t = _window(args)
+    rays = _parse_rays(t.world, args.rays, args.window_cap)
     src = [rays[i] for i in _parse_positions(args.source, len(rays))]
     tgt = [rays[i] for i in _parse_positions(args.target, len(rays))]
     sigma = None
@@ -179,15 +184,12 @@ def _cmd_linkage(args) -> dict:
 
 
 def _cmd_transition(args) -> dict:
-    w = _load_world(args)
-    if args.depth is None:
-        raise ValidationError("give --depth or put a depth in the world file")
-    t = truncate(w, args.depth, cap=args.window_cap)
-    rays = _parse_rays(w, args.rays, args.window_cap)
+    t = _window(args)
+    rays = _parse_rays(t.world, args.rays, args.window_cap)
     moves = _parse_moves(args.moves)
     x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
     # the ray graph reads deeper shells than the window: bound them too
-    rg = ray_graph(w, rays, d0=max(4, t.depth), window_cap=args.window_cap)
+    rg = ray_graph(t.world, rays, d0=max(4, t.depth), window_cap=args.window_cap)
     try:
         lk = realize_transition(t, rays, moves, x, rg=rg)
     except NoLinkageError as exc:
@@ -202,9 +204,8 @@ def _cmd_export_dot(args) -> dict:
         g = _load_graph(args.graph, args.format)
         text = dot.graph_to_dot(g)
     else:
-        w = _load_world(args)
-        t = truncate(w, args.depth, cap=args.window_cap)
-        rays = _parse_rays(w, args.rays, args.window_cap) if args.rays else None
+        t = _window(args)
+        rays = _parse_rays(t.world, args.rays, args.window_cap) if args.rays else None
         text = dot.truncation_to_dot(t, rays)
     Path(args.out).write_text(text)
     return {"written": args.out, "bytes": len(text)}
@@ -270,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("raygraph", help="ray graph of a canonical family")
     _add_world_args(p)
     p.add_argument("--d0", type=int, default=10)
-    p.add_argument("--annuli", type=int, default=3)
-    p.add_argument("--ring-width", type=int, default=2)
     p.set_defaults(fn=_cmd_raygraph)
 
     p = sub.add_parser("linkage", help="find a linkage between ray families")
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph file")
     p.add_argument("--format", choices=["edge-list", "json"], default=None)
     _add_world_args(p)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_export_dot)
 

@@ -177,13 +177,15 @@ def _parse_json(text: str) -> Graph:
             raise GraphParseError("field 'labels': expected an object")
         out = [str(i) for i in range(n)]
         for key, val in raw_labels.items():
-            try:
-                idx = int(key)
-            except ValueError:
-                raise GraphParseError(f"labels key {key!r}: expected an integer index")
-            if not (0 <= idx < n):
+            # a plain decimal index: ASCII digits, no sign, no leading zero
+            if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
+                raise GraphParseError(f"labels key {key!r}: expected a decimal vertex index")
+            # the length test keeps int() off arbitrarily long digit strings
+            if len(key) > len(str(n)) or int(key) >= n:
                 raise GraphParseError(f"labels key {key!r}: out of range for n={n}")
-            out[idx] = str(val)
+            if not isinstance(val, str):
+                raise GraphParseError(f"labels[{key!r}]: expected a string, got {val!r}")
+            out[int(key)] = val
         labels = tuple(out)
     return Graph(n, frozenset(edges), labels)
 
@@ -258,14 +260,12 @@ def bridges(g: Graph) -> frozenset[Edge]:
         stack = [(root, -1, iter(adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
-        parent_seen = [False] * g.n
         while stack:
             u, parent, it = stack[-1]
             advanced = False
             for w in it:
-                if w == parent and not parent_seen[u]:
-                    parent_seen[u] = True  # skip the tree edge once; parallels absent
-                    continue
+                if w == parent:
+                    continue  # the tree edge; a simple graph has no parallel to it
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1

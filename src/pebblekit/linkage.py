@@ -34,7 +34,7 @@ from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
 from .disjoint_paths import disjoint_paths_exist
 from .pebbles import MoveSequence, validate_move_sequence
-from .rays import RayGraph, _position_graph, check_disjoint_rays, ray_graph
+from .rays import RayGraph, _position_graph, check_disjoint_rays
 from .worlds import RaySpec, Truncation
 
 DP_STATE_CAP = 6_000
@@ -426,26 +426,25 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
 # ---------------------------------------------------------------------------
 
 def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
-                       x_vertices: set[int] = frozenset(),
-                       rg: RayGraph | None = None) -> Linkage:
+                       x_vertices: set[int] = frozenset(), *,
+                       rg: RayGraph) -> Linkage:
     """Compose one single-switch linkage per pebble move.
 
     ``moves`` is a sequence of game states on ray positions (indices into
-    ``rays``), checked by ``validate_move_sequence`` on the ray graph ``rg``
-    read over those positions: each move sends one pebble from its ray to
-    an unoccupied ray adjacent in ``rg``.  ``rg`` must be the ray graph of
-    ``rays`` (the same ray indices in the same order), else
-    ValidationError; it is built when omitted.  Every move consumes one
-    connecting path strictly beyond the region used so far, so the
-    composite walks stay disjoint.  The returned linkage maps source
-    position i (the i-th entry of the initial state) to the i-th entry of
-    the final state, and passes ``check_linkage``.  When this greedy composition runs out of room,
-    ``find_linkage`` decides the induced pairing instead, so a
-    NoLinkageError is exact for the window, as there.
+    ``rays``), checked by ``validate_move_sequence`` on the caller's ray
+    graph ``rg`` read over those positions: each move sends one pebble from
+    its ray to an unoccupied ray adjacent in ``rg``.  ``rg`` must be the ray
+    graph of ``rays`` (the same ray indices in the same order), else
+    ValidationError; its start depth and window cap are the caller's
+    choice.  Every move consumes one connecting path strictly beyond the
+    region used so far, so the composite walks stay disjoint.  The returned
+    linkage maps source position i (the i-th entry of the initial state) to
+    the i-th entry of the final state, and passes ``check_linkage``.  When
+    this greedy composition runs out of room, ``find_linkage`` decides the
+    induced pairing instead, so a NoLinkageError is exact for the window,
+    as there.
     """
-    if rg is None:
-        rg = ray_graph(t.world, rays, d0=max(4, t.depth))
-    elif rg.indices != tuple(r.index for r in rays):
+    if rg.indices != tuple(r.index for r in rays):
         raise ValidationError(
             f"ray graph is over rays {list(rg.indices)}, "
             f"not {[r.index for r in rays]}")

@@ -3,12 +3,13 @@
 The ray graph of a disjoint ray family has an edge between two rays when
 infinitely many disjoint paths connect them while avoiding every other ray
 in the family.  At desk scale "infinitely many" is witnessed by the
-annulus rule: one connecting path inside each of several disjoint
-consecutive window shells beyond a start depth, plus a stability re-check
-with the start depth shifted by one.  Disjoint shells give vertex-disjoint
-witnesses by construction; eventual periodicity of the worlds makes the
-edge set eventually constant.  The answer is a certified finite
-observation, never a proof about the infinite world.
+annulus rule: one connecting path inside each of ``ANNULI`` disjoint
+consecutive window shells of ``RING_WIDTH`` levels beyond a start depth,
+plus a stability re-check with the start depth shifted by one.  Disjoint
+shells give vertex-disjoint witnesses by construction; eventual
+periodicity of the worlds makes the edge set eventually constant.  The
+answer is a certified finite observation, never a proof about the
+infinite world.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .graphs import Graph, is_connected
 from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, World, _window_coords,
                      world_neighbors, world_norm)
 
-DEFAULT_ANNULI = 3
-DEFAULT_RING_WIDTH = 2
+ANNULI = 3
+RING_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,13 @@ def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
 
 
 def _edge_set_at(w: World, rings: list[list[Coord]], traces: list[set[Coord]],
-                 d0: int, annuli: int, ring_width: int) -> frozenset[tuple[int, int]]:
+                 d0: int) -> frozenset[tuple[int, int]]:
     """Annulus-rule edges over list positions; ``rings[n]`` holds the
     window coordinates of norm n."""
     alive: set[tuple[int, int]] = set()
-    for t in range(1, annuli + 1):
-        lo = d0 + (t - 1) * ring_width
-        shell = set().union(*rings[lo + 1:lo + ring_width + 1])
+    for t in range(1, ANNULI + 1):
+        lo = d0 + (t - 1) * RING_WIDTH
+        shell = set().union(*rings[lo + 1:lo + RING_WIDTH + 1])
         shell_traces = [tr & shell for tr in traces]
         if t == 1:
             # a ray that misses the first shell has no path in it
@@ -107,38 +108,34 @@ def _edge_set_at(w: World, rings: list[list[Coord]], traces: list[set[Coord]],
 
 
 def ray_graph(w: World, rays: list[RaySpec], d0: int,
-              annuli: int = DEFAULT_ANNULI,
-              ring_width: int = DEFAULT_RING_WIDTH,
               window_cap: int = DEFAULT_WINDOW_CAP) -> RayGraph:
     """Derived graph on ray indices via the annulus rule.
 
-    Edge (i, j) is present iff every one of the ``annuli`` consecutive
-    shells beyond ``d0`` contains a connecting path between the two rays
-    that avoids every other ray in the family.  ``stabilized`` records
-    whether recomputing with d0 + 1 gives the same edge set.
+    Edge (i, j) is present iff every one of the ``ANNULI`` consecutive
+    shells of ``RING_WIDTH`` levels beyond ``d0`` contains a connecting
+    path between the two rays that avoids every other ray in the family.
+    ``stabilized`` records whether recomputing with d0 + 1 gives the same
+    edge set.  ``depth_range`` is (d0, deepest window norm read); that
+    window must fit in ``window_cap`` vertices.
     """
-    if annuli < 3:
-        raise ValidationError("annuli must be >= 3")
     if d0 < 1:
         raise ValidationError("d0 must be >= 1")
-    if ring_width < 1:
-        raise ValidationError("ring_width must be >= 1")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
     # one scan of the deepest shell's window, grouped by norm, serves every shell
-    deepest = d0 + 1 + annuli * ring_width
+    deepest = d0 + 1 + ANNULI * RING_WIDTH
     coords = _window_coords(w, deepest, window_cap)   # refuses an oversized window
     rings: list[list[Coord]] = [[] for _ in range(deepest + 1)]
     for c in coords:
         rings[world_norm(w, c)].append(c)
     # one trace per ray, deep enough for the disjointness check and both edge sets
-    depth = deepest + ring_width
+    depth = deepest + RING_WIDTH
     traces = [r.coords_in_window(depth) for r in rays]
     check_disjoint_rays(rays, traces, depth)
     trace_sets = [set(tr) for tr in traces]
     idx = [r.index for r in rays]
-    e0 = _edge_set_at(w, rings, trace_sets, d0, annuli, ring_width)
-    e1 = _edge_set_at(w, rings, trace_sets, d0 + 1, annuli, ring_width)
+    e0 = _edge_set_at(w, rings, trace_sets, d0)
+    e1 = _edge_set_at(w, rings, trace_sets, d0 + 1)
     edges = frozenset((idx[a], idx[b]) for a, b in e0)
     return RayGraph(tuple(idx), edges, stabilized=(e0 == e1),
                     depth_range=(d0, deepest))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import PebbleKitError, ValidationError
-from .graphs import (Graph, adjacency_masks, augmentations, bridges,
-                     graph_from_masks, is_connected, is_cycle_graph,
+from .graphs import (CLASSES_MAX_N, Graph, adjacency_masks, augmentations,
+                     bridges, graph_from_masks, is_connected, is_cycle_graph,
                      maximal_bare_paths)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, _config_group,
                       validate_state)
@@ -180,7 +180,8 @@ def structure_witness(g: Graph, k: int) -> StructureReport:
 # Exhaustive sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_MAX_N = 9
+# the sweep walks the class generator's tree, so it stops where that does
+SWEEP_MAX_N = CLASSES_MAX_N
 # parent classes per pool job: small enough to balance two workers at n = 7
 SWEEP_CHUNK = 16
 

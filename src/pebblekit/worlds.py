@@ -27,11 +27,12 @@ coordinate identity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ValidationError, WindowCapExceeded
-from .graphs import Graph, _is_int, is_connected
+from .graphs import Graph, _is_int, is_connected, parse_graph
 
 Coord = tuple[int, int]
 
@@ -87,8 +88,6 @@ def make_world(kind: str, base: Graph | None = None, k: int | None = None) -> Wo
 
 
 def world_from_json_dict(doc: dict) -> World:
-    from .graphs import parse_graph
-    import json as _json
     if not isinstance(doc, dict):
         raise ValidationError("a world descriptor must be a JSON object")
     kind = doc.get("kind")
@@ -99,7 +98,7 @@ def world_from_json_dict(doc: dict) -> World:
         raise ValidationError(f"world k must be an integer, got {k!r}")
     base = None
     if "base" in doc and doc["base"] is not None:
-        base = parse_graph(_json.dumps(doc["base"]), "json")
+        base = parse_graph(json.dumps(doc["base"]), "json")
     return World(kind, base, k)
 
 

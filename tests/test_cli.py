@@ -95,8 +95,7 @@ def test_verify_structure(capsys):
 
 def test_raygraph_full_grid(capsys):
     code, doc, _ = run_cli(capsys, "raygraph", "--world", "full-grid",
-                           "--rays", "canonical:4", "--d0", "10",
-                           "--annuli", "3")
+                           "--rays", "canonical:4", "--d0", "10")
     assert code == 0
     assert doc["stabilized"] is True
     assert sorted(map(tuple, doc["edges"])) == [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -127,6 +126,16 @@ def test_linkage_no_linkage_is_result_not_error(capsys):
     assert doc == {"linkage": None, "reason": "no-linkage-at-depth", "depth": 6}
 
 
+def test_transition_no_linkage_is_result_not_error(capsys):
+    # two half-grid columns are adjacent in the ray graph, but the radius-2
+    # ball covers the whole depth-2 window, so no walk may switch in it
+    code, doc, _ = run_cli(capsys, "transition", "--world", "half-grid",
+                           "--rays", "canonical:2", "--depth", "2",
+                           "--x-ball", "2", "--moves", "[[0],[1]]")
+    assert code == 0
+    assert doc == {"linkage": None, "reason": "no-linkage-at-depth", "depth": 2}
+
+
 def test_transition_command(capsys):
     code, doc, _ = run_cli(capsys, "transition", "--world", "full-grid",
                            "--depth", "8", "--rays", "canonical:3",
@@ -143,6 +152,41 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0 and doc["written"] == str(out)
     text = out.read_text()
     assert text.startswith("graph") and "pos=" in text
+
+
+def test_world_verbs_take_the_world_file_depth(capsys, tmp_path):
+    # one depth rule for every world verb: --depth, else the file's depth
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"kind": "half-grid", "depth": 2}))
+    out = tmp_path / "w.dot"
+    code, _, _ = run_cli(capsys, "export-dot", "--world-file", str(world),
+                         "--out", str(out))
+    assert code == 0
+    # the depth-2 half-grid window: 5 columns by 3 levels
+    assert out.read_text().count("pos=") == 15
+    code, _, _ = run_cli(capsys, "export-dot", "--world-file", str(world),
+                         "--depth", "3", "--out", str(out))
+    assert code == 0 and out.read_text().count("pos=") == 7 * 4
+    code, doc, _ = run_cli(capsys, "linkage", "--world-file", str(world),
+                           "--rays", "canonical:2", "--source", "0",
+                           "--target", "1")
+    assert code == 0 and doc["depth"] == 2
+    # no depth anywhere is a validation error
+    for verb in (["export-dot", "--out", str(out)],
+                 ["linkage", "--rays", "canonical:2", "--source", "0",
+                  "--target", "1"]):
+        code, doc, err = run_cli(capsys, *verb, "--world", "half-grid")
+        assert code == 2 and doc is None and "depth" in err
+
+
+def test_raygraph_has_no_shell_options(capsys):
+    # the annulus rule's shells are fixed: the options are unknown
+    for opt in ("--annuli", "--ring-width"):
+        with pytest.raises(SystemExit) as exc:
+            main(["raygraph", "--world", "full-grid", "--rays", "canonical:4",
+                  opt, "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_export_dot_graph(capsys, tmp_path, p5_file):
@@ -194,8 +238,7 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
      "--depth", "3", "--moves", "[[]]"],
     ["transition", "--world", "full-grid", "--rays", "canonical:3",
      "--depth", "3", "--moves", "[[true], [2]]"],
-    ["raygraph", "--world", "half-grid", "--rays", "canonical:3",
-     "--ring-width", "0"],
+    ["raygraph", "--world", "half-grid", "--rays", "canonical:3", "--d0", "0"],
     # a family that names one ray twice
     ["linkage", "--world", "half-grid", "--depth", "6", "--rays", "canonical:4",
      "--source", "0,0", "--target", "1,2"],
@@ -372,7 +415,7 @@ def _numeric_argv(graph, out):
         _num.map(lambda k: ["structure"] + g + [f"--k={k}"]),
         _n_max.map(lambda n: ["verify", "--structure", "--workers", "1",
                               f"--n-max={n}"]),
-        _world_verb("raygraph", d0=_num, annuli=_num, ring_width=_num),
+        _world_verb("raygraph", d0=_num),
         _world_verb("linkage", ["--source", "0", "--target", "1"],
                     depth=_num, x_ball=_num),
         _world_verb("transition", ["--moves", "[[0],[1]]"],

@@ -1,7 +1,9 @@
 """Graph substrate: parsing, connectivity, bridges, bare paths, enumeration."""
 
 import itertools
+import json
 import random
+import time
 from math import factorial
 
 import pytest
@@ -84,6 +86,32 @@ def test_json_round_trip():
     assert g2 == g
 
 
+def test_json_labels_round_trip():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
+    assert parse_graph(json.dumps(g.to_json_dict()), "json") == g
+    # unnamed vertices keep their index as label
+    g2 = parse_graph('{"n":3,"edges":[],"labels":{"1":"x"}}', "json")
+    assert g2.labels == ("0", "x", "2")
+
+
+@pytest.mark.parametrize("labels,what", [
+    ('["a","b"]', "expected an object"),
+    ('{"1_0":"ten"}', "decimal vertex index"),
+    ('{" 2 ":"two"}', "decimal vertex index"),
+    ('{"04":"four"}', "decimal vertex index"),
+    ('{"-1":"minus"}', "decimal vertex index"),
+    ('{"":"empty"}', "decimal vertex index"),
+    ('{"12":"twelve"}', "out of range"),
+    ('{"%s":"long"}' % ("9" * 5000), "out of range"),
+    ('{"3":null}', "expected a string"),
+    ('{"4":[1,2]}', "expected a string"),
+], ids=["array", "underscore", "spaces", "leading-zero", "negative", "empty",
+        "n", "5000-digits", "null", "list"])
+def test_parse_json_refuses_bad_labels(labels, what):
+    with pytest.raises(GraphParseError, match=what):
+        parse_graph('{"n":12,"edges":[],"labels":%s}' % labels, "json")
+
+
 # ---------------------------------------------------------------------------
 # connectivity and bridges
 # ---------------------------------------------------------------------------
@@ -101,6 +129,14 @@ def test_bridges_examples(k4):
     pendant = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     assert bridges(pendant) == frozenset({(0, 4)})
     assert bridges(k4) == frozenset()
+
+
+def test_bridges_linear_in_components():
+    # 25,000 disjoint edges: one DFS root per component, each costing O(1)
+    g = Graph.from_edges(50_000, [(2 * i, 2 * i + 1) for i in range(25_000)])
+    t0 = time.perf_counter()
+    assert bridges(g) == g.edges
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _bridges_by_definition(g: Graph) -> frozenset:

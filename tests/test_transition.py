@@ -74,7 +74,7 @@ def test_greedy_failure_falls_back_to_exact_search():
     t = truncate(fg, 3)
     rays = canonical_rays(fg, 3)
     moves = [(0, 1), (0, 2), (1, 2), (0, 2), (0, 1)]
-    lk = realize_transition(t, rays, moves, set())
+    lk = realize_transition(t, rays, moves, set(), rg=ray_graph(fg, rays, d0=4))
     assert lk.sigma == {0: 0, 1: 1}
     check_linkage(t, [rays[0], rays[1]], rays, lk)
 
