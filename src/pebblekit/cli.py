@@ -142,12 +142,12 @@ def _cmd_group(args) -> dict:
 
 def _cmd_win(args) -> dict:
     g = _load_graph(args.graph, args.format)
-    return {"pebble_win": is_k_pebble_win(g, args.k)}
+    return {"pebble_win": is_k_pebble_win(g, args.k, cap=args.state_cap)}
 
 
 def _cmd_structure(args) -> dict:
     g = _load_graph(args.graph, args.format)
-    return structure_witness(g, args.k).to_json_dict()
+    return structure_witness(g, args.k, cap=args.state_cap).to_json_dict()
 
 
 def _cmd_verify(args) -> dict:
@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pretty", action="store_true", help="indented output")
     ap.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                     help="most pebble configurations reached (C(n, k) on a "
-                         "connected graph); for solve, also the most "
-                         "labelled states stored")
+                         "connected graph) by group, win and structure; "
+                         "for solve, also the most labelled states stored")
     ap.add_argument("--window-cap", type=int, default=DEFAULT_WINDOW_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -6,7 +6,9 @@ decided on the C(n, k) unordered configurations, which the n!/(n-k)!
 labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
-r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Only
+r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  The
+BFS stops once its orbit product certifies G = S_k; the class is then
+every arrangement of k pebbles on the component holding them.  Only
 ``solve`` searches labelled states by A* on summed goal distances (Hart,
 Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never wrong.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from math import comb, factorial
+from itertools import chain, permutations
+from math import comb, factorial, perm
 from operator import itemgetter
 from typing import Iterable
 
@@ -56,13 +59,19 @@ def legal_moves(g: Graph, state: GameState) -> list[GameState]:
 
 
 def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
-                  cap: int = DEFAULT_STATE_CAP) -> tuple[dict[int, GameState], PermGroup]:
+                  cap: int = DEFAULT_STATE_CAP
+                  ) -> tuple[dict[int, GameState] | int, PermGroup]:
     """BFS the configuration graph from the vertex set of ``start``,
     transporting one labelled representative along the tree; every
     non-tree edge closes a loop and yields one generator of the group at
     ``start``.
 
-    Returns ({configuration bitmask: its representative}, group).  Raises
+    Returns (reps, group).  When the group is all of S_k, reps is the
+    vertex bitmask of the component C holding the pebbles, and the class
+    is every arrangement of k pebbles on C: a transposition moves pebbles
+    of one component only, and inside a component every placement is
+    reachable.  The BFS stops as soon as the orbit product certifies S_k.
+    Otherwise reps is {configuration bitmask: its representative}.  Raises
     StateCapExceeded up front when over ``cap`` configurations are reachable.
     """
     k = len(start)
@@ -80,11 +89,12 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
             raise StateCapExceeded(
                 f"configuration space with {reached} states exceeds cap {cap}")
     target_order = factorial(k)
+    group = PermGroup(k)
+    if k == 1:
+        return _mask_component(adj_masks, first), group
     rep: dict[int, GameState] = {first: tuple(start)}
     parent: dict[int, int] = {first: 0}
-    group = PermGroup(k)
     add_perm = group._add_perm
-    done = target_order == 1
     queue = deque([first])
     pop = queue.popleft
     push = queue.append
@@ -103,16 +113,18 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                 m ^= b
                 ncfg = (cfg ^ ubit) | b
                 if ncfg in rep:
-                    if done or parent[cfg] == ncfg or cfg > ncfg:
+                    if parent[cfg] == ncfg or cfg > ncfg:
                         continue
                     npos = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    if add_perm(tuple(map(rep[ncfg].index, npos))):
-                        if group.order_lower_bound() >= target_order:
-                            done = True
+                    if (add_perm(tuple(map(rep[ncfg].index, npos)))
+                            and group.order_lower_bound() == target_order):
+                        return _mask_component(adj_masks, first), group
                 else:
                     rep[ncfg] = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
                     parent[ncfg] = cfg
                     push(ncfg)
+    if group.order() == target_order:
+        return _mask_component(adj_masks, first), group
     return rep, group
 
 
@@ -121,15 +133,18 @@ def reachable_states(g: Graph, start: GameState,
     """The full reachability class of ``start``.  ``cap`` bounds the
     labelled states returned, counted before any is built."""
     s = validate_state(g, start)
-    rep, group = _config_group(adjacency_masks(g), g.n, s, cap)
-    size = len(rep) * group.order()
+    k = len(s)
+    reps, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    size = (perm(reps.bit_count(), k) if isinstance(reps, int)
+            else len(reps) * group.order())
     if size > cap:
         raise StateCapExceeded(
             f"reachability class of {size} states exceeds cap {cap}")
-    if len(s) == 1:
-        return set(rep.values())
-    getters = [itemgetter(*p) for p in group.elements(cap)]
-    return {get(r) for r in rep.values() for get in getters}
+    if isinstance(reps, int):
+        return set(permutations([v for v in range(g.n) if reps >> v & 1], k))
+    rows = list(reps.values())
+    return set(chain.from_iterable(
+        map(itemgetter(*p), rows) for p in group.elements(cap)))
 
 
 def _validate_pair(g: Graph, start: GameState,
@@ -145,10 +160,15 @@ def is_achievable(g: Graph, start: GameState, goal: GameState,
                   cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff ``goal`` is reachable from ``start`` by a move sequence:
     its configuration is reached, with representative r, and p with
-    goal[i] = r[p[i]] is in the group.  ``cap`` bounds configurations."""
+    goal[i] = r[p[i]] is in the group; when the group is S_k, iff every
+    goal vertex lies in the pebbles' component.  ``cap`` bounds
+    configurations."""
     s, t = _validate_pair(g, start, goal)
-    rep, group = _config_group(adjacency_masks(g), g.n, s, cap)
-    r = rep.get(sum(1 << v for v in t))
+    reps, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    goal_mask = sum(1 << v for v in t)
+    if isinstance(reps, int):
+        return goal_mask & ~reps == 0
+    r = reps.get(goal_mask)
     return r is not None and tuple(map(r.index, t)) in group
 
 

@@ -7,7 +7,9 @@ that configuration graph, so the group is generated by the loop
 transports of the non-tree edges of any spanning tree (one permutation
 per non-tree edge).  That BFS lives in ``pebbles._config_group``, which
 also answers reachability, and the caps here bound configurations, not
-labelled states.  The suite checks it against a labelled-state oracle.
+labelled states.  It stops as soon as its orbit product certifies S_k,
+and then every arrangement of k pebbles on the pebbles' component is
+reachable.  The suite checks it against a labelled-state oracle.
 
 A graph is k-pebble-win exactly when one (equivalently, every) state's
 group is all of S_k and the configuration graph is connected; on a
@@ -59,23 +61,27 @@ def pebble_permutation_group(g: Graph, start: GameState,
     return _config_group(adjacency_masks(g), g.n, s, cap)[1]
 
 
-def pebble_group_fast(g: Graph, k: int) -> tuple[bool, PermGroup]:
-    """(connected configuration space, group at the base state) for k pebbles."""
+def pebble_group_fast(g: Graph, k: int,
+                      cap: int = DEFAULT_STATE_CAP) -> tuple[bool, PermGroup]:
+    """(connected configuration space, group at the base state) for k
+    pebbles.  ``cap`` bounds the configurations searched."""
     if not (1 <= k <= g.n):
         raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
-    rep, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)))
-    return len(rep) == comb(g.n, k), group
+    reps, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)), cap)
+    reached = comb(reps.bit_count(), k) if isinstance(reps, int) else len(reps)
+    return reached == comb(g.n, k), group
 
 
-def is_k_pebble_win(g: Graph, k: int) -> bool:
+def is_k_pebble_win(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every k-pebble game state is achievable from every other.
 
     Decided on one state: the graph is k-pebble-win exactly when the
     configuration space is connected and the group there is all of S_k.
+    ``cap`` bounds the configurations searched.
     """
     if not is_connected(g):
         raise ValidationError("graph must be connected")
-    cfg_connected, group = pebble_group_fast(g, k)
+    cfg_connected, group = pebble_group_fast(g, k, cap)
     return cfg_connected and group.order() == factorial(k)
 
 
@@ -151,17 +157,19 @@ def _find_witness(g: Graph, k: int) -> BarePathWitness | None:
     return None
 
 
-def structure_witness(g: Graph, k: int) -> StructureReport:
+def structure_witness(g: Graph, k: int,
+                      cap: int = DEFAULT_STATE_CAP) -> StructureReport:
     """Decide k-pebble-win and, for losing graphs, produce the structural
     witness: a maximal bare path missing at most k vertices whose edges
     are all bridges (or the whole graph is a cycle), plus a red/blue
-    colouring of the base state (0, ..., k-1).
+    colouring of the base state (0, ..., k-1).  ``cap`` bounds the
+    configurations searched.
     """
     if not is_connected(g):
         raise ValidationError("graph must be connected")
     if g.n < k + 2:
         raise ValidationError(f"need at least k+2 = {k + 2} vertices, got {g.n}")
-    cfg_connected, group = pebble_group_fast(g, k)
+    cfg_connected, group = pebble_group_fast(g, k, cap)
     if cfg_connected and group.order() == factorial(k):
         return StructureReport(pebble_win=True, witness=None, colouring=None)
     witness = _find_witness(g, k)
@@ -199,6 +207,7 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
     for n <= 6.
     """
     n, parents = job
+    full = (1 << n) - 1
     bases = [tuple(range(k)) for k in range(n)]
     classes = checked = non_win = 0
     failures: list[dict] = []
@@ -208,8 +217,8 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
             copies = factorial(n) // aut
             g: Graph | None = None
             for k in range(n - 2, 0, -1):
-                rep, group = _config_group(adj, n, bases[k])
-                if len(rep) == comb(n, k) and group.order() == factorial(k):
+                # the group is S_k and the pebbles' component is every vertex
+                if _config_group(adj, n, bases[k])[0] == full:
                     checked += k * copies
                     break
                 checked += copies

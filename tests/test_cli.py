@@ -267,6 +267,22 @@ def test_resource_cap_exit_3(capsys, k4_file):
     assert code == 3 and doc is None and "cap" in err
 
 
+def test_win_and_structure_obey_the_state_cap(capsys, tmp_path):
+    # the triangle 0-1-2 with a pendant vertex 3 on 2: C(4, 2) = 6
+    # configurations for two pebbles
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    f = tmp_path / "paw.json"
+    f.write_text(json.dumps({"n": 4, "edges": [list(e) for e in edges]}))
+    g = Graph.from_edges(4, edges)
+    for verb in ("win", "structure"):
+        code, doc, err = run_cli(capsys, "--state-cap", "1", verb,
+                                 "--graph", str(f), "--k", "2")
+        assert code == 3 and doc is None and "cap" in err, verb
+        code, doc, _ = run_cli(capsys, "--state-cap", "6", verb,
+                               "--graph", str(f), "--k", "2")
+        assert code == 0 and doc["pebble_win"] == is_k_pebble_win(g, 2), verb
+
+
 def test_pretty_flag(capsys, p5_file):
     code = main(["--pretty", "win", "--graph", p5_file, "--k", "2"])
     out = capsys.readouterr().out

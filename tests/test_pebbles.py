@@ -138,6 +138,66 @@ def test_configuration_answers_match_labelled_bfs():
             assert not is_achievable(g, start, goal), (g, start, goal)
 
 
+def _tree(rng, n):
+    """A random recursive tree: vertex v hangs from a random earlier one."""
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _sparse(rng, n):
+    """Every pair with probability 1/4, so often disconnected."""
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.25])
+
+
+def _bipartite(rng, n):
+    """A 2-connected bipartite graph other than a cycle: an even cycle with
+    the chord (0, 3), one ear of length 2 when n is odd, and random chords
+    between the two sides."""
+    m = n - n % 2
+    edges = {(v, (v + 1) % m) for v in range(m)} | {(0, 3)}
+    side = [v % 2 for v in range(m)]
+    if n > m:
+        edges |= {(0, m), (2, m)}
+        side.append(1)
+    edges |= {(a, b) for a, b in itertools.combinations(range(n), 2)
+              if side[a] != side[b] and rng.random() < 0.3}
+    return Graph.from_edges(n, edges)
+
+
+def test_configuration_answers_match_labelled_bfs_to_n8():
+    # k <= 4, and k = n - 1 on the bipartite graphs, whose group there is
+    # A_k (Wilson 1974): the search must not stop at half of k!
+    rng = random.Random(19)
+    kinds = set()               # (class is every arrangement on a component, k)
+    wilson = 0
+    for make in (_tree, _sparse, _dense, _bipartite):
+        for n in range(6, 9):
+            for _ in range(3):
+                g = make(rng, n)
+                ks = [1, 2, 3, 4] + [n - 1] * (make is _bipartite)
+                for k in ks:
+                    start = tuple(rng.sample(range(n), k))
+                    cls = labelled_class(g, start)
+                    got = reachable_states(g, start)
+                    # a built set, not a lazy view
+                    assert type(got) is set and got == cls, (g, start)
+                    comp = {v for s in cls for v in s}
+                    if k == n - 1:
+                        assert len(cls) == perm(n, k) // 2, g
+                        wilson += 1
+                        continue
+                    kinds.add((len(cls) == perm(len(comp), k), k))
+                    goal = rng.choice(sorted(cls))
+                    assert is_achievable(g, start, goal), (g, start, goal)
+                    while True:
+                        goal = tuple(rng.sample(range(n), k))
+                        if goal not in cls or len(cls) == perm(n, k):
+                            break
+                    assert is_achievable(g, start, goal) == (goal in cls), (g, start, goal)
+    assert kinds == {(full, k) for full in (True, False) for k in range(1, 5)} - {(False, 1)}
+    assert wilson == 9
+
+
 def test_state_cap_is_exact():
     # the least cap that reachable_states accepts is the class size, on
     # disconnected graphs too, where fewer than C(n, k) configurations

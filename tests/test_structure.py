@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
@@ -167,6 +168,18 @@ def test_wilson_groups_of_2_connected_graphs():
     theta0 = Graph.from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
                                   (0, 5), (5, 6), (6, 1)])
     assert exceptions == [(canonical_form(adjacency_masks(theta0))[0], 120)]
+
+
+def test_certified_symmetric_group_stops_the_search():
+    # K_30 has C(30, 5) = 142,506 configurations, and the orbit product
+    # reaches 5! after a few of them; walking them all takes seconds
+    g = complete_graph(30)
+    t0 = time.perf_counter()
+    assert is_k_pebble_win(g, 5)
+    assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    assert pebble_permutation_group(g, tuple(range(5))).order() == 120
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_win_monotone_in_k():
