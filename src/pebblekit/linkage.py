@@ -10,7 +10,8 @@ the switch points.
 walk system to vertex-disjoint paths between fixed terminals (X and the
 forced ray prefixes removed).  On grid windows a pairing whose terminals
 interleave around the rim is refuted at once by planarity.  Otherwise the
-paths are routed by negotiated congestion, and the routed linkage is
+paths are routed by negotiated congestion, each walk along a cheapest
+path found by A* on hop distances, and the routed linkage is
 returned once ``check_linkage`` accepts it.  A pairing the router cannot
 route goes to the exact frontier DP of ``disjoint_paths``: a refutation
 rules the pairing out, and a pairing the DP proves feasible, or cannot
@@ -181,11 +182,16 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
     ``(1 + history[v]) * (1 + present * sharers[v])`` and ``sharers[v]``
     counts the other walks on v.  A round that ends with shared vertices
     raises their history and multiplies ``present``, so walks learn to go
-    round the contested vertices.  None means the budget of ROUTE_ROUNDS
-    ran out (or a terminal pair is disconnected); it proves nothing.
+    round the contested vertices.  Cheapest paths are found by A* on hop
+    distances to the pair's end, computed once per pair.  None means a
+    terminal pair is disconnected (found before any routing) or the budget
+    of ROUTE_ROUNDS ran out; it proves nothing.
     """
     ends = {v for pair in terminals for v in pair}
     avoid = [blocked | (ends - {s, e}) for s, e in terminals]
+    bounds = [_hop_bound(adj, s, e, av) for (s, e), av in zip(terminals, avoid)]
+    if None in bounds:
+        return None
     history = [0] * len(adj)
     sharers = [0] * len(adj)
     paths: list[list[int]] = [[] for _ in terminals]
@@ -194,9 +200,8 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
         for i, (s, e) in enumerate(terminals):
             for v in paths[i]:
                 sharers[v] -= 1
-            paths[i] = _cheapest_path(adj, s, e, avoid[i], history, sharers, present)
-            if paths[i] is None:
-                return None
+            paths[i] = _cheapest_path(adj, s, e, avoid[i], history, sharers,
+                                      present, bounds[i])
             for v in paths[i]:
                 sharers[v] += 1
         shared = [v for v, c in enumerate(sharers) if c > 1]
@@ -208,14 +213,39 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
     return None
 
 
+def _hop_bound(adj, s: int, e: int, avoid: set[int]) -> list[int] | None:
+    """Hop distances to e over the graph minus ``avoid``, or None when s
+    cannot reach e.  The search stops once the layer of s, at distance D,
+    is complete, and every vertex beyond it gets D + 1: entering a vertex
+    costs at least 1, so this bound on the router's cost is consistent."""
+    dist = {e: 0}
+    layer = [e]
+    while s not in dist:
+        if not layer:
+            return None
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in dist and w not in avoid:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        layer = nxt
+    h = [dist[s] + 1] * len(adj)
+    for v, d in dist.items():
+        h[v] = d
+    return h
+
+
 def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
-                   sharers: list[int], present: float) -> list[int] | None:
-    """Dijkstra from s to e under the router's vertex costs."""
+                   sharers: list[int], present: float, h: list[int]) -> list[int]:
+    """A* from s to e under the router's vertex costs.  ``h`` comes from
+    ``_hop_bound``, which has shown e reachable; it is consistent, so no
+    vertex is expanded twice and the path is a cheapest one."""
     dist = {s: 0.0}
     parent: dict[int, int | None] = {s: None}
-    heap = [(0.0, s)]
-    while heap:
-        d, u = heapq.heappop(heap)
+    heap = [(h[s], 0.0, s)]
+    while True:
+        _, d, u = heapq.heappop(heap)
         if u == e:
             path = []
             while u is not None:
@@ -231,8 +261,7 @@ def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
             if nd < dist.get(w, float("inf")):
                 dist[w] = nd
                 parent[w] = u
-                heapq.heappush(heap, (nd, w))
-    return None
+                heapq.heappush(heap, (nd + h[w], nd, w))
 
 
 def _connector(path: list[int], tgt: list[int]) -> tuple[int, ...]:
@@ -280,8 +309,9 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     reduced to disjoint paths between fixed terminals, then decided in
     three steps: a pairing whose terminals interleave around the rim of a
     grid window is refuted by the planarity certificate; otherwise it is
-    routed, and a routed witness passes ``check_linkage`` before it is
-    returned; when routing fails, the frontier DP decides the pairing.
+    routed (A* per walk, under negotiated congestion), and a routed
+    witness passes ``check_linkage`` before it is returned; when routing
+    fails, the frontier DP decides the pairing.
     NoLinkageError means every pairing was refuted, exactly for this
     window and reported as depth-limited, never as a statement about the
     infinite world.

@@ -9,19 +9,21 @@ plus a stability re-check with the start depth shifted by one.  Disjoint
 shells give vertex-disjoint witnesses by construction; eventual
 periodicity of the worlds makes the edge set eventually constant.  The
 answer is a certified finite observation, never a proof about the
-infinite world.
+infinite world.  ``ray_graph`` decides the rule on bitmasks of the
+deepest window: shells and rays are masks, and each pair's search is a
+flood fill by shifts.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .graphs import Graph, is_connected
-from .worlds import (DEFAULT_WINDOW_CAP, Coord, RaySpec, World, _window_coords,
-                     world_neighbors, world_norm)
+from .worlds import (DEFAULT_WINDOW_CAP, RaySpec, World, _window_box,
+                     world_neighbors)
 
 ANNULI = 3
 RING_WIDTH = 2
@@ -62,47 +64,51 @@ def check_disjoint_rays(rays: list[RaySpec], traces: list[list], depth: int) -> 
                     f"{first} and {p}) intersect within depth {depth}")
 
 
-def _shell_has_path(w: World, shell: set[Coord], src: set[Coord],
-                    dst: set[Coord], forbid: set[Coord]) -> bool:
-    """Is there a path inside ``shell`` from src to dst avoiding forbid?"""
-    allowed = shell - forbid
-    src = src & allowed
-    dst = dst & allowed
-    if not src or not dst:
-        return False
-    if src & dst:
-        return True
-    seen = set(src)
-    queue = deque(seen)
-    while queue:
-        c = queue.popleft()
-        for nb in world_neighbors(w, c):
-            if nb in dst:
-                return True
-            if nb in allowed and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
+def _reaches(step: dict[int, int], src: int, dst: int, allowed: int) -> bool:
+    """Is there a path inside ``allowed`` from a ``src`` bit to a ``dst``
+    bit?  A flood fill by shifts: ``step[s]`` holds the vertices whose
+    neighbour lies s bits away."""
+    frontier = src & allowed
+    unseen = allowed ^ frontier
+    while frontier:
+        if frontier & dst:
+            return True
+        grown = 0
+        for s, movers in step.items():
+            f = frontier & movers
+            if f:
+                grown |= f << s if s > 0 else f >> -s
+        frontier = grown & unseen
+        unseen ^= frontier
     return False
 
 
-def _edge_set_at(w: World, rings: list[list[Coord]], traces: list[set[Coord]],
+def _mask(bits: list[int]) -> int:
+    """The integer with exactly ``bits`` set, in time linear in its size."""
+    buf = bytearray(max(bits, default=-1) // 8 + 1)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _edge_set_at(step: dict[int, int], boxes: list[int], traces: list[int],
                  d0: int) -> frozenset[tuple[int, int]]:
-    """Annulus-rule edges over list positions; ``rings[n]`` holds the
-    window coordinates of norm n."""
+    """Annulus-rule edges over list positions; ``boxes[n]`` is the mask of
+    the window at depth n and ``traces[p]`` the mask of ray p."""
     alive: set[tuple[int, int]] = set()
     for t in range(1, ANNULI + 1):
         lo = d0 + (t - 1) * RING_WIDTH
-        shell = set().union(*rings[lo + 1:lo + RING_WIDTH + 1])
+        shell = boxes[lo + RING_WIDTH] & ~boxes[lo]
         shell_traces = [tr & shell for tr in traces]
         if t == 1:
             # a ray that misses the first shell has no path in it
             alive = set(itertools.combinations(
                 [i for i, tr in enumerate(shell_traces) if tr], 2))
-        # the rays are disjoint here, so the other rays are the union less two
-        on_rays = set().union(*shell_traces)
+        # the rays are disjoint here: their union is the sum of their masks
+        on_rays = sum(shell_traces)
         for (i, j) in list(alive):
-            others = on_rays - shell_traces[i] - shell_traces[j]
-            if not _shell_has_path(w, shell, shell_traces[i], shell_traces[j], others):
+            others = on_rays & ~(shell_traces[i] | shell_traces[j])
+            if not _reaches(step, shell_traces[i], shell_traces[j], shell & ~others):
                 alive.discard((i, j))
     return frozenset(alive)
 
@@ -117,25 +123,46 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
     ``stabilized`` records whether recomputing with d0 + 1 gives the same
     edge set.  ``depth_range`` is (d0, deepest window norm read); that
     window must fit in ``window_cap`` vertices.
+
+    Vertex (x, y) is bit (y - y0) * width + (x - x0) of the deepest
+    window's rectangle; a window is its rectangle, so a shell is the
+    difference of two window masks.
     """
     if d0 < 1:
         raise ValidationError("d0 must be >= 1")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
-    # one scan of the deepest shell's window, grouped by norm, serves every shell
     deepest = d0 + 1 + ANNULI * RING_WIDTH
-    coords = _window_coords(w, deepest, window_cap)   # refuses an oversized window
-    rings: list[list[Coord]] = [[] for _ in range(deepest + 1)]
-    for c in coords:
-        rings[world_norm(w, c)].append(c)
+    x0, x1, y0, y1 = _window_box(w, deepest, window_cap)   # refuses an oversized window
+    width = x1 - x0 + 1
+    boxes = [0] * (deepest + 1)
+    for n in range(d0, deepest + 1):
+        bx0, bx1, by0, by1 = _window_box(w, n, window_cap)
+        # one level's run of bits, repeated on every level of the box
+        row = ((1 << (bx1 - bx0 + 1)) - 1) << (bx0 - x0)
+        rows = ((1 << (width * (by1 - by0 + 1))) - 1) // ((1 << width) - 1)
+        boxes[n] = row * rows << (by0 - y0) * width
+    # a neighbour outside the rectangle would alias another level: drop it
+    ix0, ix1, iy0, iy1 = _window_box(w, d0, window_cap)
+    movers: dict[int, list[int]] = defaultdict(list)
+    for y in range(y0, y1 + 1):
+        xs = (itertools.chain(range(x0, ix0), range(ix1 + 1, x1 + 1))
+              if iy0 <= y <= iy1 else range(x0, x1 + 1))
+        for x in xs:
+            b = (y - y0) * width + x - x0
+            for nx, ny in world_neighbors(w, (x, y)):
+                if x0 <= nx <= x1 and y0 <= ny <= y1:
+                    movers[(ny - y) * width + nx - x].append(b)
+    step = {s: _mask(bits) for s, bits in movers.items()}
     # one trace per ray, deep enough for the disjointness check and both edge sets
     depth = deepest + RING_WIDTH
     traces = [r.coords_in_window(depth) for r in rays]
     check_disjoint_rays(rays, traces, depth)
-    trace_sets = [set(tr) for tr in traces]
+    masks = [_mask([(y - y0) * width + x - x0 for x, y in tr
+                    if x0 <= x <= x1 and y0 <= y <= y1]) for tr in traces]
     idx = [r.index for r in rays]
-    e0 = _edge_set_at(w, rings, trace_sets, d0)
-    e1 = _edge_set_at(w, rings, trace_sets, d0 + 1)
+    e0 = _edge_set_at(step, boxes, masks, d0)
+    e1 = _edge_set_at(step, boxes, masks, d0 + 1)
     edges = frozenset((idx[a], idx[b]) for a, b in e0)
     return RayGraph(tuple(idx), edges, stabilized=(e0 == e1),
                     depth_range=(d0, deepest))

@@ -27,6 +27,7 @@ coordinate identity.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -269,16 +270,20 @@ class RaySpec:
         return (x, y)
 
     def coords_in_window(self, w_depth: int) -> list[Coord]:
-        """Coordinates of the contiguous initial segment inside the window."""
+        """Coordinates of the contiguous initial segment inside the window,
+        walked once through the prefix and then the step cycle."""
         out = []
-        pos = 0
-        while True:
-            c = self.coord(pos)
+        for c in self.prefix:
             if world_norm(self.world, c) > w_depth:
-                break
+                return out
             out.append(c)
-            pos += 1
-        return out
+        x, y = self.prefix[-1]
+        for dx, dy in itertools.cycle(self.steps):
+            x += dx
+            y += dy
+            if world_norm(self.world, (x, y)) > w_depth:
+                return out
+            out.append((x, y))
 
     def positions_in(self, t: Truncation) -> list[int]:
         """Window vertex indices of the in-window initial segment."""

@@ -4,6 +4,8 @@ Each one computes its answer by brute force or straight from the
 definition, on a different path from the library routine it checks.
 """
 
+import heapq
+import itertools
 from collections import deque
 
 from pebblekit.errors import StateCapExceeded
@@ -11,7 +13,10 @@ from pebblekit.graphs import (Graph, graph_from_mask, mask_adjacency,
                               mask_connected, vertex_pairs)
 from pebblekit.pebbles import DEFAULT_STATE_CAP, _config_group
 from pebblekit.permgroups import PermGroup
+from pebblekit.rays import ANNULI, RING_WIDTH, RayGraph
 from pebblekit.structure import _find_witness
+from pebblekit.worlds import (DEFAULT_WINDOW_CAP, _window_coords,
+                              world_neighbors, world_norm)
 
 
 def labelled_class(g: Graph, start: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -122,3 +127,82 @@ def contains_subgraph(rg, g_edges) -> bool:
     """Does the ray graph contain the given edge set under index identity?"""
     norm = {(min(a, b), max(a, b)) for a, b in rg.edges}
     return all((min(a, b), max(a, b)) in norm for a, b in g_edges)
+
+
+def _shell_has_path(w, shell, src, dst, forbid) -> bool:
+    """Is there a path inside ``shell`` from src to dst avoiding forbid?
+    Breadth-first search over coordinates."""
+    allowed = shell - forbid
+    src = src & allowed
+    dst = dst & allowed
+    if not src or not dst:
+        return False
+    if src & dst:
+        return True
+    seen = set(src)
+    queue = deque(seen)
+    while queue:
+        c = queue.popleft()
+        for nb in world_neighbors(w, c):
+            if nb in dst:
+                return True
+            if nb in allowed and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return False
+
+
+def _edge_set_at(w, rings, traces, d0) -> frozenset[tuple[int, int]]:
+    """Annulus-rule edges over list positions; ``rings[n]`` holds the
+    window coordinates of norm n."""
+    alive: set[tuple[int, int]] = set()
+    for t in range(1, ANNULI + 1):
+        lo = d0 + (t - 1) * RING_WIDTH
+        shell = set().union(*rings[lo + 1:lo + RING_WIDTH + 1])
+        shell_traces = [tr & shell for tr in traces]
+        if t == 1:
+            alive = set(itertools.combinations(
+                [i for i, tr in enumerate(shell_traces) if tr], 2))
+        on_rays = set().union(*shell_traces)
+        for (i, j) in list(alive):
+            others = on_rays - shell_traces[i] - shell_traces[j]
+            if not _shell_has_path(w, shell, shell_traces[i], shell_traces[j], others):
+                alive.discard((i, j))
+    return frozenset(alive)
+
+
+def coordinate_ray_graph(w, rays, d0: int) -> RayGraph:
+    """The annulus-rule ray graph by breadth-first search over the
+    coordinates of each shell, grouped by norm, for every pair of rays."""
+    deepest = d0 + 1 + ANNULI * RING_WIDTH
+    rings: list[list] = [[] for _ in range(deepest + 1)]
+    for c in _window_coords(w, deepest, DEFAULT_WINDOW_CAP):
+        rings[world_norm(w, c)].append(c)
+    traces = [set(r.coords_in_window(deepest + RING_WIDTH)) for r in rays]
+    idx = [r.index for r in rays]
+    e0 = _edge_set_at(w, rings, traces, d0)
+    e1 = _edge_set_at(w, rings, traces, d0 + 1)
+    return RayGraph(tuple(idx), frozenset((idx[a], idx[b]) for a, b in e0),
+                    stabilized=(e0 == e1), depth_range=(d0, deepest))
+
+
+def cheapest_cost(adj, s: int, e: int, avoid: set[int], history: list[int],
+                  sharers: list[int], present: float) -> float | None:
+    """The cheapest cost from s to e under the router's vertex costs, by
+    Dijkstra's algorithm, or None when e is unreachable."""
+    dist = {s: 0.0}
+    heap = [(0.0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == e:
+            return d
+        if d > dist[u]:
+            continue
+        for w in adj[u]:
+            if w in avoid:
+                continue
+            nd = d + (1 + history[w]) * (1 + present * sharers[w])
+            if nd < dist.get(w, float("inf")):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return None

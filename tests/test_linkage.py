@@ -1,6 +1,7 @@
 """Linkage search and the independent walk checker."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from pebblekit.graphs import Graph
 from pebblekit.linkage import Linkage, check_linkage, find_linkage
 from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
                               truncate)
+
+from oracles import cheapest_cost
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +316,70 @@ def test_switch_point_lies_after_x():
     early[0] = (src[last_x],) + lk.paths[0]
     with pytest.raises(LinkageCheckError, match="switch point"):
         check_linkage(t, rays, rays, Linkage(lk.sigma, early, ball))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_router_paths_are_cheapest(seed):
+    # A* under the hop bound finds a path as cheap as Dijkstra's, on random
+    # graphs with random congestion and avoided vertices
+    rng = random.Random(seed)
+    n = 40
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.08])
+    adj = g.adjacency()
+    for _ in range(25):
+        s, e = rng.sample(range(n), 2)
+        avoid = {v for v in range(n) if v not in (s, e) and rng.random() < 0.15}
+        history = [rng.randrange(4) for _ in range(n)]
+        sharers = [rng.randrange(3) for _ in range(n)]
+        present = rng.choice((0.5, 1.0, 4.0, 32.0))
+        h = linkage._hop_bound(adj, s, e, avoid)
+        best = cheapest_cost(adj, s, e, avoid, history, sharers, present)
+        if h is None:
+            assert best is None
+            continue
+        # consistent, and zero at the end: a lower bound on every cost
+        assert h[e] == 0
+        assert all(h[u] <= h[w] + 1 for u in range(n) for w in adj[u]
+                   if u not in avoid and w not in avoid)
+        path = linkage._cheapest_path(adj, s, e, avoid, history, sharers, present, h)
+        assert path[0] == s and path[-1] == e
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+        assert not set(path) & avoid
+        assert sum((1 + history[v]) * (1 + present * sharers[v])
+                   for v in path[1:]) == best
+
+
+def test_router_refuses_a_disconnected_pair_before_routing(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a disconnected pair reached the path search")
+
+    monkeypatch.setattr(linkage, "_cheapest_path", no_search)
+    # 0-1-2 and 3-4 are two components
+    adj = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]).adjacency()
+    assert linkage._route(adj, [(0, 2), (3, 1)], set()) is None
+    # an end cut off by another pair's ends or by blocked vertices
+    assert linkage._route(adj, [(0, 2), (1, 1)], set()) is None
+    assert linkage._route(adj, [(0, 2)], {1}) is None
+
+
+def test_fixed_sigma_probe_outcomes():
+    # 60 seeded pairings of the full grid's four canonical rays after a
+    # ball of radius 0-2, at depth 3: 57 refuted and 3 routed
+    fg = make_world("full-grid")
+    t = truncate(fg, 3)
+    rays = canonical_rays(fg, 4)
+    rng = random.Random(1)
+    outcomes = {"found": 0, "no": 0}
+    for _ in range(60):
+        perm = [0, 1, 2, 3]
+        rng.shuffle(perm)
+        x = set(chebyshev_ball(t, rng.choice((0, 1, 2))))
+        try:
+            lk = find_linkage(t, rays, rays, x, dict(enumerate(perm)))
+        except NoLinkageError:
+            outcomes["no"] += 1
+        else:
+            check_linkage(t, rays, rays, lk)
+            outcomes["found"] += 1
+    assert outcomes == {"found": 3, "no": 57}

@@ -1,5 +1,7 @@
 """Ray graphs via the annulus rule, linearity, tails."""
 
+import random
+
 import pytest
 
 from pebblekit.errors import ValidationError
@@ -8,7 +10,7 @@ from pebblekit.rays import RayGraph, is_linear_family, ray_graph
 from pebblekit.worlds import RaySpec, canonical_rays, make_world, truncate
 
 from conftest import cycle_graph, star_graph
-from oracles import contains_subgraph
+from oracles import contains_subgraph, coordinate_ray_graph
 
 
 def test_half_grid_columns_form_a_path():
@@ -49,14 +51,14 @@ def test_star_product_ray_graph_is_star():
 def test_ray_graph_searches_only_rays_in_the_shells(monkeypatch):
     import pebblekit.rays as rays_mod
     calls = 0
-    search = rays_mod._shell_has_path
+    search = rays_mod._reaches
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return search(*args)
 
-    monkeypatch.setattr(rays_mod, "_shell_has_path", counted)
+    monkeypatch.setattr(rays_mod, "_reaches", counted)
     hg = make_world("half-grid")
     rg = ray_graph(hg, canonical_rays(hg, 2000), d0=2)
     # columns 0-4 meet the first shell at d0 = 2 and columns 0-5 at d0 = 3:
@@ -64,6 +66,49 @@ def test_ray_graph_searches_only_rays_in_the_shells(monkeypatch):
     assert calls <= 3 * (10 + 15)
     # no column beyond 9 reaches the deepest shell
     assert rg.edges == ray_graph(hg, canonical_rays(hg, 10), d0=2).edges
+
+
+def test_ray_graph_reads_each_shell_vertex_once(monkeypatch):
+    import pebblekit.rays as rays_mod
+    fg = make_world("full-grid")
+    rays = canonical_rays(fg, 4)
+    calls = 0
+    neighbors = rays_mod.world_neighbors
+
+    def counted(w, c):
+        nonlocal calls
+        calls += 1
+        return neighbors(w, c)
+
+    monkeypatch.setattr(rays_mod, "world_neighbors", counted)
+    rg = ray_graph(fg, rays, d0=14)
+    # the window at depth 21 less the one at depth 14: 43^2 - 29^2 vertices
+    assert calls <= 43 ** 2 - 29 ** 2 == 1008
+    assert rg.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+
+
+@pytest.mark.parametrize("d0", [1, 2, 3, 5, 8, 11])
+def test_ray_graph_matches_coordinate_search(d0):
+    # the bitmask kernel against a breadth-first search over the shells'
+    # coordinates, on shuffled canonical families of every supplied size
+    worlds = [(make_world("full-grid"), 9), (make_world("half-grid"), 7),
+              (make_world("hex-half-grid"), 4),
+              (make_world("product-Z", base=Graph.from_edges(
+                  4, [(0, 1), (1, 2), (2, 3), (0, 2)])), 4),
+              (make_world("product-N", base=cycle_graph(5)), 5),
+              (make_world("dominated-ray", k=3), 4)]
+    for w, supply in worlds:
+        for m in range(1, supply + 1):
+            family = canonical_rays(w, m)
+            random.Random(m).shuffle(family)
+            assert ray_graph(w, family, d0) == coordinate_ray_graph(w, family, d0), \
+                (w.kind, m)
+    # a column that starts in the outermost shell cuts rays 0 and 1 apart
+    # there, unless a step off the rectangle's edge wraps round to the
+    # opposite edge
+    fg = make_world("full-grid")
+    family = canonical_rays(fg, 4) + [RaySpec(fg, ((2, d0 + 5),), ((0, 1),), 9)]
+    assert ray_graph(fg, family, d0) == coordinate_ray_graph(fg, family, d0)
 
 
 def test_ray_graph_traces_each_ray_once(monkeypatch):

@@ -10,7 +10,7 @@ from pebblekit.graphs import Graph, is_connected
 from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, World, canonical_rays, chebyshev_ball,
                               make_world, truncate, world_from_json_dict,
-                              world_neighbors)
+                              world_neighbors, world_norm)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -180,6 +180,25 @@ def test_rayspec_coords_and_shift():
     fg = make_world("full-grid")
     r = RaySpec(fg, ((0, 1), (1, 1)), ((1, 0),), 0)
     assert [r.coord(i) for i in range(4)] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
+def test_coords_in_window_walks_like_coord():
+    # one walk through prefix and step cycle gives what coord() gives per
+    # position, up to the first coordinate beyond the depth
+    worlds = [(make_world("full-grid"), 8), (make_world("half-grid"), 3),
+              (make_world("hex-half-grid"), 4),
+              (make_world("product-Z", base=triangle()), 3),
+              (make_world("product-N", base=star_graph(3)), 4),
+              (make_world("dominated-ray", k=3), 4)]
+    fg = make_world("full-grid")
+    extra = [RaySpec(fg, ((0, 1), (1, 1), (1, 2)), ((1, 0), (0, 1)), 9)]
+    rays = extra + [r for w, m in worlds for r in canonical_rays(w, m)]
+    for r in rays:
+        for depth in (0, 1, 2, 5, 9, 14):
+            expected = list(itertools.takewhile(
+                lambda c: world_norm(r.world, c) <= depth,
+                map(r.coord, itertools.count())))
+            assert r.coords_in_window(depth) == expected, (r, depth)
 
 
 def test_ray_positions_contiguous():
