@@ -11,7 +11,8 @@ periodicity of the worlds makes the edge set eventually constant.  The
 answer is a certified finite observation, never a proof about the
 infinite world.  ``ray_graph`` decides the rule on bitmasks of the
 deepest window: shells and rays are masks, and each pair's search is a
-flood fill by shifts.
+flood fill by shifts over step masks that repeat two levels of the
+neighbour rule over the window.
 """
 
 from __future__ import annotations
@@ -91,6 +92,30 @@ def _mask(bits: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _steps(w: World, box: tuple[int, int, int, int], keep: int) -> dict[int, int]:
+    """``step[s]`` holds the ``keep`` vertices of the rectangle ``box``
+    whose neighbour lies s bits away.  Neighbour offsets depend only on x
+    and the parity of y (see ``worlds``), so two interior levels give each
+    shift a pattern repeated over the rectangle.  A neighbour outside the
+    rectangle would alias another level: a row neighbour past [x0, x1], a
+    rung up from the top level and one down from the bottom are dropped."""
+    x0, x1, y0, y1 = box
+    width = x1 - x0 + 1
+    movers: dict[int, list[int]] = defaultdict(list)
+    for y in (y0 + 1, y0 + 2):
+        for x in range(x0, x1 + 1):
+            b = (y - y0) % 2 * width + x - x0   # bit on the pattern's level of y's parity
+            for nx, ny in world_neighbors(w, (x, y)):
+                if x0 <= nx <= x1:
+                    movers[(ny - y) * width + nx - x].append(b)
+    reps = (y1 - y0) // 2 + 1
+    repunit = ((1 << 2 * width * reps) - 1) // ((1 << 2 * width) - 1)
+    row = (1 << width) - 1
+    keep_at = {width: keep & ~(row << (y1 - y0) * width), -width: keep & ~row}
+    step = {s: _mask(bits) * repunit & keep_at.get(s, keep) for s, bits in movers.items()}
+    return {s: m for s, m in step.items() if m}
+
+
 def _edge_set_at(step: dict[int, int], boxes: list[int], traces: list[int],
                  d0: int) -> frozenset[tuple[int, int]]:
     """Annulus-rule edges over list positions; ``boxes[n]`` is the mask of
@@ -126,10 +151,14 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
 
     Vertex (x, y) is bit (y - y0) * width + (x - x0) of the deepest
     window's rectangle; a window is its rectangle, so a shell is the
-    difference of two window masks.
+    difference of two window masks.  Rays must belong to ``w``.
     """
     if d0 < 1:
         raise ValidationError("d0 must be >= 1")
+    for r in rays:
+        if r.world != w:
+            raise ValidationError(
+                f"ray {r.index} belongs to a {r.world.kind} world, not this {w.kind} world")
     if len({r.index for r in rays}) != len(rays):
         raise ValidationError("ray indices must be distinct")
     deepest = d0 + 1 + ANNULI * RING_WIDTH
@@ -142,18 +171,7 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
         row = ((1 << (bx1 - bx0 + 1)) - 1) << (bx0 - x0)
         rows = ((1 << (width * (by1 - by0 + 1))) - 1) // ((1 << width) - 1)
         boxes[n] = row * rows << (by0 - y0) * width
-    # a neighbour outside the rectangle would alias another level: drop it
-    ix0, ix1, iy0, iy1 = _window_box(w, d0, window_cap)
-    movers: dict[int, list[int]] = defaultdict(list)
-    for y in range(y0, y1 + 1):
-        xs = (itertools.chain(range(x0, ix0), range(ix1 + 1, x1 + 1))
-              if iy0 <= y <= iy1 else range(x0, x1 + 1))
-        for x in xs:
-            b = (y - y0) * width + x - x0
-            for nx, ny in world_neighbors(w, (x, y)):
-                if x0 <= nx <= x1 and y0 <= ny <= y1:
-                    movers[(ny - y) * width + nx - x].append(b)
-    step = {s: _mask(bits) for s, bits in movers.items()}
+    step = _steps(w, (x0, x1, y0, y1), boxes[deepest] & ~boxes[d0])
     # one trace per ray, deep enough for the disjointness check and both edge sets
     depth = deepest + RING_WIDTH
     traces = [r.coords_in_window(depth) for r in rays]

@@ -18,6 +18,10 @@ connected graph; the levels run over Z or over N (y >= 0).
   what makes k+1 disjoint rays (spine plus one per handle) exist at all;
   with literal dominating vertices the world admits a single ray.
 
+The neighbour offsets of (x, y) depend only on x and on y mod 2, except
+that the bottom level of a half world has no rung down; ``rays`` builds a
+window's step masks from two levels on this, so every world must keep it.
+
 A truncation is the induced subgraph on all coordinates within ``depth``
 under the world's window norm, with the boundary (vertices having a
 world-neighbour outside the window) marked.  Windows are monotone: the
@@ -286,7 +290,12 @@ class RaySpec:
             out.append((x, y))
 
     def positions_in(self, t: Truncation) -> list[int]:
-        """Window vertex indices of the in-window initial segment."""
+        """Window vertex indices of the in-window initial segment; the
+        window must be one of this ray's world."""
+        if self.world != t.world:
+            raise ValidationError(
+                f"ray {self.index} belongs to a {self.world.kind} world, "
+                f"not to this window of a {t.world.kind} world")
         out = []
         for c in self.coords_in_window(t.depth):
             i = t.index_of(c)

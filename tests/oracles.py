@@ -6,7 +6,7 @@ definition, on a different path from the library routine it checks.
 
 import heapq
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 
 from pebblekit.errors import StateCapExceeded
 from pebblekit.graphs import (Graph, graph_from_mask, mask_adjacency,
@@ -184,6 +184,24 @@ def coordinate_ray_graph(w, rays, d0: int) -> RayGraph:
     e1 = _edge_set_at(w, rings, traces, d0 + 1)
     return RayGraph(tuple(idx), frozenset((idx[a], idx[b]) for a, b in e0),
                     stabilized=(e0 == e1), depth_range=(d0, deepest))
+
+
+def vertexwise_steps(w, box, keep: int) -> dict[int, int]:
+    """``rays._steps`` by one ``world_neighbors`` call per ``keep`` vertex
+    of the rectangle ``box``: ``step[s]`` holds the vertices whose
+    neighbour inside the rectangle lies s bits away."""
+    x0, x1, y0, y1 = box
+    width = x1 - x0 + 1
+    movers: dict[int, int] = defaultdict(int)
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            b = (y - y0) * width + x - x0
+            if not keep >> b & 1:
+                continue
+            for nx, ny in world_neighbors(w, (x, y)):
+                if x0 <= nx <= x1 and y0 <= ny <= y1:
+                    movers[(ny - y) * width + nx - x] |= 1 << b
+    return dict(movers)
 
 
 def cheapest_cost(adj, s: int, e: int, avoid: set[int], history: list[int],

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pebblekit
 from pebblekit.cli import main
 from pebblekit.graphs import Graph
 from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
@@ -100,6 +105,17 @@ def test_raygraph_full_grid(capsys):
     assert doc["stabilized"] is True
     assert sorted(map(tuple, doc["edges"])) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert doc["linear"] is False
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["raygraph", "--world", "full-grid", "--rays", "canonical:4", "--d0", "10"]
+    src = str(Path(pebblekit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "pebblekit", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert main(argv) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_raygraph_half_grid_linear(capsys):

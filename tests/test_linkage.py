@@ -107,6 +107,17 @@ def test_validations(half_setup):
             find_linkage(t, src, tgt)
 
 
+def test_rays_of_another_world_are_refused(half_setup):
+    hg, t, cols = half_setup
+    fg = make_world("full-grid")
+    foreign = canonical_rays(fg, 2)
+    with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+        find_linkage(t, foreign, foreign)
+    lk = find_linkage(t, cols[:2], cols[:2], set(), {0: 0, 1: 1})
+    with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+        check_linkage(t, foreign, foreign, lk)
+
+
 def test_checker_rejects_corrupted_linkages(half_setup):
     hg, t, cols = half_setup
     src, tgt = cols[:2], cols[2:4]

@@ -6,11 +6,13 @@ import pytest
 
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import Graph
-from pebblekit.rays import RayGraph, is_linear_family, ray_graph
-from pebblekit.worlds import RaySpec, canonical_rays, make_world, truncate
+from pebblekit.rays import (ANNULI, RING_WIDTH, RayGraph, _steps,
+                            is_linear_family, ray_graph)
+from pebblekit.worlds import (DEFAULT_WINDOW_CAP, RaySpec, _window_box,
+                              canonical_rays, make_world, truncate, world_norm)
 
-from conftest import cycle_graph, star_graph
-from oracles import contains_subgraph, coordinate_ray_graph
+from conftest import cycle_graph, path_graph, star_graph
+from oracles import contains_subgraph, coordinate_ray_graph, vertexwise_steps
 
 
 def test_half_grid_columns_form_a_path():
@@ -68,23 +70,62 @@ def test_ray_graph_searches_only_rays_in_the_shells(monkeypatch):
     assert rg.edges == ray_graph(hg, canonical_rays(hg, 10), d0=2).edges
 
 
-def test_ray_graph_reads_each_shell_vertex_once(monkeypatch):
+def _count_neighbour_reads(monkeypatch) -> list[int]:
     import pebblekit.rays as rays_mod
-    fg = make_world("full-grid")
-    rays = canonical_rays(fg, 4)
-    calls = 0
+    calls = [0]
     neighbors = rays_mod.world_neighbors
 
     def counted(w, c):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return neighbors(w, c)
 
     monkeypatch.setattr(rays_mod, "world_neighbors", counted)
-    rg = ray_graph(fg, rays, d0=14)
-    # the window at depth 21 less the one at depth 14: 43^2 - 29^2 vertices
-    assert calls <= 43 ** 2 - 29 ** 2 == 1008
+    return calls
+
+
+def test_ray_graph_reads_two_levels_of_neighbours(monkeypatch):
+    calls = _count_neighbour_reads(monkeypatch)
+    fg = make_world("full-grid")
+    rg = ray_graph(fg, canonical_rays(fg, 4), d0=14)
+    # two levels of the depth-21 window's 43-wide rectangle, where one
+    # read per shell vertex would be 43^2 - 29^2 = 1008
+    assert calls[0] <= 2 * 43
     assert rg.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+
+
+def test_ray_graph_on_a_wide_row_reads_two_levels(monkeypatch):
+    calls = _count_neighbour_reads(monkeypatch)
+    pz = make_world("product-Z", base=path_graph(2000))
+    rg = ray_graph(pz, canonical_rays(pz, 4), d0=1)
+    # the shell has 2000 * 14 vertices; two levels of the row suffice
+    assert calls[0] <= 2 * 2000
+    assert rg.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+
+
+def _shell(w, d0):
+    """The deepest window's rectangle and its shell mask beyond ``d0``,
+    read vertex by vertex off the world norm."""
+    box = _window_box(w, d0 + 1 + ANNULI * RING_WIDTH, DEFAULT_WINDOW_CAP)
+    x0, x1, y0, y1 = box
+    width = x1 - x0 + 1
+    keep = sum(1 << (y - y0) * width + x - x0
+               for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
+               if world_norm(w, (x, y)) > d0)
+    return box, keep
+
+
+@pytest.mark.parametrize("d0", [1, 2, 3, 5, 8, 11, 14])
+def test_steps_match_vertexwise_oracle(d0):
+    worlds = [make_world("full-grid"), make_world("half-grid"),
+              make_world("hex-half-grid"),
+              make_world("product-Z", base=Graph.from_edges(
+                  4, [(0, 1), (1, 2), (2, 3), (0, 2)])),
+              make_world("product-N", base=cycle_graph(5)),
+              make_world("product-N", base=path_graph(40)),
+              *(make_world("dominated-ray", k=k) for k in range(1, 5))]
+    for w in worlds:
+        box, keep = _shell(w, d0)
+        assert _steps(w, box, keep) == vertexwise_steps(w, box, keep), w
 
 
 @pytest.mark.parametrize("d0", [1, 2, 3, 5, 8, 11])
@@ -216,3 +257,13 @@ def test_ray_graph_validations():
         ray_graph(hg, rays, d0=0)
     with pytest.raises(ValidationError):
         ray_graph(hg, [rays[0], rays[0]], d0=10)
+
+
+def test_ray_graph_refuses_rays_of_another_world():
+    hg, fg = make_world("half-grid"), make_world("full-grid")
+    # ray 2 of the full grid points down, out of the half grid
+    with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+        ray_graph(hg, canonical_rays(fg, 4), d0=6)
+    # worlds compare by value: an equal world's rays are its own
+    assert ray_graph(make_world("half-grid"), canonical_rays(hg, 2), d0=6).edges \
+        == frozenset({(0, 1)})

@@ -123,6 +123,13 @@ def test_move_validation(grid_setup):
             realize_transition(t, fam, [(0,)], set(), rg=fam_rg)
 
 
+def test_rays_of_another_world_are_refused(grid_setup):
+    _, _, rays, rg = grid_setup
+    t = truncate(make_world("half-grid"), 8)
+    with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+        realize_transition(t, rays, [(0, 1)], set(), rg=rg)
+
+
 @pytest.mark.parametrize("x", [-1, 10**6])
 def test_x_outside_the_window_is_refused(grid_setup, x):
     # as in find_linkage: -1 is not the window's last vertex, and a vertex

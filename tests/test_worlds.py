@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from pebblekit.dot import truncation_to_dot
 from pebblekit.errors import ValidationError, WindowCapExceeded
 from pebblekit.graphs import Graph, is_connected
 from pebblekit.rays import ray_graph
@@ -104,6 +105,24 @@ def test_world_neighbors_refuses_outside_coordinates():
     with pytest.raises(ValidationError, match="not a vertex"):
         world_neighbors(make_world("half-grid"), (0, -1))
     assert world_neighbors(product, (2, -1)) == [(0, -1), (1, -1), (2, -2), (2, 0)]
+
+
+@pytest.mark.parametrize("w", [
+    make_world("full-grid"), make_world("half-grid"), make_world("hex-half-grid"),
+    make_world("product-Z", base=triangle()), make_world("product-N", base=star_graph(3)),
+    make_world("dominated-ray", k=3)], ids=lambda w: w.kind)
+def test_neighbour_offsets_repeat_every_second_level(w):
+    # rays._steps builds a window's step masks from two levels on this
+    def offsets(x, y):
+        return [(nx - x, ny - y) for nx, ny in world_neighbors(w, (x, y))]
+
+    xs = range(-6, 7) if w.row is None else range(w.row.n)
+    levels = range(1, 7) if w.half else range(-6, 7)
+    for x in xs:
+        for y in levels:
+            assert offsets(x, y) == offsets(x, y + 2), (x, y)
+        if w.half:   # the bottom level only lacks the rung down
+            assert offsets(x, 0) == [o for o in offsets(x, 2) if o != (0, -1)], x
 
 
 def test_window_cap():
@@ -221,3 +240,19 @@ def test_chebyshev_ball():
     ball = chebyshev_ball(t, 1)
     assert {t.coords[v] for v in ball} == {(x, y) for x in (-1, 0, 1)
                                            for y in (-1, 0, 1)}
+
+
+def test_positions_in_refuses_a_window_of_another_world():
+    hg, fg = make_world("half-grid"), make_world("full-grid")
+    t = truncate(hg, 8)
+    with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+        canonical_rays(fg, 1)[0].positions_in(t)
+    # worlds compare by value: an equal world's window is the ray's own
+    assert canonical_rays(make_world("half-grid"), 1)[0].positions_in(t) \
+        == canonical_rays(hg, 1)[0].positions_in(t)
+
+
+def test_dot_export_refuses_rays_of_another_world():
+    hg, fg = make_world("half-grid"), make_world("full-grid")
+    with pytest.raises(ValidationError, match="full-grid"):
+        truncation_to_dot(truncate(hg, 4), canonical_rays(fg, 2))
