@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -557,38 +556,35 @@ def is_bare_path(g: Graph, seq: BarePath) -> bool:
 
 
 def maximal_bare_paths(g: Graph) -> list[BarePath]:
-    """All maximal bare paths of g, lexicographically sorted.
+    """All maximal bare paths of g, lexicographically sorted, each stored
+    as the lesser of its vertex sequence and the reverse.
 
     A bare path is maximal when neither endpoint can be extended: the
     endpoint has degree != 2, or its remaining neighbour already lies on
-    the path (which happens exactly when the graph is a cycle).
+    the path.  An isolated vertex is one on its own.  Each edge (u, v)
+    grows into one of them, at u's end first and then at v's.  On a
+    component that is a cycle, every Hamiltonian path of it is maximal,
+    and edge (u, v) gives the one without (u, v).
     """
-    if g.n == 1:
-        return [(0,)]
     adj = g.adjacency()
     deg = [len(a) for a in adj]
-    found: set[BarePath] = set()
+    found: set[BarePath] = {(v,) for v in range(g.n) if not deg[v]}
     for u, v in g.sorted_edges():
-        path = deque((u, v))
+        path = [v, u]
         members = {u, v}
-        # grow at the front
-        while deg[path[0]] == 2:
-            a, b = adj[path[0]]
-            nxt = a if b == path[1] else b
-            if nxt in members:
-                break
-            path.appendleft(nxt)
-            members.add(nxt)
-        # grow at the back
-        while deg[path[-1]] == 2:
-            a, b = adj[path[-1]]
-            nxt = a if b == path[-2] else b
-            if nxt in members:
-                break
-            path.append(nxt)
-            members.add(nxt)
+        for _ in range(2):
+            while deg[path[-1]] == 2:
+                a, b = adj[path[-1]]
+                nxt = a if b == path[-2] else b
+                if nxt in members:
+                    break
+                path.append(nxt)
+                members.add(nxt)
+            path.reverse()
+        # interior vertices have both neighbours on the path, so two ends
+        # of degree 2 are neighbours: the path has closed a cycle
+        if deg[path[0]] == deg[path[-1]] == 2:
+            path = path[1:] + path[:1]
         seq = tuple(path)
-        rev = seq[::-1]
-        found.add(min(seq, rev))
+        found.add(min(seq, seq[::-1]))
     return sorted(found)
-

@@ -503,7 +503,8 @@ def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
     m, k = len(ray_pos), len(moves[0])
     last_x = [max((p for p, v in enumerate(pos) if v in X), default=-1)
               for pos in ray_pos]
-    all_ray_vertices = set().union(*(set(p) for p in ray_pos))
+    # connectors run off the rays and X, and off what earlier moves used
+    off_limits = X.union(*ray_pos)
     adj = t.graph.adjacency()
 
     cur_pos = [-1] * k                   # last committed position on own ray
@@ -521,8 +522,6 @@ def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
         dsts = {ray_pos[b][p]: p for p in range(dst_from, len(ray_pos[b]))}
         if not srcs or not dsts:
             return None
-        free_set = {v for v in range(t.graph.n)
-                    if v not in X and v not in committed and v not in all_ray_vertices}
         # BFS from all allowed switch points to the nearest allowed landing
         parent: dict[int, int | None] = {v: None for v in sorted(srcs)}
         queue = deque(sorted(srcs))
@@ -536,7 +535,7 @@ def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
                     parent[w] = u
                     hit = w
                     break
-                if w in free_set:
+                if w not in off_limits and w not in committed:
                     parent[w] = u
                     queue.append(w)
         if hit is None:

@@ -226,24 +226,13 @@ def solve(g: Graph, start: GameState, goal: GameState,
     return None
 
 
-def is_move(g: Graph, a: GameState, b: GameState) -> bool:
-    """True iff b differs from a in exactly one coordinate, along an edge,
-    onto a vertex unoccupied in a."""
-    if len(a) != len(b):
-        return False
-    diff = [i for i in range(len(a)) if a[i] != b[i]]
-    if len(diff) != 1:
-        return False
-    i = diff[0]
-    return g.has_edge(a[i], b[i]) and b[i] not in a
-
-
 def validate_move_sequence(g: Graph, seq: MoveSequence) -> None:
-    """Raise unless every step of ``seq`` is a legal move."""
+    """Raise unless ``seq`` holds at least one valid state and each state
+    after the first is in ``legal_moves`` of the one before it."""
     if not seq:
         raise ValidationError("move sequence must contain at least one state")
     for s in seq:
         validate_state(g, s)
     for a, b in zip(seq, seq[1:]):
-        if not is_move(g, a, b):
+        if tuple(b) not in legal_moves(g, a):
             raise ValidationError(f"illegal move {a} -> {b}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import StateCapExceeded, ValidationError
 
 Perm = tuple[int, ...]
 
@@ -207,9 +207,10 @@ class PermGroup:
 
     def elements(self, cap: int = 50_000) -> Iterator[Perm]:
         """Enumerate all elements, each once, as the products of one coset
-        representative per chain level; guarded by a cap."""
+        representative per chain level.  Raises StateCapExceeded when the
+        order exceeds ``cap``."""
         if self.order() > cap:
-            raise ValidationError(f"group order {self.order()} exceeds cap {cap}")
+            raise StateCapExceeded(f"group order {self.order()} exceeds cap {cap}")
         out = [self._id]
         for trans in reversed(self._trans):
             out = [compose(u, p) for u, _ in trans.values() for p in out]

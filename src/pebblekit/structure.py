@@ -11,10 +11,10 @@ labelled states.  It stops as soon as its orbit product certifies S_k,
 and then every arrangement of k pebbles on the pebbles' component is
 reachable.  The suite checks it against a labelled-state oracle.
 
-A graph is k-pebble-win exactly when one (equivalently, every) state's
-group is all of S_k and the configuration graph is connected; on a
-connected graph any configuration can reach any other, so the group
-condition is the live one.
+On a connected graph every configuration of k pebbles reaches every
+other, so the graph is k-pebble-win exactly when the group at one state
+is all of S_k.  ``is_k_pebble_win``, ``structure_witness`` and the sweep
+all read that rule at the base state (0, ..., k-1).
 """
 
 from __future__ import annotations
@@ -75,14 +75,13 @@ def pebble_group_fast(g: Graph, k: int,
 def is_k_pebble_win(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     """True iff every k-pebble game state is achievable from every other.
 
-    Decided on one state: the graph is k-pebble-win exactly when the
-    configuration space is connected and the group there is all of S_k.
-    ``cap`` bounds the configurations searched.
+    Decided on one state: g is connected, so it is k-pebble-win exactly
+    when the group at the base state is all of S_k.  ``cap`` bounds the
+    configurations searched.
     """
     if not is_connected(g):
         raise ValidationError("graph must be connected")
-    cfg_connected, group = pebble_group_fast(g, k, cap)
-    return cfg_connected and group.order() == factorial(k)
+    return pebble_group_fast(g, k, cap)[1].is_symmetric()
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +168,15 @@ def structure_witness(g: Graph, k: int,
         raise ValidationError("graph must be connected")
     if g.n < k + 2:
         raise ValidationError(f"need at least k+2 = {k + 2} vertices, got {g.n}")
-    cfg_connected, group = pebble_group_fast(g, k, cap)
-    if cfg_connected and group.order() == factorial(k):
+    group = pebble_group_fast(g, k, cap)[1]
+    if group.is_symmetric():
         return StructureReport(pebble_win=True, witness=None, colouring=None)
     witness = _find_witness(g, k)
     if witness is None:
         raise StructureWitnessNotFound(
             f"no conforming bare path for k={k} in {g!r}")
-    colouring = _rb_from_group(group, k) if cfg_connected else None
-    if colouring is None:
-        # Disconnected configuration space cannot happen on a connected
-        # graph, but stay honest if it ever did.
-        raise PebbleKitError("configuration space disconnected on a connected graph")
-    return StructureReport(pebble_win=False, witness=witness, colouring=colouring)
+    return StructureReport(pebble_win=False, witness=witness,
+                           colouring=_rb_from_group(group, k))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,6 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
     for n <= 6.
     """
     n, parents = job
-    full = (1 << n) - 1
     bases = [tuple(range(k)) for k in range(n)]
     classes = checked = non_win = 0
     failures: list[dict] = []
@@ -217,8 +211,7 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
             copies = factorial(n) // aut
             g: Graph | None = None
             for k in range(n - 2, 0, -1):
-                # the group is S_k and the pebbles' component is every vertex
-                if _config_group(adj, n, bases[k])[0] == full:
+                if _config_group(adj, n, bases[k])[1].is_symmetric():
                     checked += k * copies
                     break
                 checked += copies

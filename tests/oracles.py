@@ -123,6 +123,29 @@ def component_count(g: Graph) -> int:
     return count
 
 
+def bare_paths_by_definition(g: Graph) -> list[tuple[int, ...]]:
+    """Every simple path of g whose interior vertices have degree 2 and
+    that neither end can extend, each stored as the lesser of its vertex
+    sequence and the reverse, sorted.  An end extends onto a neighbour off
+    the path when it would become an interior vertex of degree 2, or when
+    the path is that one vertex."""
+    adj = g.adjacency()
+
+    def extends(path: list[int], end: int) -> bool:
+        return ((len(path) == 1 or len(adj[end]) == 2)
+                and any(w not in path for w in adj[end]))
+
+    found = set()
+    stack = [[v] for v in range(g.n)]
+    while stack:
+        path = stack.pop()
+        if not extends(path, path[0]) and not extends(path, path[-1]):
+            found.add(min(tuple(path), tuple(path[::-1])))
+        if len(path) == 1 or len(adj[path[-1]]) == 2:
+            stack.extend(path + [w] for w in adj[path[-1]] if w not in path)
+    return sorted(found)
+
+
 def contains_subgraph(rg, g_edges) -> bool:
     """Does the ray graph contain the given edge set under index identity?"""
     norm = {(min(a, b), max(a, b)) for a, b in rg.edges}

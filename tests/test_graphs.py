@@ -19,7 +19,22 @@ from pebblekit.graphs import (CLASSES_MAX_N, Graph, adjacency_masks,
                               maximal_bare_paths, parse_graph)
 
 from conftest import complete_graph, cycle_graph, path_graph
-from oracles import component_count
+from oracles import bare_paths_by_definition, component_count
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, edges, labels, message", [
+    (-1, [], None, "vertex count"),
+    (3, [(1, 1)], None, "self-loop"),
+    (3, [(0, 3)], None, "out of range"),
+    (2, [(0, 1)], ("a",), "labels"),
+])
+def test_graph_refuses_malformed_construction(n, edges, labels, message):
+    with pytest.raises(ValidationError, match=message):
+        Graph.from_edges(n, edges, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +302,28 @@ def test_maximal_bare_paths_k4(k4):
 
 def test_maximal_bare_paths_single_vertex():
     assert maximal_bare_paths(Graph.from_edges(1, [])) == [(0,)]
+
+
+def test_maximal_bare_paths_match_the_definition():
+    count = 0
+    for n in range(1, 8):
+        for adj, _ in connected_graph_classes(n):
+            g = graph_from_masks(adj)
+            assert maximal_bare_paths(g) == bare_paths_by_definition(g), g
+            count += 1
+    assert count == 996
+
+
+def test_maximal_bare_paths_on_relabelled_cycles():
+    # every Hamiltonian path of a cycle is maximal, whatever the labels
+    rng = random.Random(3)
+    for n in range(3, 9):
+        orders = [list(range(n))] + [rng.sample(range(n), n) for _ in range(4)]
+        for order in orders:
+            g = Graph.from_edges(n, [(order[i], order[i - 1]) for i in range(n)])
+            paths = maximal_bare_paths(g)
+            assert len(paths) == n
+            assert paths == bare_paths_by_definition(g), g
 
 
 @given(st.integers(2, 6), st.data())

@@ -139,6 +139,37 @@ def test_checker_rejects_corrupted_linkages(half_setup):
         check_linkage(t, src, tgt, bad3)
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("walk missing from sigma", "walk 2 missing from sigma"),
+    ("connector starts off its source ray", "walk 0: connector must start on its source ray"),
+    ("connector ends off its target ray", "walk 2: connector must end on its target ray"),
+    ("repeated vertex", "walk 0 repeats a vertex"),
+    ("X beyond the prefix", "walk 0 uses X vertex .* beyond its prefix"),
+    ("shared vertex", "walks 0 and 1 share vertex"),
+])
+def test_checker_refuses_each_broken_rule(half_setup, rule, message):
+    hg, t, cols = half_setup
+    src, tgt = cols[:3], cols[3:6]
+    lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1, 2: 2})
+    sigma, paths, X = dict(lk.sigma), dict(lk.paths), lk.after
+    if rule == "walk missing from sigma":
+        del sigma[2]
+    elif rule == "connector starts off its source ray":
+        paths[0] = (t.index_of((-1, 0)),) + paths[0]
+    elif rule == "connector ends off its target ray":
+        paths[2] = paths[2] + (t.index_of((6, 0)),)
+    elif rule == "repeated vertex":
+        paths[0] = paths[0][:1] + paths[0]
+    elif rule == "X beyond the prefix":
+        X = frozenset({paths[0][-1]})       # on target ray 3, on no source ray
+    else:
+        # up column 1 and along the rim through (3, 8), where walk 0 leaves
+        paths[1] = tuple(t.index_of(c) for c in [(1, y) for y in range(9)]
+                         + [(2, 8), (3, 8), (4, 8)])
+    with pytest.raises(LinkageCheckError, match=message):
+        check_linkage(t, src, tgt, Linkage(sigma, paths, X))
+
+
 # a sigma value of -1 must not wrap round to the last target ray, nor a
 # connector vertex -1 read as the window's last coordinate
 @pytest.mark.parametrize("field, value", [

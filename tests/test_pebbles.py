@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pebblekit.errors import StateCapExceeded, ValidationError
 from pebblekit.graphs import (Graph, enumerate_connected_graphs, graph_from_mask,
                               is_connected, vertex_pairs)
-from pebblekit.pebbles import (DEFAULT_STATE_CAP, is_achievable, is_move,
+from pebblekit.pebbles import (DEFAULT_STATE_CAP, is_achievable,
                                legal_moves, reachable_states, solve,
                                validate_move_sequence)
 
@@ -409,11 +409,13 @@ def test_transitivity_spot_checks():
 
 def test_is_move():
     g = path_graph(3)
-    assert is_move(g, (0, 1), (0, 2))
-    assert not is_move(g, (0, 1), (1, 0))       # two coordinates change
-    assert not is_move(g, (0, 1), (0, 1))       # no coordinate changes
-    assert not is_move(g, (0, 1), (2, 1))       # 0-2 is not an edge
-    assert is_move(g, (0, 2), (1, 2))
+    validate_move_sequence(g, [(0, 1), (0, 2)])
+    for a, b in [((0, 1), (1, 0)),              # two coordinates change
+                 ((0, 1), (0, 1)),              # no coordinate changes
+                 ((0, 1), (2, 1))]:             # 0-2 is not an edge
+        with pytest.raises(ValidationError, match="illegal move"):
+            validate_move_sequence(g, [a, b])
+    validate_move_sequence(g, [(0, 2), (1, 2)])
 
 
 def test_validate_move_sequence_rejects_jump():

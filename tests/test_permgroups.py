@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pebblekit.errors import ValidationError
+from pebblekit.errors import ResourceCapError, StateCapExceeded, ValidationError
 from pebblekit.permgroups import (PermGroup, compose, cycle_notation,
                                   identity_perm, inverse, transposition)
 
@@ -84,6 +84,18 @@ def test_invalid_perm_rejected():
         g.add((0, 0, 1))
     with pytest.raises(ValidationError):
         g.add((0, 1))
+
+
+def test_elements_past_the_cap_is_a_resource_refusal():
+    # S_9 from a 9-cycle and a transposition: 362,880 elements
+    g = PermGroup(9, [tuple(range(1, 9)) + (0,), transposition(9, 0, 1)])
+    with pytest.raises(StateCapExceeded, match="362880 exceeds cap 50000"):
+        next(g.elements())
+    assert issubclass(StateCapExceeded, ResourceCapError)
+    s5 = PermGroup(5, [(1, 2, 3, 4, 0), transposition(5, 0, 1)])
+    assert len(set(s5.elements(cap=120))) == 120
+    with pytest.raises(StateCapExceeded):
+        next(s5.elements(cap=119))
 
 
 @given(st.integers(2, 6), st.data())
