@@ -27,8 +27,7 @@ hexw = make_world("hex-half-grid")
 for name, w, d in [("full grid", fg, 2), ("half grid", hg, 2),
                    ("hex half grid", hexw, 3)]:
     t = truncate(w, d)
-    print(f"{name} depth {d}: {t.graph.n} vertices, {len(t.graph.edges)} edges, "
-          f"{len(t.boundary)} boundary")
+    print(f"{name} depth {d}: {t.graph.n} vertices, {len(t.graph.edges)} edges")
 
 show("half grid: columns form a path")
 rg = ray_graph(hg, canonical_rays(hg, 4), d0=10)

@@ -26,14 +26,14 @@ from .errors import ResourceCapError, ValidationError
 #   u (a vertex)         the fragment floats; u is its other open end, and
 #                        u == v for a lone vertex, which takes two more edges
 
-DEFAULT_STATE_CAP = 5_000_000
+DP_STATE_CAP = 6_000
 
 
 def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
                          order: Sequence[int],
                          terminals: Sequence[tuple[int, int]],
                          blocked: Iterable[int] = (),
-                         state_cap: int = DEFAULT_STATE_CAP) -> bool:
+                         state_cap: int = DP_STATE_CAP) -> bool:
     """Decide whether pairwise vertex-disjoint s_i-t_i paths exist.
 
     ``order`` is the sweep order (a permutation of 0..n-1); its quality

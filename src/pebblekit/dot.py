@@ -13,8 +13,8 @@ _RAY_COLORS = ("red", "blue", "forestgreen", "darkorange", "purple",
                "teal", "magenta", "saddlebrown")
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {", "  node [shape=circle];"]
     for v in range(g.n):
         label = g.labels[v] if g.labels else str(v)
         lines.append(f'  {v} [label="{label}"];')

@@ -79,12 +79,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
-        if self.labels is not None:
-            out["labels"] = {str(i): lab for i, lab in enumerate(self.labels)}
-        return out
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
@@ -216,9 +210,10 @@ def mask_adjacency(n: int, mask: int, pairs: list[tuple[int, int]]) -> tuple[int
     return tuple(adj)
 
 
-def _mask_component(adj: tuple[int, ...], seed: int) -> int:
+def _mask_component(adj: tuple[int, ...], seed: int, within: int = -1) -> int:
     """Bitmask of every vertex joined to a vertex of the bitmask ``seed``
-    in the graph with neighbour bitmasks ``adj``."""
+    in the graph with neighbour bitmasks ``adj``, induced on the vertices
+    of the bitmask ``within`` (all of them by default)."""
     seen = frontier = seed
     while frontier:
         nxt = 0
@@ -226,7 +221,7 @@ def _mask_component(adj: tuple[int, ...], seed: int) -> int:
             b = frontier & -frontier
             frontier ^= b
             nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 
@@ -296,12 +291,6 @@ def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = vertex_pairs(n)
-    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-    return Graph.from_edges(n, edges)
-
-
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labelled graph on n vertices, exactly once.
 
@@ -312,8 +301,9 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         raise ValidationError(f"n must be between 1 and {ENUMERATION_MAX_N}, got {n}")
     pairs = vertex_pairs(n)
     for mask in range(1 << len(pairs)):
-        if mask_connected(n, mask_adjacency(n, mask, pairs)):
-            yield graph_from_mask(n, mask)
+        adj = mask_adjacency(n, mask, pairs)
+        if mask_connected(n, adj):
+            yield graph_from_masks(adj)
 
 
 def graph_from_masks(adj: tuple[int, ...]) -> Graph:
@@ -467,14 +457,7 @@ def canonical_form(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 def _is_cut_vertex(adj: list[int], u: int, full: int) -> bool:
     rest = full & ~(1 << u)
-    seen = frontier = rest & -rest
-    while frontier:
-        nxt = 0
-        for w in _BITS[frontier]:
-            nxt |= adj[w]
-        frontier = nxt & rest & ~seen
-        seen |= frontier
-    return seen != rest
+    return _mask_component(adj, rest & -rest, rest) != rest
 
 
 def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
-from .disjoint_paths import disjoint_paths_exist
+from .disjoint_paths import DP_STATE_CAP, disjoint_paths_exist
 from .pebbles import MoveSequence, validate_move_sequence
 from .rays import RayGraph, _position_graph, check_disjoint_rays
 from .worlds import RaySpec, Truncation
 
-DP_STATE_CAP = 6_000
 # rip-up-and-reroute rounds before the router gives a pairing to the DP
 ROUTE_ROUNDS = 30
 
@@ -288,8 +287,7 @@ def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
     if t.world.row is not None:   # a finite row: sweep level by level
         order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     try:
-        return not disjoint_paths_exist(n, adj, order, terminals, blocked,
-                                        state_cap=DP_STATE_CAP)
+        return not disjoint_paths_exist(n, adj, order, terminals, blocked)
     except ResourceCapError:
         return None
 
@@ -419,6 +417,7 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
             raise LinkageCheckError(f"walk {i}: connector must end on its target ray")
         a = src_pos[i].index(path[0])
         b = tgt_pos[j].index(path[-1])
+        # ends at tgt_pos[j][-1], as a pure ride does: no walk can miss the rim
         walks.append(src_pos[i][:a] + path + tgt_pos[j][b + 1:])
         switch.append(a)
     for i, walk in enumerate(walks):
@@ -428,8 +427,6 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
             if not t.graph.has_edge(u, v):
                 raise LinkageCheckError(
                     f"walk {i}: {t.coords[u]} and {t.coords[v]} not adjacent")
-        if walk[-1] != tgt_pos[linkage.sigma[i]][-1]:
-            raise LinkageCheckError(f"walk {i} does not ride its target ray to the rim")
         a = switch[i]
         if linkage.paths.get(i) and src_pos[i][a] in X:
             raise LinkageCheckError(f"walk {i}: its switch point lies in X")

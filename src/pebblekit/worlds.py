@@ -23,10 +23,9 @@ that the bottom level of a half world has no rung down; ``rays`` builds a
 window's step masks from two levels on this, so every world must keep it.
 
 A truncation is the induced subgraph on all coordinates within ``depth``
-under the world's window norm, with the boundary (vertices having a
-world-neighbour outside the window) marked.  Windows are monotone: the
-depth-d window is an induced subgraph of the depth-(d+1) window under
-coordinate identity.
+under the world's window norm.  Windows are monotone: the depth-d window
+is an induced subgraph of the depth-(d+1) window under coordinate
+identity.
 """
 
 from __future__ import annotations
@@ -78,14 +77,6 @@ class World:
             row = Graph.from_edges(self.k + 1, [(0, j) for j in range(1, self.k + 1)])
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "half", self.kind not in ("full-grid", "product-Z"))
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.base is not None:
-            out["base"] = self.base.to_json_dict()
-        if self.k is not None:
-            out["k"] = self.k
-        return out
 
 
 def make_world(kind: str, base: Graph | None = None, k: int | None = None) -> World:
@@ -154,7 +145,6 @@ class Truncation:
     depth: int
     graph: Graph
     coords: tuple[Coord, ...]
-    boundary: frozenset[int]
 
     def index_of(self, c: Coord) -> int | None:
         return self._index.get(c)
@@ -193,16 +183,13 @@ def truncate(w: World, depth: int, cap: int = DEFAULT_WINDOW_CAP) -> Truncation:
     coords = _window_coords(w, depth, cap)
     index = {c: i for i, c in enumerate(coords)}
     edges = []
-    boundary = set()
     for i, c in enumerate(coords):
         for nb in world_neighbors(w, c):
             j = index.get(nb)
-            if j is None:
-                boundary.add(i)
-            elif i < j:
+            if j is not None and i < j:
                 edges.append((i, j))
     g = Graph.from_edges(len(coords), edges)
-    return Truncation(w, depth, g, tuple(coords), frozenset(boundary))
+    return Truncation(w, depth, g, tuple(coords))
 
 
 def chebyshev_ball(t: Truncation, radius: int) -> frozenset[int]:
@@ -247,7 +234,10 @@ class RaySpec:
             raise ValidationError("period cycle must have nonzero net displacement")
         if (self.world.row is not None and net[0]) or (self.world.half and net[1] < 0):
             raise ValidationError(f"period cycle's net displacement {net} leaves the world")
-        probe = [self.coord(i) for i in range(len(self.prefix) + 4 * len(self.steps) + 1)]
+        probe = list(self.prefix)
+        for dx, dy in itertools.islice(itertools.cycle(self.steps), 4 * len(self.steps) + 1):
+            x, y = probe[-1]
+            probe.append((x + dx, y + dy))
         for a, b in zip(probe, probe[1:]):
             if b not in world_neighbors(self.world, a):
                 raise ValidationError(f"ray coordinates {a} and {b} not adjacent")
@@ -257,21 +247,6 @@ class RaySpec:
         for a, b in zip(norms, norms[1:]):
             if b < a:
                 raise ValidationError("window norm must be non-decreasing along the ray")
-
-    def coord(self, pos: int) -> Coord:
-        if pos < 0:
-            raise ValidationError("ray positions start at 0")
-        if pos < len(self.prefix):
-            return self.prefix[pos]
-        x, y = self.prefix[-1]
-        q, r = divmod(pos - len(self.prefix) + 1, len(self.steps))
-        for dx, dy in self.steps:
-            x += q * dx
-            y += q * dy
-        for dx, dy in self.steps[:r]:
-            x += dx
-            y += dy
-        return (x, y)
 
     def coords_in_window(self, w_depth: int) -> list[Coord]:
         """Coordinates of the contiguous initial segment inside the window,

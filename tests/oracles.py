@@ -9,7 +9,7 @@ import itertools
 from collections import defaultdict, deque
 
 from pebblekit.errors import StateCapExceeded
-from pebblekit.graphs import (Graph, graph_from_mask, mask_adjacency,
+from pebblekit.graphs import (Graph, graph_from_masks, mask_adjacency,
                               mask_connected, vertex_pairs)
 from pebblekit.pebbles import DEFAULT_STATE_CAP, _config_group
 from pebblekit.permgroups import PermGroup
@@ -100,7 +100,7 @@ def labelled_sweep(n: int) -> tuple[int, int, int]:
                 break
             checked += 1
             non_win += 1
-            failures += _find_witness(graph_from_mask(n, mask), k) is None
+            failures += _find_witness(graph_from_masks(adj), k) is None
     return checked, non_win, failures
 
 

@@ -10,6 +10,28 @@ def test_public_names_resolve_once():
         assert hasattr(pebblekit, name), name
 
 
+def test_every_public_name_has_a_caller():
+    # a public name that no library module, demo or benchmark reads is
+    # output only a test reads; a name's own definition does not count
+    import ast
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    files = [p for p in (root / "src" / "pebblekit").glob("*.py") if p.name != "__init__.py"]
+    files += [p for d in ("demos", "perfbench") for p in (root / d).rglob("*.py")]
+    read = set()
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Load)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            read |= names
+    unread = sorted(set(pebblekit.__all__) - read)
+    assert not unread, unread
+
+
 def test_oracles_do_not_import_the_game_engine():
     # an oracle that calls the engine it checks would agree with any bug
     import ast

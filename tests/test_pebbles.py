@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblekit.errors import StateCapExceeded, ValidationError
-from pebblekit.graphs import (Graph, enumerate_connected_graphs, graph_from_mask,
-                              is_connected, vertex_pairs)
+from pebblekit.graphs import (Graph, enumerate_connected_graphs, graph_from_masks,
+                              is_connected, mask_adjacency, vertex_pairs)
 from pebblekit.pebbles import (DEFAULT_STATE_CAP, is_achievable,
                                legal_moves, reachable_states, solve,
                                validate_move_sequence)
@@ -117,8 +117,9 @@ def _labelled_cases(seed):
     n <= 5, connected or not, every k and two seeded starts each."""
     rng = random.Random(seed)
     for n in range(1, 6):
-        for mask in range(1 << len(vertex_pairs(n))):
-            g = graph_from_mask(n, mask)
+        pairs = vertex_pairs(n)
+        for mask in range(1 << len(pairs)):
+            g = graph_from_masks(mask_adjacency(n, mask, pairs))
             for k in range(1, n + 1):
                 for _ in range(2):
                     start = tuple(rng.sample(range(n), k))

@@ -32,12 +32,19 @@ def test_make_world_validation():
     assert make_world("dominated-ray", k=3).k == 3
 
 
+def interior(t):
+    """Window vertices whose world neighbours all lie in the window."""
+    return [v for v, c in enumerate(t.coords)
+            if all(t.index_of(nb) is not None for nb in world_neighbors(t.world, c))]
+
+
 def test_full_grid_window_counts():
     t = truncate(make_world("full-grid"), 2)
     assert t.graph.n == 25
     assert len(t.graph.edges) == 40
-    interior = [v for v in range(t.graph.n) if v not in t.boundary]
-    assert all(t.graph.degree(v) == 4 for v in interior)
+    inner = interior(t)
+    assert len(inner) == 9
+    assert all(t.graph.degree(v) == 4 for v in inner)
 
 
 def test_half_grid_window_counts():
@@ -47,8 +54,7 @@ def test_half_grid_window_counts():
 
 def test_hex_interior_cubic():
     t = truncate(make_world("hex-half-grid"), 5)
-    interior = [v for v in range(t.graph.n) if v not in t.boundary]
-    degs = {t.graph.degree(v) for v in interior
+    degs = {t.graph.degree(v) for v in interior(t)
             if t.coords[v][1] > 0}           # above the bottom row
     assert degs == {3}
 
@@ -86,14 +92,6 @@ def test_truncation_monotone():
         big_induced = sum(1 for (u, v) in big.graph.sorted_edges()
                           if u in embed and v in embed)
         assert big_induced == small_edge_count
-
-
-def test_boundary_marks_world_neighbours():
-    t = truncate(make_world("half-grid"), 3)
-    for v in range(t.graph.n):
-        outside = [c for c in world_neighbors(t.world, t.coords[v])
-                   if t.index_of(c) is None]
-        assert (v in t.boundary) == bool(outside)
 
 
 def test_world_neighbors_refuses_outside_coordinates():
@@ -174,6 +172,22 @@ def test_rayspec_validation():
         RaySpec(hg, ((0, 0),), ((0, 1), (0, -1)), 0)  # zero net displacement
 
 
+@pytest.mark.parametrize("kind,prefix,steps,message", [
+    ("half-grid", (), ((0, 1),), "at least one coordinate"),
+    ("half-grid", ((0, 0),), (), "at least one periodic step"),
+    ("half-grid", ((0, -1),), ((0, 1),), "outside the world"),
+    ("half-grid", ((0, 0),), ((0, 1), (0, -1)), "nonzero net displacement"),
+    ("half-grid", ((0, 5),), ((0, -1),), "leaves the world"),
+    ("half-grid", ((0, 0), (5, 5)), ((0, 1),), "not adjacent"),
+    ("half-grid", ((0, 0),), ((1, 0), (-1, 0), (0, 1)), "injective"),
+    ("full-grid", ((3, 0),), ((-1, 0), (0, 1)), "non-decreasing"),
+], ids=["empty prefix", "no step", "prefix outside", "zero net",
+        "leaves the world", "not adjacent", "not injective", "norm decreasing"])
+def test_rayspec_refusal_messages(kind, prefix, steps, message):
+    with pytest.raises(ValidationError, match=message):
+        RaySpec(make_world(kind), prefix, steps, 0)
+
+
 def test_rayspec_refuses_a_period_that_walks_out_of_the_world():
     # both rays pass the probe of their first cycles, then leave the world
     hg = make_world("half-grid")
@@ -192,18 +206,33 @@ def test_dominated_ray_is_the_star_times_n(k):
         a, b = truncate(dominated, depth), truncate(product, depth)
         assert a.coords == b.coords
         assert a.graph.edges == b.graph.edges
-        assert a.boundary == b.boundary
 
 
 def test_rayspec_coords_and_shift():
     fg = make_world("full-grid")
     r = RaySpec(fg, ((0, 1), (1, 1)), ((1, 0),), 0)
-    assert [r.coord(i) for i in range(4)] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    assert r.coords_in_window(3) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
+def ray_coord(r, pos):
+    """Position ``pos`` of ray r in closed form: the prefix, or the end of
+    the prefix moved by whole step cycles and then a partial one."""
+    if pos < len(r.prefix):
+        return r.prefix[pos]
+    x, y = r.prefix[-1]
+    q, rem = divmod(pos - len(r.prefix) + 1, len(r.steps))
+    for dx, dy in r.steps:
+        x += q * dx
+        y += q * dy
+    for dx, dy in r.steps[:rem]:
+        x += dx
+        y += dy
+    return (x, y)
 
 
 def test_coords_in_window_walks_like_coord():
-    # one walk through prefix and step cycle gives what coord() gives per
-    # position, up to the first coordinate beyond the depth
+    # one walk through prefix and step cycle gives what the closed form
+    # gives per position, up to the first coordinate beyond the depth
     worlds = [(make_world("full-grid"), 8), (make_world("half-grid"), 3),
               (make_world("hex-half-grid"), 4),
               (make_world("product-Z", base=triangle()), 3),
@@ -216,7 +245,7 @@ def test_coords_in_window_walks_like_coord():
         for depth in (0, 1, 2, 5, 9, 14):
             expected = list(itertools.takewhile(
                 lambda c: world_norm(r.world, c) <= depth,
-                map(r.coord, itertools.count())))
+                (ray_coord(r, i) for i in itertools.count())))
             assert r.coords_in_window(depth) == expected, (r, depth)
 
 
@@ -230,9 +259,9 @@ def test_ray_positions_contiguous():
 
 def test_world_and_ray_json_round_trip():
     import json
+    doc = '{"kind": "product-N", "base": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}}'
     w = make_world("product-N", base=star_graph(3))
-    w2 = world_from_json_dict(json.loads(json.dumps(w.to_json_dict())))
-    assert w2 == w
+    assert world_from_json_dict(json.loads(doc)) == w
 
 
 def test_chebyshev_ball():
