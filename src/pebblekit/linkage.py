@@ -20,8 +20,10 @@ typed refusal rather than an answer.  Infeasibility is always reported
 as depth-limited: a window that admits no linkage says nothing about
 deeper windows.
 
-``check_linkage`` re-walks a claimed linkage coordinate by coordinate and
-is deliberately independent of the search.
+``check_linkage`` re-walks a claimed linkage vertex by vertex and is
+deliberately independent of the search: it reads the rays' window
+positions, which ``RaySpec.positions_in`` computes once per window, never
+the search's answer.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
 from .disjoint_paths import DP_STATE_CAP, disjoint_paths_exist
 from .pebbles import MoveSequence, validate_move_sequence
-from .rays import RayGraph, _position_graph, check_disjoint_rays
+from .rays import RayGraph, check_disjoint_rays
 from .worlds import RaySpec, Truncation
 
 # rip-up-and-reroute rounds before the router gives a pairing to the DP
@@ -475,7 +477,7 @@ def realize_transition(t: Truncation, rays: list[RaySpec], moves: MoveSequence,
         raise ValidationError(
             f"ray graph is over rays {list(rg.indices)}, "
             f"not {[r.index for r in rays]}")
-    validate_move_sequence(_position_graph(rg), moves)
+    validate_move_sequence(rg._position_graph, moves)
 
     X = _window_set(t, x_vertices)
     ray_pos = _family_positions(t, rays)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 from .graphs import Graph, is_connected
@@ -39,6 +40,13 @@ class RayGraph:
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if i in e)
+
+    @cached_property
+    def _position_graph(self) -> Graph:
+        """The ray graph as a ``Graph`` over ray positions (indices into
+        ``indices``), built once per ray graph."""
+        pos = {i: p for p, i in enumerate(self.indices)}
+        return Graph.from_edges(len(self.indices), ((pos[a], pos[b]) for a, b in self.edges))
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,18 +194,11 @@ def ray_graph(w: World, rays: list[RaySpec], d0: int,
                     depth_range=(d0, deepest))
 
 
-def _position_graph(rg: RayGraph) -> Graph:
-    """The ray graph as a ``Graph`` over ray positions (indices into
-    ``rg.indices``)."""
-    pos = {i: p for p, i in enumerate(rg.indices)}
-    return Graph.from_edges(len(rg.indices), ((pos[a], pos[b]) for a, b in rg.edges))
-
-
 def is_linear_family(rg: RayGraph) -> bool:
     """True iff the (stabilized) ray graph is a path on its indices."""
     if not rg.stabilized:
         raise ValidationError("ray graph did not stabilize; deepen d0")
-    g = _position_graph(rg)
+    g = rg._position_graph
     # connected with m-1 edges and no degree above 2: a path
     return (len(g.edges) == g.n - 1 and is_connected(g)
             and all(g.degree(v) <= 2 for v in range(g.n)))

@@ -153,6 +153,11 @@ class Truncation:
     def _index(self) -> dict[Coord, int]:
         return {c: i for i, c in enumerate(self.coords)}
 
+    @cached_property
+    def _ray_positions(self) -> dict[RaySpec, tuple[int, ...]]:
+        """``RaySpec.positions_in``'s memo: each ray's window vertices."""
+        return {}
+
 
 def _window_box(w: World, depth: int, cap: int) -> tuple[int, int, int, int]:
     """The window as a coordinate rectangle ``(x0, x1, y0, y1)``, inclusive.
@@ -266,18 +271,25 @@ class RaySpec:
 
     def positions_in(self, t: Truncation) -> list[int]:
         """Window vertex indices of the in-window initial segment; the
-        window must be one of this ray's world."""
-        if self.world != t.world:
-            raise ValidationError(
-                f"ray {self.index} belongs to a {self.world.kind} world, "
-                f"not to this window of a {t.world.kind} world")
-        out = []
-        for c in self.coords_in_window(t.depth):
-            i = t.index_of(c)
-            if i is None:
-                raise ValidationError(f"ray coordinate {c} missing from window")
-            out.append(i)
-        return out
+        window must be one of this ray's world.
+
+        Memoized per window: the ray is walked once per window, keyed by
+        the ray itself (its world included), and a refusal is never
+        stored.  Each call returns a fresh list."""
+        pos = t._ray_positions.get(self)
+        if pos is None:
+            if self.world != t.world:
+                raise ValidationError(
+                    f"ray {self.index} belongs to a {self.world.kind} world, "
+                    f"not to this window of a {t.world.kind} world")
+            out = []
+            for c in self.coords_in_window(t.depth):
+                i = t.index_of(c)
+                if i is None:
+                    raise ValidationError(f"ray coordinate {c} missing from window")
+                out.append(i)
+            pos = t._ray_positions[self] = tuple(out)
+        return list(pos)
 
 
 def _full_grid_ray(w: World, i: int) -> RaySpec:

@@ -2,6 +2,7 @@
 
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from pebblekit import linkage
 from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
 from pebblekit.graphs import Graph
-from pebblekit.linkage import Linkage, check_linkage, find_linkage
+from pebblekit.linkage import (Linkage, check_linkage, find_linkage,
+                               realize_transition)
+from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
                               truncate)
 
@@ -213,24 +216,29 @@ def test_checker_refuses_x_outside_the_window(half_setup, vertex):
         check_linkage(t, src, tgt, Linkage(lk.sigma, lk.paths, frozenset({vertex})))
 
 
-def test_find_linkage_traces_each_ray_once_for_search_and_check(half_setup, monkeypatch):
-    hg, t, cols = half_setup
-    calls = 0
+def test_find_linkage_traces_each_ray_once_for_search_and_check(monkeypatch):
+    hg = make_world("half-grid")
+    cols = canonical_rays(hg, 6)
+    rg = ray_graph(hg, cols, d0=2)     # walks its rays before the count starts
+    t = truncate(hg, 8)                # a fresh window: no ray walked on it yet
+    walked = Counter()
     trace = RaySpec.coords_in_window
 
     def counted(self, depth):
-        nonlocal calls
-        calls += 1
+        walked[self] += 1
         return trace(self, depth)
 
     monkeypatch.setattr(RaySpec, "coords_in_window", counted)
     src, tgt = cols[:3], cols[3:6]
     lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1, 2: 2})
-    # one trace per ray for the search, one for its check_linkage
-    assert calls <= 2 * (len(src) + len(tgt))
-    calls = 0
+    # the search and its own check_linkage walk each ray once between them
+    assert walked == Counter(src + tgt)
+    walked.clear()
+    # every later verb on this window reads the positions walked above
     check_linkage(t, src, tgt, lk)
-    assert calls == len(src) + len(tgt)
+    find_linkage(t, src, tgt, set(), {0: 0, 1: 1, 2: 2})
+    realize_transition(t, cols, [(0, 1), (0, 2)], rg=rg)
+    assert not walked
 
 
 def test_checker_rejects_overlapping_walks(half_setup):

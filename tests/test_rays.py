@@ -1,6 +1,7 @@
 """Ray graphs via the annulus rule, linearity, tails."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -267,3 +268,19 @@ def test_ray_graph_refuses_rays_of_another_world():
     # worlds compare by value: an equal world's rays are its own
     assert ray_graph(make_world("half-grid"), canonical_rays(hg, 2), d0=6).edges \
         == frozenset({(0, 1)})
+
+
+def test_position_graph_is_built_once_and_leaves_the_value_alone():
+    hg = make_world("half-grid")
+    rg = ray_graph(hg, canonical_rays(hg, 4), d0=4)
+    fresh = ray_graph(hg, canonical_rays(hg, 4), d0=4)
+    doc, h = rg.to_json_dict(), hash(rg)
+    g = rg._position_graph
+    assert rg._position_graph is g
+    assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    # the cached graph is no field: equality, hashing and JSON are unchanged
+    assert rg == fresh and hash(rg) == h == hash(fresh)
+    assert rg.to_json_dict() == doc == fresh.to_json_dict()
+    assert [f.name for f in fields(RayGraph)] == ["indices", "edges", "stabilized",
+                                                  "depth_range"]
+    assert is_linear_family(rg)

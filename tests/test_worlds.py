@@ -9,9 +9,9 @@ from pebblekit.dot import truncation_to_dot
 from pebblekit.errors import ValidationError, WindowCapExceeded
 from pebblekit.graphs import Graph, is_connected
 from pebblekit.rays import ray_graph
-from pebblekit.worlds import (RaySpec, World, canonical_rays, chebyshev_ball,
-                              make_world, truncate, world_from_json_dict,
-                              world_neighbors, world_norm)
+from pebblekit.worlds import (RaySpec, Truncation, World, canonical_rays,
+                              chebyshev_ball, make_world, truncate,
+                              world_from_json_dict, world_neighbors, world_norm)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -279,6 +279,46 @@ def test_positions_in_refuses_a_window_of_another_world():
     # worlds compare by value: an equal world's window is the ray's own
     assert canonical_rays(make_world("half-grid"), 1)[0].positions_in(t) \
         == canonical_rays(hg, 1)[0].positions_in(t)
+
+
+def test_positions_in_memo_answers_like_a_fresh_walk():
+    # every world kind, its canonical family, several depths
+    worlds = [(make_world("full-grid"), 4), (make_world("half-grid"), 3),
+              (make_world("hex-half-grid"), 3),
+              (make_world("product-Z", base=triangle()), 3),
+              (make_world("product-N", base=star_graph(3)), 4),
+              (make_world("dominated-ray", k=3), 4)]
+    for w, m in worlds:
+        for depth in (1, 3, 6):
+            t = truncate(w, depth)
+            for r in canonical_rays(w, m):
+                oracle = [t.index_of(c) for c in r.coords_in_window(t.depth)]
+                first = r.positions_in(t)
+                assert first == oracle, (w.kind, depth, r.index)
+                # the caller owns its list: changing it leaves the memo alone
+                first.append(-1)
+                first[:1] = []
+                assert r.positions_in(t) == oracle, (w.kind, depth, r.index)
+            assert t == truncate(w, depth)
+
+
+def test_positions_in_memo_never_stores_a_refusal():
+    hg = make_world("half-grid")
+    t = truncate(hg, 5)
+    col = canonical_rays(hg, 1)[0]
+    assert col.positions_in(t) == [t.index_of((0, y)) for y in range(6)]
+    # the same prefix, steps and index in the full grid: another ray
+    alien = RaySpec(make_world("full-grid"), col.prefix, col.steps, col.index)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="full-grid.*half-grid"):
+            alien.positions_in(t)
+    assert col.positions_in(t) == [t.index_of((0, y)) for y in range(6)]
+    # a window that lacks one of the ray's coordinates refuses on every call
+    gap = t.index_of((0, 2))
+    holed = Truncation(hg, 5, t.graph, t.coords[:gap] + ((-9, -9),) + t.coords[gap + 1:])
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"\(0, 2\) missing from window"):
+            col.positions_in(holed)
 
 
 def test_dot_export_refuses_rays_of_another_world():
