@@ -32,14 +32,14 @@ DP_STATE_CAP = 6_000
 def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
                          order: Sequence[int],
                          terminals: Sequence[tuple[int, int]],
-                         blocked: Iterable[int] = (),
-                         state_cap: int = DP_STATE_CAP) -> bool:
+                         blocked: Iterable[int] = ()) -> bool:
     """Decide whether pairwise vertex-disjoint s_i-t_i paths exist.
 
     ``order`` is the sweep order (a permutation of 0..n-1); its quality
     only affects speed, never correctness.  ``blocked`` vertices cannot be
     used by any path.  A path may consist of a single vertex when
-    s_i == t_i.
+    s_i == t_i.  Each step of the sweep keeps at most DP_STATE_CAP states;
+    past that budget the call raises ResourceCapError rather than answer.
     """
     blocked_set = set(blocked)
     term_of: dict[int, tuple[str, int]] = {}
@@ -85,9 +85,9 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
                 joined = _join(labels, v, chosen, term)
                 if joined is not None:
                     _retire_and_add(new_states, joined, step, retire_after)
-            if len(new_states) > state_cap:
+            if len(new_states) > DP_STATE_CAP:
                 raise ResourceCapError(
-                    f"disjoint-path state space exceeded {state_cap}")
+                    f"disjoint-path state space exceeded {DP_STATE_CAP}")
         states = new_states
         if not states:
             return False

@@ -73,9 +73,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -532,8 +529,9 @@ def is_bare_path(g: Graph, seq: BarePath) -> bool:
         return False
     if not all(0 <= v < g.n for v in seq):
         return False
+    adj = g.adjacency()
     for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
+        if b not in adj[a]:
             return False
     return all(g.degree(v) == 2 for v in seq[1:-1])
 

@@ -422,11 +422,12 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
         # ends at tgt_pos[j][-1], as a pure ride does: no walk can miss the rim
         walks.append(src_pos[i][:a] + path + tgt_pos[j][b + 1:])
         switch.append(a)
+    adj = t.graph.adjacency()
     for i, walk in enumerate(walks):
         if len(set(walk)) != len(walk):
             raise LinkageCheckError(f"walk {i} repeats a vertex")
         for u, v in zip(walk, walk[1:]):
-            if not t.graph.has_edge(u, v):
+            if v not in adj[u]:
                 raise LinkageCheckError(
                     f"walk {i}: {t.coords[u]} and {t.coords[v]} not adjacent")
         a = switch[i]
@@ -550,12 +551,11 @@ def _greedy_paths(t: Truncation, ray_pos: list[list[int]], moves: MoveSequence,
         ride = ray_pos[a][max(cur_pos[l], 0):a_pos + 1]
         committed.update(ride)
         committed.update(conn)
-        if paths[l]:
-            # ride from the previous landing up to the switch vertex, which
-            # the connector repeats as conn[0]
-            paths[l] += ray_pos[a][cur_pos[l] + 1:a_pos + 1] + conn[1:]
-        else:
-            paths[l] = conn
+        # a slot's first move starts at its switch vertex; a later one rides
+        # from the previous landing up to the switch vertex, which the
+        # connector repeats as conn[0]
+        first = cur_pos[l] + 1 if paths[l] else a_pos
+        paths[l] += ray_pos[a][first:a_pos + 1] + conn[1:]
         used_bound[a] = max(used_bound[a], a_pos)
         used_bound[b] = max(used_bound[b], b_pos)
         cur_pos[l] = b_pos

@@ -34,6 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 from .errors import ValidationError, WindowCapExceeded
 from .graphs import Graph, _is_int, is_connected, parse_graph
@@ -111,15 +112,13 @@ def world_neighbors(w: World, c: Coord) -> list[Coord]:
     """The sorted neighbours of world vertex c: its row neighbours on its
     level and its rungs to the levels above and below.  Raises
     ValidationError when c is not a vertex of the world."""
-    x, y = c
-    if y < 0 and w.half:
+    if not world_contains(w, c):
         raise ValidationError(f"{c} is not a vertex of the {w.kind} world")
+    x, y = c
     if w.row is None:
         out = [(x - 1, y), (x + 1, y)]
-    elif 0 <= x < w.row.n:
-        out = [(b, y) for b in w.row.adjacency()[x]]
     else:
-        raise ValidationError(f"{c} is not a vertex of the {w.kind} world")
+        out = [(b, y) for b in w.row.adjacency()[x]]
     # the brick wall keeps the rung (x, y)-(x, y+1) only when x + y is even
     brick = w.kind == "hex-half-grid"
     if not brick or (x + y) % 2 == 0:
@@ -239,10 +238,8 @@ class RaySpec:
             raise ValidationError("period cycle must have nonzero net displacement")
         if (self.world.row is not None and net[0]) or (self.world.half and net[1] < 0):
             raise ValidationError(f"period cycle's net displacement {net} leaves the world")
-        probe = list(self.prefix)
-        for dx, dy in itertools.islice(itertools.cycle(self.steps), 4 * len(self.steps) + 1):
-            x, y = probe[-1]
-            probe.append((x + dx, y + dy))
+        probe = list(itertools.islice(
+            self._walk(), len(self.prefix) + 4 * len(self.steps) + 1))
         for a, b in zip(probe, probe[1:]):
             if b not in world_neighbors(self.world, a):
                 raise ValidationError(f"ray coordinates {a} and {b} not adjacent")
@@ -253,21 +250,20 @@ class RaySpec:
             if b < a:
                 raise ValidationError("window norm must be non-decreasing along the ray")
 
-    def coords_in_window(self, w_depth: int) -> list[Coord]:
-        """Coordinates of the contiguous initial segment inside the window,
-        walked once through the prefix and then the step cycle."""
-        out = []
-        for c in self.prefix:
-            if world_norm(self.world, c) > w_depth:
-                return out
-            out.append(c)
+    def _walk(self) -> Iterator[Coord]:
+        """The ray's coordinates: the prefix, then the step cycle forever."""
+        yield from self.prefix
         x, y = self.prefix[-1]
         for dx, dy in itertools.cycle(self.steps):
             x += dx
             y += dy
-            if world_norm(self.world, (x, y)) > w_depth:
-                return out
-            out.append((x, y))
+            yield x, y
+
+    def coords_in_window(self, w_depth: int) -> list[Coord]:
+        """Coordinates of the contiguous initial segment inside the window:
+        the ray's walk taken while its window norm stays within the depth."""
+        return list(itertools.takewhile(
+            lambda c: world_norm(self.world, c) <= w_depth, self._walk()))
 
     def positions_in(self, t: Truncation) -> list[int]:
         """Window vertex indices of the in-window initial segment; the

@@ -267,6 +267,25 @@ def test_bad_ray_positions_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["linkage", "--rays", "canonical:2", "--depth", "4",
+      "--source", "0", "--target", "1"], "give either --world or --world-file"),
+    (["verify"], "verify requires --structure"),
+    (["raygraph", "--world", "half-grid", "--rays", "spiral:3", "--d0", "4"],
+     "unsupported ray family spec 'spiral:3'"),
+])
+def test_missing_or_unknown_options_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None and message in err
+
+
+def test_solve_refuses_a_start_that_is_not_an_array(capsys, p5_file):
+    code, out, err = run_cli(capsys, "solve", "--graph", p5_file,
+                             "--start", '{"a": 1}', "--goal", "[1]")
+    assert code == 2 and out is None
+    assert "expected a JSON array of vertex indices" in err
+
+
 def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--state-cap", "2", "group",
                              "--graph", k4_file, "--state", "[0,1]")

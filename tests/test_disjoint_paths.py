@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pebblekit import disjoint_paths
 from pebblekit.disjoint_paths import disjoint_paths_exist
 from pebblekit.errors import ResourceCapError, ValidationError
 from pebblekit.linkage import _rim_chords_cross, _route
@@ -90,14 +91,14 @@ def test_validation():
         disjoint_paths_exist(2, adj, [0, 1], [(0, 1), (1, 0)])  # reused terminal
 
 
-def test_state_cap():
+def test_state_cap(monkeypatch):
+    monkeypatch.setattr(disjoint_paths, "DP_STATE_CAP", 50)
     t = truncate(make_world("full-grid"), 3)
     adj = [list(a) for a in t.graph.adjacency()]
     terms = [(t.index_of((-3, -3)), t.index_of((3, 3))),
              (t.index_of((-3, 3)), t.index_of((3, -3)))]
     with pytest.raises(ResourceCapError):
-        disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms,
-                             state_cap=50)
+        disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms)
 
 
 def test_fuzz_against_brute_force():

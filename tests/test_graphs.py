@@ -60,6 +60,13 @@ def test_parse_edge_list_malformed_line():
         parse_graph("0 1 2")
 
 
+def test_parse_refuses_unknown_format_and_invalid_json():
+    with pytest.raises(ValidationError, match="unknown graph format 'yaml'"):
+        parse_graph("n: 2", "yaml")
+    with pytest.raises(GraphParseError, match="invalid JSON"):
+        parse_graph("{nope", "json")
+
+
 def test_parse_edge_list_comments_and_labels():
     g = parse_graph("# a square\na b\nb c # right side\nc d\nd a\n")
     assert g.n == 4 and len(g.edges) == 4

@@ -110,6 +110,20 @@ def test_validations(half_setup):
             find_linkage(t, src, tgt)
 
 
+def test_find_linkage_refuses_malformed_families_and_pairings(half_setup):
+    hg, t, cols = half_setup
+    with pytest.raises(ValidationError, match="source family is empty"):
+        find_linkage(t, [], cols[:2])
+    with pytest.raises(ValidationError, match="every source position"):
+        find_linkage(t, cols[:2], cols[:3], set(), {0: 1})
+    # a target ray that starts halfway up the full grid's up column
+    fg = make_world("full-grid")
+    up = canonical_rays(fg, 1)
+    late = RaySpec(fg, ((0, 2),), ((0, 1),), 7)
+    with pytest.raises(ValidationError, match="overlap without being identical"):
+        find_linkage(truncate(fg, 4), up, [late])
+
+
 def test_rays_of_another_world_are_refused(half_setup):
     hg, t, cols = half_setup
     fg = make_world("full-grid")
@@ -394,7 +408,7 @@ def test_router_paths_are_cheapest(seed):
                    if u not in avoid and w not in avoid)
         path = linkage._cheapest_path(adj, s, e, avoid, history, sharers, present, h)
         assert path[0] == s and path[-1] == e
-        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+        assert all(v in adj[u] for u, v in zip(path, path[1:]))
         assert not set(path) & avoid
         assert sum((1 + history[v]) * (1 + present * sharers[v])
                    for v in path[1:]) == best

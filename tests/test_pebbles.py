@@ -106,6 +106,13 @@ def test_reachable_states_fully_occupied():
     assert reachable_states(g, (0, 1, 2)) == {(0, 1, 2)}
 
 
+def test_states_of_different_sizes_are_refused():
+    g = path_graph(4)
+    for call in (solve, is_achievable):
+        with pytest.raises(ValidationError, match="same number of pebbles"):
+            call(g, (0, 1), (2,))
+
+
 def test_state_cap_is_hard_error():
     g = complete_graph(5)
     with pytest.raises(StateCapExceeded):

@@ -46,6 +46,11 @@ def test_empty_group():
     assert (1, 0, 2) not in g
 
 
+def test_degree_zero_is_refused():
+    with pytest.raises(ValidationError, match="degree must be >= 1"):
+        PermGroup(0)
+
+
 def test_symmetric_group():
     g = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
     assert g.order() == 24

@@ -74,6 +74,15 @@ def test_win_requires_connected():
         is_k_pebble_win(g, 1)
 
 
+def test_group_colouring_and_witness_require_connected():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for call in (lambda: pebble_permutation_group(g, (0, 1)),
+                 lambda: rb_colouring(g, (0, 1)),
+                 lambda: structure_witness(g, 2)):
+        with pytest.raises(ValidationError, match="graph must be connected"):
+            call()
+
+
 def test_every_connected_graph_is_1_pebble_win():
     for g in enumerate_connected_graphs(4):
         assert is_k_pebble_win(g, 1)
