@@ -153,7 +153,10 @@ def _cmd_structure(args) -> dict:
 def _cmd_verify(args) -> dict:
     if not args.structure:
         raise ValidationError("verify requires --structure")
-    return verify_structure_theorem(args.n_max, workers=args.workers)
+    return verify_structure_theorem(
+        args.n_max, workers=args.workers, progress=lambda row, seconds: print(
+            f"pebblekit: n={row['n']} classes={row['classes']} {seconds:.1f} s",
+            file=sys.stderr, flush=True))
 
 
 def _cmd_raygraph(args) -> dict:

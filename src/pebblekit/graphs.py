@@ -319,11 +319,12 @@ def graph_from_masks(adj: tuple[int, ...]) -> Graph:
 # partition until it is equitable, split a non-singleton cell by trying
 # each of its vertices first, and take the largest relabelled graph over
 # the discrete partitions reached.  Two leaves giving the same graph
-# yield an automorphism; these prune the search and give |Aut G| and the
-# vertex orbits.  The classes come from canonical augmentation (McKay,
-# "Isomorph-free exhaustive generation", 1998): a class on n vertices is
-# kept only when the new vertex lies in the orbit of a canonically chosen
-# non-cut vertex, so every class has exactly one parent class.
+# yield an automorphism; these prune the search, give |Aut G| and the
+# vertex orbits, and generate Aut G.  The classes come from canonical
+# augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a
+# new vertex joins one neighbourhood per orbit of Aut(parent), and a
+# class is kept only when it lies in the orbit of a canonically chosen
+# non-cut vertex, so every class arises once, from one parent class.
 
 # 261,080 classes at n = 9, 11,716,571 at n = 10
 CLASSES_MAX_N = 9
@@ -363,12 +364,15 @@ def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]
     return cells
 
 
-def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[int]]:
+def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[int],
+                                        list[list[int]]]:
     """(canonical masks, canonical position of each vertex, |Aut G|, an
     orbit label per vertex: equal labels for vertices in one orbit of
-    Aut G) of the graph with neighbour bitmasks ``adj``."""
+    Aut G, automorphisms generating Aut G as vertex maps) of the graph
+    with neighbour bitmasks ``adj``."""
     n = len(adj)
     parent = list(range(n))      # union-find over the automorphisms found
+    gens: list[list[int]] = []
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -404,6 +408,7 @@ def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[in
                     ra, rb = find(a), find(b)
                     if ra != rb:
                         parent[max(ra, rb)] = min(ra, rb)
+                gens.append([b for _, b in sorted(zip(ref[1], order))])
                 fork = 0
                 while path[fork] == ref[2][fork]:
                     fork += 1
@@ -439,7 +444,7 @@ def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[in
     pos = [0] * n
     for i, v in enumerate(best[1]):
         pos[v] = i
-    return best[0], pos, aut, [find(v) for v in range(n)]
+    return best[0], pos, aut, [find(v) for v in range(n)], gens
 
 
 def canonical_form(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -448,7 +453,7 @@ def canonical_form(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     canonical masks.  Capped at CLASSES_MAX_N vertices."""
     if len(adj) > CLASSES_MAX_N:
         raise ValidationError(f"at most {CLASSES_MAX_N} vertices, got {len(adj)}")
-    canon, _, aut, _ = _canonical(list(adj))
+    canon, _, aut, _, _ = _canonical(list(adj))
     return canon, aut
 
 
@@ -462,22 +467,33 @@ def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     class with canonical masks ``parent`` on n vertices, as (canonical
     masks, |Aut G|).
 
-    The new vertex n takes each non-empty neighbourhood in turn (the empty
-    one for n = 0).  A child is kept when n lies in the orbit of its
-    canonical deletion vertex: among the non-cut vertices of least
-    (degree, sum of neighbour degrees), the one with the largest canonical
-    position.  The invariant rejects most children before any canonical
-    form is built.  Removing a non-cut vertex leaves a connected graph, so
-    every connected class arises from one parent class, and keeping the
-    first of isomorphic children of one parent makes it arise once.
+    The new vertex n takes the least non-empty neighbourhood (the empty
+    one for n = 0) of each orbit of Aut(parent).  A child is kept when n
+    lies in the orbit of its canonical deletion vertex: among the non-cut
+    vertices of least (degree, sum of neighbour degrees), the one with the
+    largest canonical position.  The invariant rejects most children
+    before any canonical form is built.  Removing a non-cut vertex leaves
+    a connected graph, so every connected class has one parent class.  An
+    isomorphism between two kept children can be made to fix n, so it
+    joins their neighbourhoods' orbits: each class arises once.
     """
     n = len(parent)
     if n >= CLASSES_MAX_N:
         raise ValidationError(f"children have at most {CLASSES_MAX_N} vertices")
+    gens = _canonical(list(parent))[4]
     full = (1 << (n + 1)) - 1
-    seen: set[tuple[int, ...]] = set()
+    covered = bytearray(1 << n)
     out = []
     for s in range(n > 0, 1 << n):
+        if covered[s]:
+            continue             # Aut(parent) maps a lesser s here
+        members = [s]
+        for t in members:
+            for gamma in gens:
+                u = sum(1 << gamma[v] for v in _BITS[t])
+                if not covered[u]:
+                    covered[u] = 1
+                    members.append(u)
         adj = [a | 1 << n if s >> u & 1 else a for u, a in enumerate(parent)] + [s]
         deg = [a.bit_count() for a in adj]
         dv = deg[n]
@@ -497,11 +513,8 @@ def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
                 continue
             break                # u is a better deletion vertex than n
         else:
-            canon, pos, aut, orbit = _canonical(adj)
-            if ties and orbit[max(ties + [n], key=pos.__getitem__)] != orbit[n]:
-                continue
-            if canon not in seen:
-                seen.add(canon)
+            canon, pos, aut, orbit, _ = _canonical(adj)
+            if not ties or orbit[max(ties + [n], key=pos.__getitem__)] == orbit[n]:
                 out.append((canon, aut))
     return out
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import comb, factorial
+from typing import Callable
 
 from .errors import PebbleKitError, ValidationError
 from .graphs import (CLASSES_MAX_N, Graph, adjacency_masks, augmentations,
@@ -187,11 +189,14 @@ def structure_witness(g: Graph, k: int,
 SWEEP_MAX_N = CLASSES_MAX_N
 # parent classes per pool job: small enough to balance two workers at n = 7
 SWEEP_CHUNK = 16
+# connected classes on n vertices (OEIS A001349): the deepest level's parents
+_CLASS_COUNTS = (1, 1, 1, 2, 6, 21, 112, 853, 11_117, 261_080)
 
 
-def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
+def _sweep_children(job) -> tuple[int, int, int, list[dict], list[tuple[int, ...]]]:
     """Sweep the classes on n vertices whose canonical parents are in one
-    chunk.  Returns (n, classes, checked, non_win, failures).
+    chunk.  Returns (classes, checked, non_win, failures, children): the
+    classes' canonical masks, kept when ``keep`` asks for the next level.
 
     Each class stands for its n!/|Aut G| labelled graphs: k-pebble-win and
     the bare-path witness do not change under relabelling.  k runs
@@ -201,13 +206,14 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
     checked wins.  The suite checks the counts against the labelled sweep
     for n <= 6.
     """
-    n, parents = job
+    n, parents, keep = job
     bases = [tuple(range(k)) for k in range(n)]
-    classes = checked = non_win = 0
+    checked = non_win = 0
     failures: list[dict] = []
+    children: list[tuple[int, ...]] = []
     for parent in parents:
         for adj, aut in augmentations(parent):
-            classes += 1
+            children.append(adj)
             copies = factorial(n) // aut
             g: Graph | None = None
             for k in range(n - 2, 0, -1):
@@ -226,10 +232,11 @@ def _sweep_children(job) -> tuple[int, int, int, int, list[dict]]:
                         "labelled_copies": copies,
                         "reason": "no conforming bare-path witness",
                     })
-    return n, classes, checked, non_win, failures
+    return len(children), checked, non_win, failures, children if keep else []
 
 
-def verify_structure_theorem(n_max: int, workers: int | None = None) -> dict:
+def verify_structure_theorem(n_max: int, workers: int | None = None,
+                             progress: Callable[[dict, float], None] | None = None) -> dict:
     """Check the structure theorem on every connected graph with
     n <= n_max vertices and every 1 <= k <= n-2: each instance that is not
     k-pebble-win has a conforming bare-path witness.
@@ -241,38 +248,40 @@ def verify_structure_theorem(n_max: int, workers: int | None = None) -> dict:
     {"n_max", "checked", "non_pebble_win", "failures", "elapsed_ms",
     "per_n", "failures_detail"}; ``per_n`` lists, for each n, the classes
     swept and the instances checked and not won, and each entry of
-    ``failures_detail`` names a class representative and its k.  ``workers`` spreads the pool jobs, each the
-    children of up to SWEEP_CHUNK parent classes, over processes: at most
-    one per CPU and one per job.  By default the sweep runs in this
-    process up to n = 7 and on every CPU beyond.
+    ``failures_detail`` names a class representative and its k.
+
+    One level of the class tree runs at a time: each job sweeps the
+    children of up to SWEEP_CHUNK parent classes and hands back their
+    masks as the next level's parents.  ``workers`` spreads the jobs over
+    one pool, at most one process per CPU and per job of the deepest
+    level; by default the sweep runs in this process up to n = 7 and on
+    every CPU beyond.  ``progress(row, seconds)`` is called as each n
+    finishes, with its ``per_n`` row and the seconds since the start.
     """
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
     if workers is None:
         workers = (os.cpu_count() or 1) if n_max > 7 else 1
+    workers = min(workers, os.cpu_count() or 1, -(-_CLASS_COUNTS[n_max - 1] // SWEEP_CHUNK))
     t0 = time.perf_counter()
-    jobs = []
-    level: list[tuple[int, ...]] = [()]
-    for n in range(1, n_max + 1):
-        jobs += [(n, level[i:i + SWEEP_CHUNK]) for i in range(0, len(level), SWEEP_CHUNK)]
-        if n < n_max:
-            level = [c for p in level for c, _ in augmentations(p)]
-    workers = max(1, min(workers, len(jobs), os.cpu_count() or 1))
     if workers > 1:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_children, jobs)
-    else:
-        results = [_sweep_children(job) for job in jobs]
-    per_n = [{"n": n, "classes": 0, "checked": 0, "non_pebble_win": 0}
-             for n in range(1, n_max + 1)]
+    per_n: list[dict] = []
     failures: list[dict] = []
-    for n, classes, checked, non_win, fails in results:
-        row = per_n[n - 1]
-        row["classes"] += classes
-        row["checked"] += checked
-        row["non_pebble_win"] += non_win
-        failures.extend(fails)
+    level: list[tuple[int, ...]] = [()]
+    with mp.get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
+        for n in range(1, n_max + 1):
+            jobs = [(n, level[i:i + SWEEP_CHUNK], n < n_max)
+                    for i in range(0, len(level), SWEEP_CHUNK)]
+            results = (pool.map(_sweep_children, jobs) if pool
+                       else [_sweep_children(job) for job in jobs])
+            classes, checked, non_win, fails, children = zip(*results)
+            per_n.append({"n": n, "classes": sum(classes), "checked": sum(checked),
+                          "non_pebble_win": sum(non_win)})
+            failures += [f for part in fails for f in part]
+            level = [c for part in children for c in part]
+            if progress is not None:
+                progress(per_n[-1], time.perf_counter() - t0)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return {
         "n_max": n_max,

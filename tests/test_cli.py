@@ -88,14 +88,21 @@ def test_structure_output(capsys, p5_file):
 
 
 def test_verify_structure(capsys):
-    code, doc, _ = run_cli(capsys, "verify", "--structure", "--n-max", "4",
-                           "--workers", "1")
+    code, doc, err = run_cli(capsys, "verify", "--structure", "--n-max", "4",
+                             "--workers", "1")
     assert code == 0
     ref = verify_structure_theorem(4, workers=1)
     assert doc["failures"] == 0
     assert doc["checked"] == ref["checked"]
     assert doc["non_pebble_win"] == ref["non_pebble_win"]
+    assert doc["per_n"] == ref["per_n"]
     assert "elapsed_ms" in doc and "failures_detail" in doc
+    # one progress line per n on stderr, seconds so far never falling
+    lines = err.splitlines()
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [
+        f"pebblekit: n={row['n']} classes={row['classes']}" for row in ref["per_n"]]
+    seconds = [float(line.split()[-2]) for line in lines]
+    assert seconds == sorted(seconds) and all(line.endswith(" s") for line in lines)
 
 
 def test_raygraph_full_grid(capsys):

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblekit.errors import GraphParseError, ValidationError
-from pebblekit.graphs import (CLASSES_MAX_N, Graph, adjacency_masks,
+from pebblekit.graphs import (CLASSES_MAX_N, Graph, _canonical, adjacency_masks,
                               augmentations, bridges,
                               canonical_form, connected_graph_classes,
                               enumerate_connected_graphs, graph_from_masks,
                               is_bare_path, is_connected, is_cycle_graph,
                               maximal_bare_paths, parse_graph)
+from pebblekit.permgroups import PermGroup
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import bare_paths_by_definition, component_count
@@ -223,9 +224,11 @@ def test_enumeration_range_check():
 
 def test_class_counts_and_orbit_sums():
     # OEIS A001349 (classes) and A001187 (labelled connected graphs)
-    classes = [1, 1, 2, 6, 21, 112, 853]
-    labelled = [1, 1, 4, 38, 728, 26_704, 1_866_256]
-    for n in range(1, 8):
+    # n = 8 guards the generator's one-child-per-orbit pruning: a missed
+    # automorphism would keep two isomorphic children
+    classes = [1, 1, 2, 6, 21, 112, 853, 11_117]
+    labelled = [1, 1, 4, 38, 728, 26_704, 1_866_256, 251_548_592]
+    for n in range(1, 9):
         reps = connected_graph_classes(n)
         assert len(reps) == classes[n - 1], n
         assert sum(factorial(n) // aut for _, aut in reps) == labelled[n - 1], n
@@ -266,6 +269,17 @@ def test_automorphism_count_is_brute_force():
             fixed = sum(_relabel(adj, p) == adj
                         for p in itertools.permutations(range(n)))
             assert fixed == aut, adj
+
+
+def test_automorphisms_generate_the_group():
+    # augmentations prunes each parent's children by the group these
+    # vertex maps generate, so it must be all of Aut G
+    for n in range(1, 8):
+        for adj, aut in connected_graph_classes(n):
+            gens = _canonical(list(adj))[4]
+            for gamma in gens:
+                assert _relabel(adj, gamma) == adj, (adj, gamma)
+            assert PermGroup(n, [tuple(g) for g in gens]).order() == aut, adj
 
 
 def test_classes_range_check():

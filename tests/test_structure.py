@@ -349,19 +349,53 @@ def test_sweep_failures_name_representatives(monkeypatch):
         assert is_connected(g) and not is_k_pebble_win(g, f["k"])
 
 
-def test_sweep_parallel_agrees():
-    a = verify_structure_theorem(5, workers=1)
-    b = verify_structure_theorem(5, workers=2)
-    for key in ("checked", "non_pebble_win", "failures"):
+def test_sweep_generates_each_class_once(monkeypatch):
+    # one canonical form per parent for its automorphisms and one per
+    # child orbit that passes the invariant; generating every level below
+    # n_max again, or every neighbourhood of a parent, took 370
+    import pebblekit.graphs as graphs
+    calls = []
+    canonical = graphs._canonical
+    monkeypatch.setattr(graphs, "_canonical",
+                        lambda adj: calls.append(1) or canonical(adj))
+    assert verify_structure_theorem(6, workers=1)["checked"] == 109_080
+    assert len(calls) <= 180
+
+
+def test_sweep_parallel_agrees(monkeypatch):
+    # the deepest level at n = 7 is 7 jobs, so one real pool of two
+    # workers runs every level and hands back each level's parents
+    import multiprocessing
+    import os
+    real = multiprocessing.get_context
+    sizes = []
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.ctx = real(method)
+
+        def Pool(self, workers):
+            sizes.append(workers)
+            return self.ctx.Pool(workers)
+
+    a = verify_structure_theorem(7, workers=1)
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    b = verify_structure_theorem(7, workers=2)
+    assert sizes == [2]
+    for key in ("checked", "non_pebble_win", "failures", "per_n"):
         assert a[key] == b[key]
 
 
 @pytest.mark.parametrize("cpus, size", [(3, 3), (64, 4)])
 def test_sweep_worker_count_is_bounded(monkeypatch, cpus, size):
-    # n <= 4 is 4 jobs, one per n: the pool gets at most one worker per CPU
-    # and per job; a fake pool records its size and maps in this process
+    # at 32 parents per job the deepest level at n = 7 is 4 jobs: the pool
+    # gets at most one worker per CPU and per job of that level; a fake
+    # pool records its size and maps in this process
     import multiprocessing
     import os
+    import pebblekit.structure as structure
+    monkeypatch.setattr(structure, "SWEEP_CHUNK", 32)
     sizes = []
 
     class FakePool:
@@ -382,9 +416,9 @@ def test_sweep_worker_count_is_bounded(monkeypatch, cpus, size):
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    rep = verify_structure_theorem(4, workers=100_000)
+    rep = verify_structure_theorem(7, workers=100_000)
     assert sizes == [size]
-    serial = verify_structure_theorem(4, workers=1)
+    serial = verify_structure_theorem(7, workers=1)
     for key in ("checked", "non_pebble_win", "failures"):
         assert rep[key] == serial[key]
 
