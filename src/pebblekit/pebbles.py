@@ -7,10 +7,11 @@ labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
 r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  The
-BFS stops once its orbit product certifies G = S_k; the class is then
-every arrangement of k pebbles on the component holding them.  Only
-``solve`` searches labelled states by A* on summed goal distances (Hart,
-Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never wrong.
+BFS stops once G = S_k is certified, by transposition transports that join
+all k pebbles or by its orbit product; the class is then every arrangement
+of k pebbles on the component holding them.  Only ``solve`` searches
+labelled states by A* on summed goal distances (Hart, Nilsson, Raphael
+1968).  Caps are hard errors, so "unreachable" is never wrong.
 """
 
 from __future__ import annotations
@@ -64,15 +65,18 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     """BFS the configuration graph from the vertex set of ``start``,
     transporting one labelled representative along the tree; every
     non-tree edge closes a loop and yields one generator of the group at
-    ``start``.
+    ``start``.  Transpositions go to a union-find over the k slots, the
+    rest to the stabilizer chain: k - 1 unions make a spanning tree of
+    transpositions, which generates S_k, as (a c) = (a b)(b c)(a b).
 
     Returns (reps, group).  When the group is all of S_k, reps is the
     vertex bitmask of the component C holding the pebbles, and the class
     is every arrangement of k pebbles on C: a transposition moves pebbles
     of one component only, and inside a component every placement is
-    reachable.  The BFS stops as soon as the orbit product certifies S_k.
-    Otherwise reps is {configuration bitmask: its representative}.  Raises
-    StateCapExceeded up front when over ``cap`` configurations are reachable.
+    reachable.  The BFS stops as soon as the tree or the orbit product
+    certifies S_k.  Otherwise reps is {configuration bitmask: its
+    representative}.  Raises StateCapExceeded up front when over ``cap``
+    configurations are reachable.
     """
     k = len(start)
     first = sum(1 << v for v in start)
@@ -94,6 +98,8 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
         return _mask_component(adj_masks, first), group
     rep: dict[int, GameState] = {first: tuple(start)}
     parent: dict[int, int] = {first: 0}
+    tree: list[tuple[int, ...]] = []    # transposition transports joining slots
+    label = list(range(k))              # union-find over slots, by relabelling
     add_perm = group._add_perm
     queue = deque([first])
     pop = queue.popleft
@@ -116,13 +122,23 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                     if parent[cfg] == ncfg or cfg > ncfg:
                         continue
                     npos = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    if (add_perm(tuple(map(rep[ncfg].index, npos)))
+                    moved = [i for i, v in enumerate(rep[ncfg]) if npos[i] != v]
+                    if len(moved) == 2:
+                        new, old = label[moved[0]], label[moved[1]]
+                        if new != old:
+                            label = [new if x == old else x for x in label]
+                            tree.append(tuple(map(rep[ncfg].index, npos)))
+                            if len(tree) == k - 1:
+                                return _mask_component(adj_masks, first), PermGroup.symmetric(k, tree)
+                    elif (moved and add_perm(tuple(map(rep[ncfg].index, npos)))
                             and group.order_lower_bound() == target_order):
                         return _mask_component(adj_masks, first), group
                 else:
                     rep[ncfg] = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
                     parent[ncfg] = cfg
                     push(ncfg)
+    for t in tree:              # uncertified: the tree joins the chain
+        add_perm(t)
     if group.order() == target_order:
         return _mask_component(adj_masks, first), group
     return rep, group

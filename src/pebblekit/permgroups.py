@@ -7,11 +7,13 @@ rebuilds orbits, which keeps the hot path (feeding many redundant
 generators) cheap.  The product of orbit sizes always counts distinct
 elements, so it is a sound lower bound on the order; when it reaches the
 full k! the chain is certifiably complete without any Schreier closure.
+A caller holding another certificate of S_k, such as transpositions that
+join all k points, builds S_k's standard chain with ``symmetric``.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 from .errors import StateCapExceeded, ValidationError
@@ -88,6 +90,19 @@ class PermGroup:
         for p in generators:
             self.add(p)
 
+    @classmethod
+    def symmetric(cls, degree: int, generators: list[Perm]) -> PermGroup:
+        """S_k on its standard chain, base 0..k-2 with level i moved by the
+        (i j), j > i; no closure runs, so ``generators`` must generate S_k."""
+        group = cls(degree)
+        group.generators = generators
+        for i in range(degree - 1):
+            moves = [transposition(degree, i, j) for j in range(i, degree)]
+            group._base.append(i)
+            group._level_gens.append(moves[1:])     # moves[0] is the identity
+            group._trans.append({u[i]: (u, u) for u in moves})
+        return group
+
     # -- chain internals ----------------------------------------------------
 
     def _gens_at(self, i: int) -> list[Perm]:
@@ -154,21 +169,13 @@ class PermGroup:
         return None
 
     def _ensure_closed(self) -> None:
-        if self._closed:
-            return
-        # a chain whose orbit product reaches k! is the whole symmetric
-        # group; nothing to close
-        if self.order_lower_bound() == self._full:
-            self._closed = True
-            return
-        while not self._closed:
+        # an orbit product of k! is the whole symmetric group; nothing to close
+        while not self._closed and self.order_lower_bound() < self._full:
             hit = self._find_open_schreier()
             if hit is None:
-                self._closed = True
-            else:
-                self._insert_residue(*hit)
-                if self.order_lower_bound() == self._full:
-                    self._closed = True
+                break
+            self._insert_residue(*hit)
+        self._closed = True
 
     def _add_perm(self, perm: Perm) -> bool:
         """Add a generator known to be a valid permutation."""
@@ -187,10 +194,7 @@ class PermGroup:
 
     def order_lower_bound(self) -> int:
         """Product of orbit sizes; a certified lower bound on the order."""
-        out = 1
-        for trans in self._trans:
-            out *= len(trans)
-        return out
+        return prod(map(len, self._trans))
 
     def order(self) -> int:
         self._ensure_closed()

@@ -7,9 +7,9 @@ that configuration graph, so the group is generated by the loop
 transports of the non-tree edges of any spanning tree (one permutation
 per non-tree edge).  That BFS lives in ``pebbles._config_group``, which
 also answers reachability, and the caps here bound configurations, not
-labelled states.  It stops as soon as its orbit product certifies S_k,
-and then every arrangement of k pebbles on the pebbles' component is
-reachable.  The suite checks it against a labelled-state oracle.
+labelled states.  It stops once transpositions joining all k pebbles
+or its orbit product certify S_k; then every arrangement of k pebbles
+on their component is reachable.  A labelled-state oracle checks it.
 
 On a connected graph every configuration of k pebbles reaches every
 other, so the graph is k-pebble-win exactly when the group at one state

@@ -78,6 +78,34 @@ def test_group_output(capsys, p5_file):
     assert doc["degree"] == 3 and doc["order"] == 1 and not doc["symmetric"]
 
 
+THETA7 = {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5],
+                           [5, 6], [6, 2], [1, 5]]}
+C6 = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}
+
+
+@pytest.mark.parametrize("doc, state, stdout", [
+    # S_5, certified by four transposition transports joining the pebbles
+    (THETA7, "[0,1,2,3,4]",
+     '{"degree": 5, "generators": [[0, 2, 1, 3, 4], [0, 4, 2, 3, 1], '
+     '[4, 1, 2, 3, 0], [3, 1, 2, 0, 4]], "generators_cycles": ["(1 2)", '
+     '"(1 4)", "(0 4)", "(0 3)"], "order": 120, "symmetric": true}\n'),
+    # S_4 from the stabilizer chain's orbit product, before a tree forms
+    (THETA7, "[6,1,2,3]",
+     '{"degree": 4, "generators": [[0, 2, 3, 1], [1, 2, 0, 3], [2, 0, 3, 1]], '
+     '"generators_cycles": ["(1 2 3)", "(0 1 2)", "(0 2 3 1)"], "order": 24, '
+     '"symmetric": true}\n'),
+    # rotations only: three pebbles on a 6-cycle
+    (C6, "[0,1,2]",
+     '{"degree": 3, "generators": [[1, 2, 0]], "generators_cycles": '
+     '["(0 1 2)"], "order": 3, "symmetric": false}\n'),
+], ids=["theta7-tree", "theta7-orbit-product", "c6-rotations"])
+def test_group_stdout_is_pinned(capsys, tmp_path, doc, state, stdout):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(doc))
+    assert main(["group", "--graph", str(f), "--state", state]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_structure_output(capsys, p5_file):
     code, doc, _ = run_cli(capsys, "structure", "--graph", p5_file, "--k", "2")
     assert code == 0

@@ -77,6 +77,21 @@ def test_order_lower_bound_is_sound():
     assert g.order_lower_bound() == factorial(5)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_symmetric_chain_is_all_of_s_k(k):
+    # a path of transpositions (i i+1) generates S_k
+    path = [transposition(k, i, i + 1) for i in range(k - 1)]
+    g = PermGroup.symmetric(k, path)
+    assert g.generators == path
+    assert g.order() == factorial(k) and g.is_symmetric()
+    elems = list(g.elements())
+    assert len(elems) == len(set(elems)) == factorial(k)
+    assert set(elems) == set(itertools.permutations(range(k)))
+    assert all(p in g for p in elems)
+    assert not any(g.add(p) for p in itertools.permutations(range(k)))
+    assert g.generators == path
+
+
 def test_redundant_generator_not_recorded():
     g = PermGroup(3, [(1, 2, 0)])
     assert not g.add((2, 0, 1))           # already a member

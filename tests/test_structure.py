@@ -12,7 +12,7 @@ from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               connected_graph_classes,
                               enumerate_connected_graphs, graph_from_masks,
                               is_bare_path, is_connected, is_cycle_graph)
-from pebblekit.pebbles import reachable_states
+from pebblekit.pebbles import _config_group, reachable_states
 from pebblekit.permgroups import transposition
 from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
                                  pebble_group_fast, pebble_permutation_group,
@@ -121,6 +121,32 @@ def test_fast_group_matches_state_space_group():
             assert set(fast.elements()) == slow, (g, start)
 
 
+def test_config_group_matches_harvest_on_every_class():
+    # every connected class with n <= 6 and every k <= n - 1 at the base
+    # state.  Transpositions never enter the chain, so a symmetric group
+    # whose generators are all transpositions comes from the union-find
+    # certificate; it must hold k - 1 of them, joining the k slots.
+    certified = 0
+    for n in range(2, 7):
+        for masks, _ in connected_graph_classes(n):
+            g = graph_from_masks(masks)
+            for k in range(1, n):
+                base = tuple(range(k))
+                grp = _config_group(masks, n, base)[1]
+                want = set(harvest_group(g, base).elements())
+                assert set(grp.elements()) == want, (masks, k)
+                moved = [[i for i in range(k) if p[i] != i] for p in grp.generators]
+                if k < 2 or not grp.is_symmetric() or any(len(m) != 2 for m in moved):
+                    continue
+                certified += 1
+                assert len(moved) == k - 1, (masks, k, grp.generators)
+                comp = {0}
+                while any(len(comp & set(m)) == 1 for m in moved):
+                    comp |= {x for m in moved if comp & set(m) for x in m}
+                assert comp == set(base), (masks, k, grp.generators)
+    assert certified > 0
+
+
 def _connected_without(adj, v):
     rest = [u for u in range(len(adj)) if u != v]
     seen, stack = {rest[0]}, [rest[0]]
@@ -177,6 +203,25 @@ def test_wilson_groups_of_2_connected_graphs():
     theta0 = Graph.from_edges(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
                                   (0, 5), (5, 6), (6, 1)])
     assert exceptions == [(canonical_form(adjacency_masks(theta0))[0], 120)]
+
+
+def test_2_connected_non_cycles_are_n_minus_2_pebble_win():
+    # Kornhauser, Miller and Spirakis (FOCS 1984): with two holes, every
+    # 2-connected graph that is not a cycle is won.  A graph is 2-connected
+    # when it stays connected after deleting any one vertex, and a
+    # connected graph is a cycle when every vertex has degree 2.
+    classes = 0
+    for n in range(3, 8):
+        for masks, _ in connected_graph_classes(n):
+            adj = [[u for u in range(n) if m >> u & 1] for m in masks]
+            if all(len(a) == 2 for a in adj):
+                continue
+            if not all(_connected_without(adj, v) for v in range(n)):
+                continue
+            classes += 1
+            assert is_k_pebble_win(graph_from_masks(masks), n - 2), masks
+    # 2-connected classes (OEIS A002218) less one cycle per n
+    assert classes == 0 + 2 + 9 + 55 + 467
 
 
 def test_certified_symmetric_group_stops_the_search():
