@@ -325,6 +325,12 @@ def graph_from_masks(adj: tuple[int, ...]) -> Graph:
 # new vertex joins one neighbourhood per orbit of Aut(parent), and a
 # class is kept only when it lies in the orbit of a canonically chosen
 # non-cut vertex, so every class arises once, from one parent class.
+# The levels are not canonical: a class keeps the labelling its parent
+# gave it, with |Aut G|.  A canonical form is built only for a parent with
+# automorphisms, for their generators, and for a child whose deletion
+# invariant ties; any other child's new vertex is fixed by every
+# automorphism, and |Aut| follows by orbit-stabilizer.
+# ``connected_graph_classes`` canonises its final level.
 
 # 261,080 classes at n = 9, 11,716,571 at n = 10
 CLASSES_MAX_N = 9
@@ -457,36 +463,45 @@ def canonical_form(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return canon, aut
 
 
-def _is_cut_vertex(adj: list[int], u: int, full: int) -> bool:
+def _is_cut_vertex(adj: tuple[int, ...], u: int, full: int) -> bool:
     rest = full & ~(1 << u)
     return _mask_component(adj, rest & -rest, rest) != rest
 
 
-def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+def augmentations(parent: tuple[int, ...],
+                  parent_aut: int) -> list[tuple[tuple[int, ...], int]]:
     """The connected classes on n+1 vertices whose canonical parent is the
-    class with canonical masks ``parent`` on n vertices, as (canonical
-    masks, |Aut G|).
+    class of ``parent``, a representative on n vertices in any labelling
+    with |Aut| = ``parent_aut``, as (masks, |Aut G|): ``parent``'s masks
+    with a new vertex n.
 
-    The new vertex n takes the least non-empty neighbourhood (the empty
-    one for n = 0) of each orbit of Aut(parent).  A child is kept when n
-    lies in the orbit of its canonical deletion vertex: among the non-cut
-    vertices of least (degree, sum of neighbour degrees), the one with the
-    largest canonical position.  The invariant rejects most children
-    before any canonical form is built.  Removing a non-cut vertex leaves
-    a connected graph, so every connected class has one parent class.  An
-    isomorphism between two kept children can be made to fix n, so it
-    joins their neighbourhoods' orbits: each class arises once.
+    The new vertex takes the least non-empty neighbourhood (the empty one
+    for n = 0) of each orbit of Aut(parent); a canonical form of the
+    parent gives its automorphisms, and is built only when it has some.
+    A child is kept when n lies in the orbit of its canonical deletion
+    vertex: among the non-cut vertices of least (degree, sum of neighbour
+    degrees), the one with the largest canonical position.  The invariant
+    rejects most children before any canonical form is built, and keeps
+    most of the rest without one: when n alone has the least invariant,
+    every automorphism of the child fixes n, so Aut(child) is the
+    stabilizer in Aut(parent) of n's neighbourhood, of order |Aut(parent)|
+    over the size of that neighbourhood's orbit.  Removing a non-cut
+    vertex leaves a connected graph, so every connected class has one
+    parent class.  An isomorphism between two kept children can be made
+    to fix n, so it joins their neighbourhoods' orbits: each class arises
+    once.
     """
     n = len(parent)
     if n >= CLASSES_MAX_N:
         raise ValidationError(f"children have at most {CLASSES_MAX_N} vertices")
-    gens = _canonical(list(parent))[4]
+    gens = _canonical(list(parent))[4] if parent_aut > 1 else []
     full = (1 << (n + 1)) - 1
     covered = bytearray(1 << n)
     out = []
     for s in range(n > 0, 1 << n):
         if covered[s]:
             continue             # Aut(parent) maps a lesser s here
+        covered[s] = 1
         members = [s]
         for t in members:
             for gamma in gens:
@@ -494,7 +509,7 @@ def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
                 if not covered[u]:
                     covered[u] = 1
                     members.append(u)
-        adj = [a | 1 << n if s >> u & 1 else a for u, a in enumerate(parent)] + [s]
+        adj = tuple([a | 1 << n if s >> u & 1 else a for u, a in enumerate(parent)] + [s])
         deg = [a.bit_count() for a in adj]
         dv = deg[n]
         fv = -1
@@ -513,9 +528,12 @@ def augmentations(parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
                 continue
             break                # u is a better deletion vertex than n
         else:
-            canon, pos, aut, orbit, _ = _canonical(adj)
-            if not ties or orbit[max(ties + [n], key=pos.__getitem__)] == orbit[n]:
-                out.append((canon, aut))
+            if not ties:
+                out.append((adj, parent_aut // len(members)))
+                continue
+            _, pos, aut, orbit, _ = _canonical(list(adj))
+            if orbit[max(ties + [n], key=pos.__getitem__)] == orbit[n]:
+                out.append((adj, aut))
     return out
 
 
@@ -527,8 +545,8 @@ def connected_graph_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
         raise ValidationError(f"n must be between 1 and {CLASSES_MAX_N}, got {n}")
     level = [((), 1)]
     for _ in range(n):
-        level = [c for p, _ in level for c in augmentations(p)]
-    return level
+        level = [c for p, aut in level for c in augmentations(p, aut)]
+    return [canonical_form(adj) for adj, _ in level]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ decided on the C(n, k) unordered configurations, which the n!/(n-k)!
 labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
-r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  The
-BFS stops once G = S_k is certified, by transposition transports that join
-all k pebbles or by its orbit product; the class is then every arrangement
-of k pebbles on the component holding them.  Only ``solve`` searches
-labelled states by A* on summed goal distances (Hart, Nilsson, Raphael
-1968).  Caps are hard errors, so "unreachable" is never wrong.
+r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Each
+representative is packed into one int.  The BFS stops once transposition
+transports join all k pebbles, which certifies G = S_k; only a BFS that
+ends without them sifts its other transports into a stabilizer chain,
+whose orbit product may still certify S_k.  When G = S_k the class is
+every arrangement of k pebbles on the component holding them.  Only
+``solve`` searches labelled states by A* on summed goal distances (Hart,
+Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never
+wrong.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable
 
 from .errors import StateCapExceeded, ValidationError
 from .graphs import Graph, _mask_component, adjacency_masks
-from .permgroups import PermGroup
+from .permgroups import PermGroup, transposition
 
 GameState = tuple[int, ...]
 MoveSequence = list[GameState]
@@ -65,16 +68,20 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     """BFS the configuration graph from the vertex set of ``start``,
     transporting one labelled representative along the tree; every
     non-tree edge closes a loop and yields one generator of the group at
-    ``start``.  Transpositions go to a union-find over the k slots, the
-    rest to the stabilizer chain: k - 1 unions make a spanning tree of
-    transpositions, which generates S_k, as (a c) = (a b)(b c)(a b).
+    ``start``.  A representative is packed into one int, slot i's vertex
+    in the vb bits from i * vb, so a move rewrites one field.  A loop
+    transport that changes two fields is a transposition and goes to a
+    union-find over the k slots: k - 1 unions make a spanning tree of
+    transpositions, which generates S_k, as (a c) = (a b)(b c)(a b).  The
+    other transports wait in a list, and only a BFS that ends without
+    the tree sifts them into the stabilizer chain, in the order found,
+    stopping once the orbit product certifies S_k; the tree follows them.
 
     Returns (reps, group).  When the group is all of S_k, reps is the
     vertex bitmask of the component C holding the pebbles, and the class
     is every arrangement of k pebbles on C: a transposition moves pebbles
     of one component only, and inside a component every placement is
-    reachable.  The BFS stops as soon as the tree or the orbit product
-    certifies S_k.  Otherwise reps is {configuration bitmask: its
+    reachable.  Otherwise reps is {configuration bitmask: its
     representative}.  Raises StateCapExceeded up front when over ``cap``
     configurations are reachable.
     """
@@ -92,55 +99,70 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
         if reached > cap:
             raise StateCapExceeded(
                 f"configuration space with {reached} states exceeds cap {cap}")
-    target_order = factorial(k)
     group = PermGroup(k)
     if k == 1:
         return _mask_component(adj_masks, first), group
-    rep: dict[int, GameState] = {first: tuple(start)}
-    parent: dict[int, int] = {first: 0}
+    vb = (n - 1).bit_length()
+    field = (1 << vb) - 1
+    slots = range(0, k * vb, vb)        # the low bit of each slot's field
+    top = sum(1 << (s + vb - 1) for s in slots)
+    low = sum(field << s for s in slots) ^ top
+    rep: dict = {first: sum(v << s for v, s in zip(start, slots))}
     tree: list[tuple[int, ...]] = []    # transposition transports joining slots
     label = list(range(k))              # union-find over slots, by relabelling
-    add_perm = group._add_perm
+    loops: list[tuple[int, int]] = []   # other transports: (arrangement, configuration)
     queue = deque([first])
     pop = queue.popleft
     push = queue.append
     while queue:
         cfg = pop()
-        pos = rep[cfg]
+        code = rep[cfg]
         free = full ^ cfg
-        for slot in range(k):
-            u = pos[slot]
+        for s in slots:
+            u = code >> s & field
             m = adj_masks[u] & free
             if not m:
                 continue
             ubit = 1 << u
+            rest = code ^ u << s
             while m:
                 b = m & -m
                 m ^= b
-                ncfg = (cfg ^ ubit) | b
-                if ncfg in rep:
-                    if parent[cfg] == ncfg or cfg > ncfg:
-                        continue
-                    npos = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    moved = [i for i, v in enumerate(rep[ncfg]) if npos[i] != v]
-                    if len(moved) == 2:
-                        new, old = label[moved[0]], label[moved[1]]
-                        if new != old:
-                            label = [new if x == old else x for x in label]
-                            tree.append(tuple(map(rep[ncfg].index, npos)))
+                ncfg = cfg ^ ubit | b
+                old = rep.get(ncfg)
+                if old is None:
+                    rep[ncfg] = rest | (b.bit_length() - 1) << s
+                    push(ncfg)
+                elif cfg < ncfg:        # each non-tree edge once; tree edges transport to 0
+                    ncode = rest | (b.bit_length() - 1) << s
+                    x = ncode ^ old
+                    # one top bit per field of x that is not zero
+                    moved = (((x & low) + low) | x) & top
+                    if moved.bit_count() == 2:
+                        i = ((moved & -moved).bit_length() - 1) // vb
+                        j = (moved.bit_length() - 1) // vb
+                        new, gone = label[i], label[j]
+                        if new != gone:
+                            label = [new if y == gone else y for y in label]
+                            tree.append(transposition(k, i, j))
                             if len(tree) == k - 1:
                                 return _mask_component(adj_masks, first), PermGroup.symmetric(k, tree)
-                    elif (moved and add_perm(tuple(map(rep[ncfg].index, npos)))
-                            and group.order_lower_bound() == target_order):
-                        return _mask_component(adj_masks, first), group
-                else:
-                    rep[ncfg] = pos[:slot] + (b.bit_length() - 1,) + pos[slot + 1:]
-                    parent[ncfg] = cfg
-                    push(ncfg)
+                    elif x:
+                        loops.append((ncode, ncfg))
+    target_order = factorial(k)
+    add_perm = group._add_perm
+    for ncode, ncfg in loops:
+        old = rep[ncfg]
+        slot_of = {old >> s & field: i for i, s in enumerate(slots)}
+        if (add_perm(tuple(slot_of[ncode >> s & field] for s in slots))
+                and group.order_lower_bound() == target_order):
+            return _mask_component(adj_masks, first), group
     for t in tree:              # uncertified: the tree joins the chain
         add_perm(t)
     if group.order() == target_order:
         return _mask_component(adj_masks, first), group
+    for c, code in rep.items():     # unpacked in place: one table at a time
+        rep[c] = tuple(code >> s & field for s in slots)
     return rep, group
 
 

@@ -20,6 +20,9 @@ from .errors import StateCapExceeded, ValidationError
 
 Perm = tuple[int, ...]
 
+# degree -> (base, level generators, transversals) of S_k's standard chain
+_STANDARD_CHAINS: dict[int, tuple[list, list, list]] = {}
+
 
 def identity_perm(k: int) -> Perm:
     return tuple(range(k))
@@ -93,14 +96,20 @@ class PermGroup:
     @classmethod
     def symmetric(cls, degree: int, generators: list[Perm]) -> PermGroup:
         """S_k on its standard chain, base 0..k-2 with level i moved by the
-        (i j), j > i; no closure runs, so ``generators`` must generate S_k."""
+        (i j), j > i; no closure runs, so ``generators`` must generate S_k.
+        The chain is built once per degree and shared: every sift into a
+        complete chain ends on the identity, so nothing ever extends it."""
+        chain = _STANDARD_CHAINS.get(degree)
+        if chain is None:
+            chain = _STANDARD_CHAINS[degree] = ([], [], [])
+            for i in range(degree - 1):
+                moves = [transposition(degree, i, j) for j in range(i, degree)]
+                chain[0].append(i)
+                chain[1].append(moves[1:])      # moves[0] is the identity
+                chain[2].append({u[i]: (u, u) for u in moves})
         group = cls(degree)
         group.generators = generators
-        for i in range(degree - 1):
-            moves = [transposition(degree, i, j) for j in range(i, degree)]
-            group._base.append(i)
-            group._level_gens.append(moves[1:])     # moves[0] is the identity
-            group._trans.append({u[i]: (u, u) for u in moves})
+        group._base, group._level_gens, group._trans = map(list, chain)
         return group
 
     # -- chain internals ----------------------------------------------------

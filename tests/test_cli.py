@@ -81,6 +81,8 @@ def test_group_output(capsys, p5_file):
 THETA7 = {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5],
                            [5, 6], [6, 2], [1, 5]]}
 C6 = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}
+# a 4-cycle 4-1-3-2 with vertex 0 hanging off 4
+C4_PENDANT = {"n": 5, "edges": [[0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]}
 
 
 @pytest.mark.parametrize("doc, state, stdout", [
@@ -89,16 +91,22 @@ C6 = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}
      '{"degree": 5, "generators": [[0, 2, 1, 3, 4], [0, 4, 2, 3, 1], '
      '[4, 1, 2, 3, 0], [3, 1, 2, 0, 4]], "generators_cycles": ["(1 2)", '
      '"(1 4)", "(0 4)", "(0 3)"], "order": 120, "symmetric": true}\n'),
-    # S_4 from the stabilizer chain's orbit product, before a tree forms
+    # S_4 from a tree that forms late in the search: the other transports
+    # are never sifted
     (THETA7, "[6,1,2,3]",
-     '{"degree": 4, "generators": [[0, 2, 3, 1], [1, 2, 0, 3], [2, 0, 3, 1]], '
-     '"generators_cycles": ["(1 2 3)", "(0 1 2)", "(0 2 3 1)"], "order": 24, '
+     '{"degree": 4, "generators": [[1, 0, 2, 3], [2, 1, 0, 3], [0, 3, 2, 1]], '
+     '"generators_cycles": ["(0 1)", "(0 2)", "(1 3)"], "order": 24, '
      '"symmetric": true}\n'),
+    # S_3 from the stabilizer chain after a search without a tree: the
+    # 3-cycle, then the one transposition the tree holds
+    (C4_PENDANT, "[0,1,2]",
+     '{"degree": 3, "generators": [[1, 2, 0], [0, 2, 1]], "generators_cycles": '
+     '["(0 1 2)", "(1 2)"], "order": 6, "symmetric": true}\n'),
     # rotations only: three pebbles on a 6-cycle
     (C6, "[0,1,2]",
      '{"degree": 3, "generators": [[1, 2, 0]], "generators_cycles": '
      '["(0 1 2)"], "order": 3, "symmetric": false}\n'),
-], ids=["theta7-tree", "theta7-orbit-product", "c6-rotations"])
+], ids=["theta7-tree", "theta7-late-tree", "c4-pendant-chain", "c6-rotations"])
 def test_group_stdout_is_pinned(capsys, tmp_path, doc, state, stdout):
     f = tmp_path / "g.json"
     f.write_text(json.dumps(doc))

@@ -290,7 +290,30 @@ def test_classes_range_check():
     with pytest.raises(ValidationError):
         canonical_form(adjacency_masks(too_big))
     with pytest.raises(ValidationError):
-        augmentations(canonical_form(adjacency_masks(complete_graph(CLASSES_MAX_N)))[0])
+        augmentations(*canonical_form(adjacency_masks(complete_graph(CLASSES_MAX_N))))
+
+
+def test_tie_free_children_get_aut_by_orbit_stabilizer(monkeypatch):
+    # walk the class tree as the sweep does, parents in the labelling
+    # augmentations built; a child built without a canonical form has
+    # |Aut(parent)| / |orbit of its neighbourhood| automorphisms, which
+    # must be what its canonical form counts
+    import pebblekit.graphs as graphs
+    canonised = set()
+    canonical = graphs._canonical
+    monkeypatch.setattr(graphs, "_canonical",
+                        lambda adj: canonised.add(tuple(adj)) or canonical(adj))
+    level = [((), 1)]
+    tie_free = 0
+    for n in range(1, 8):
+        level = [c for p, aut in level for c in augmentations(p, aut)]
+        for adj, aut in level:
+            if adj not in canonised:
+                tie_free += 1
+                assert canonical(list(adj))[2] == aut, adj
+        assert sorted(canonical(list(adj))[0] for adj, _ in level) == sorted(
+            adj for adj, _ in connected_graph_classes(n)), n
+    assert tie_free > 500
 
 
 # ---------------------------------------------------------------------------

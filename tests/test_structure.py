@@ -3,7 +3,7 @@
 import itertools
 import random
 import time
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -13,7 +13,7 @@ from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               enumerate_connected_graphs, graph_from_masks,
                               is_bare_path, is_connected, is_cycle_graph)
 from pebblekit.pebbles import _config_group, reachable_states
-from pebblekit.permgroups import transposition
+from pebblekit.permgroups import PermGroup, transposition
 from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
                                  pebble_group_fast, pebble_permutation_group,
                                  rb_colouring, structure_witness,
@@ -123,9 +123,10 @@ def test_fast_group_matches_state_space_group():
 
 def test_config_group_matches_harvest_on_every_class():
     # every connected class with n <= 6 and every k <= n - 1 at the base
-    # state.  Transpositions never enter the chain, so a symmetric group
-    # whose generators are all transpositions comes from the union-find
-    # certificate; it must hold k - 1 of them, joining the k slots.
+    # state.  Transpositions enter the chain only after the other
+    # transports, so a symmetric group whose generators are all
+    # transpositions comes from the union-find certificate; it must hold
+    # k - 1 of them, joining the k slots.
     certified = 0
     for n in range(2, 7):
         for masks, _ in connected_graph_classes(n):
@@ -145,6 +146,67 @@ def test_config_group_matches_harvest_on_every_class():
                     comp |= {x for m in moved if comp & set(m) for x in m}
                 assert comp == set(base), (masks, k, grp.generators)
     assert certified > 0
+
+
+def _width_cases(n):
+    """Graphs on n vertices: a path, a cycle, a triangle with a tail, a
+    cycle with a chord, and a triangle beside a path (disconnected)."""
+    tail = [(i, i + 1) for i in range(2, n - 1)]
+    out = [("path", [(i, i + 1) for i in range(n - 1)])]
+    if n >= 3:
+        out.append(("cycle", [(i, (i + 1) % n) for i in range(n)]))
+    if n >= 4:
+        out.append(("lollipop", [(0, 1), (1, 2), (0, 2)] + tail))
+        out.append(("theta", [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)]))
+        out.append(("split", [(0, 1), (1, 2), (0, 2)] + tail[1:]))
+    return [(name, Graph.from_edges(n, edges)) for name, edges in out]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17])
+def test_config_group_matches_harvest_across_field_widths(n):
+    # a packed representative gives each slot (n - 1).bit_length() bits,
+    # which grows at n = 3, 5, 9 and 17; pebbles start on the lowest and
+    # on the highest vertices
+    for name, g in _width_cases(n):
+        masks = adjacency_masks(g)
+        for k in sorted({1, 2, n - 1, n} if n < 16 else {1, 2, 3}):
+            if name == "theta" and perm(n, k) > 50_000:
+                continue         # 9! labelled states; the cycle covers k = 8
+            for start in (tuple(range(k)), tuple(range(n - 1, n - 1 - k, -1))):
+                reps, grp = _config_group(masks, n, start)
+                want = harvest_group(g, start)
+                case = (name, n, start)
+                assert grp.order() == want.order(), case
+                for i, j in itertools.combinations(range(k), 2):
+                    t = transposition(k, i, j)
+                    assert (t in grp) == (t in want), (case, i, j)
+                reached = labelled_class(g, start)
+                if grp.is_symmetric():
+                    assert {sum(1 << v for v in s) for s in reached} == {
+                        sum(1 << v for v in s) for s in itertools.permutations(
+                            [v for v in range(n) if reps >> v & 1], k)}, case
+                else:
+                    assert set(reps.values()) <= reached, case
+                    assert set(reps) == {sum(1 << v for v in s) for s in reached}, case
+                    assert all(sum(1 << v for v in r) == c for c, r in reps.items()), case
+
+
+def test_tree_certified_query_sifts_nothing(monkeypatch):
+    # both THETA7 queries end on the transposition tree, so no transport
+    # reaches the stabilizer chain; a search that ends without a tree
+    # sifts its transports, then the tree
+    sifts = []
+    real = PermGroup._add_perm
+    monkeypatch.setattr(PermGroup, "_add_perm",
+                        lambda self, p: sifts.append(p) or real(self, p))
+    theta7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
+                                  (5, 6), (6, 2), (1, 5)])
+    for start in ((0, 1, 2, 3, 4), (6, 1, 2, 3)):
+        assert pebble_permutation_group(theta7, start).is_symmetric()
+    assert sifts == []
+    c4_pendant = Graph.from_edges(5, [(0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
+    assert pebble_permutation_group(c4_pendant, (0, 1, 2)).is_symmetric()
+    assert sifts == [(1, 2, 0), (0, 2, 1)]
 
 
 def _connected_without(adj, v):
@@ -395,16 +457,19 @@ def test_sweep_failures_name_representatives(monkeypatch):
 
 
 def test_sweep_generates_each_class_once(monkeypatch):
-    # one canonical form per parent for its automorphisms and one per
-    # child orbit that passes the invariant; generating every level below
-    # n_max again, or every neighbourhood of a parent, took 370
+    # one canonical form per parent with automorphisms, for their
+    # generators, and one per child whose deletion invariant ties; a
+    # child that passes the invariant alone gets |Aut| by orbit-stabilizer.
+    # A canonical form for every parent and for every child that passes
+    # the invariant took 177; every level below n_max again, or every
+    # neighbourhood of a parent, took 370
     import pebblekit.graphs as graphs
     calls = []
     canonical = graphs._canonical
     monkeypatch.setattr(graphs, "_canonical",
                         lambda adj: calls.append(1) or canonical(adj))
     assert verify_structure_theorem(6, workers=1)["checked"] == 109_080
-    assert len(calls) <= 180
+    assert len(calls) <= 108
 
 
 def test_sweep_parallel_agrees(monkeypatch):
