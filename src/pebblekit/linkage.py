@@ -205,7 +205,7 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
                                       present, bounds[i])
             for v in paths[i]:
                 sharers[v] += 1
-        shared = [v for v, c in enumerate(sharers) if c > 1]
+        shared = {v for p in paths for v in p if sharers[v] > 1}
         if not shared:
             return paths
         for v in shared:
@@ -241,17 +241,19 @@ def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
                    sharers: list[int], present: float, h: list[int]) -> list[int]:
     """A* from s to e under the router's vertex costs.  ``h`` comes from
     ``_hop_bound``, which has shown e reachable; it is consistent, so no
-    vertex is expanded twice and the path is a cheapest one."""
-    dist = {s: 0.0}
-    parent: dict[int, int | None] = {s: None}
+    vertex is expanded twice and the path is a cheapest one.  Distances
+    and parents are lists indexed by window vertex."""
+    dist = [float("inf")] * len(adj)
+    parent = [-1] * len(adj)
+    dist[s] = 0.0
     heap = [(h[s], 0.0, s)]
     while True:
         _, d, u = heapq.heappop(heap)
         if u == e:
-            path = []
-            while u is not None:
-                path.append(u)
+            path = [u]
+            while u != s:
                 u = parent[u]
+                path.append(u)
             return path[::-1]
         if d > dist[u]:
             continue
@@ -259,7 +261,7 @@ def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
             if w in avoid:
                 continue
             nd = d + (1 + history[w]) * (1 + present * sharers[w])
-            if nd < dist.get(w, float("inf")):
+            if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = u
                 heapq.heappush(heap, (nd + h[w], nd, w))

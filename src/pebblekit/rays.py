@@ -10,9 +10,10 @@ shells give vertex-disjoint witnesses by construction; eventual
 periodicity of the worlds makes the edge set eventually constant.  The
 answer is a certified finite observation, never a proof about the
 infinite world.  ``ray_graph`` decides the rule on bitmasks of the
-deepest window: shells and rays are masks, and each pair's search is a
-flood fill by shifts over step masks that repeat two levels of the
-neighbour rule over the window.
+deepest window: shells and rays are masks, and step masks repeat two
+levels of the neighbour rule over the window.  Each pair's search takes
+one frontier step, then fills whole runs: a run along the row in one
+addition, and a run in any other direction by doubling the shift.
 """
 
 from __future__ import annotations
@@ -75,21 +76,58 @@ def check_disjoint_rays(rays: list[RaySpec], traces: list[list], depth: int) -> 
 
 def _reaches(step: dict[int, int], src: int, dst: int, allowed: int) -> bool:
     """Is there a path inside ``allowed`` from a ``src`` bit to a ``dst``
-    bit?  A flood fill by shifts: ``step[s]`` holds the vertices whose
-    neighbour lies s bits away."""
-    frontier = src & allowed
-    unseen = allowed ^ frontier
-    while frontier:
-        if frontier & dst:
+    bit?  ``step[s]`` holds the vertices whose neighbour lies s bits away.
+
+    One frontier step comes first, with no set-up: product floods and
+    other short ones end there.  After it every shift fills whole runs.
+    ``pro[s][0]`` holds the allowed vertices that a step by s enters.  The
+    step by +1 fills every run in one addition: with ``a = pro[1][0] |
+    reached``, the carry of ``a + reached`` runs from the lowest reached
+    bit of each run of ``a`` to the run's top and clears it, so
+    ``a & ~(a + reached)`` holds that stretch.  Every other shift fills by
+    doubling (Kogge & Stone 1973): ``pro[s][i]`` holds the vertices that
+    2^i steps by s in a row enter through allowed vertices, built only
+    once level i - 1 has grown ``reached``.  The passes over the shifts
+    repeat until ``dst`` is hit or a pass adds nothing, so the reachable
+    set is the one a frontier flood finds.
+    """
+    reached = src & allowed
+    if reached & dst:
+        return True
+    grown = 0
+    for s, movers in step.items():
+        f = reached & movers
+        if f:
+            grown |= f << s if s > 0 else f >> -s
+    grown &= allowed & ~reached
+    if not grown:
+        return False
+    if grown & dst:
+        return True
+    reached |= grown
+    pro = {s: [allowed & (m << s if s > 0 else m >> -s)] for s, m in step.items()}
+    while True:
+        before = reached
+        for s, levels in pro.items():
+            if s == 1:
+                a = levels[0] | reached
+                reached |= a & ~(a + reached)
+                continue
+            i, t = 0, s
+            while True:
+                filled = reached | (reached << t if t > 0 else reached >> -t) & levels[i]
+                if filled == reached:
+                    break
+                reached = filled
+                i += 1
+                if i == len(levels):
+                    p = levels[-1]
+                    levels.append(p & (p << t if t > 0 else p >> -t))
+                t += t
+        if reached & dst:
             return True
-        grown = 0
-        for s, movers in step.items():
-            f = frontier & movers
-            if f:
-                grown |= f << s if s > 0 else f >> -s
-        frontier = grown & unseen
-        unseen ^= frontier
-    return False
+        if reached == before:
+            return False
 
 
 def _mask(bits: list[int]) -> int:

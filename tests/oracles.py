@@ -209,6 +209,25 @@ def coordinate_ray_graph(w, rays, d0: int) -> RayGraph:
                     stabilized=(e0 == e1), depth_range=(d0, deepest))
 
 
+def frontier_reaches(step: dict[int, int], src: int, dst: int, allowed: int) -> bool:
+    """``rays._reaches`` by a plain frontier flood: each iteration moves
+    the frontier one step by every shift, where ``step[s]`` holds the
+    vertices whose neighbour lies s bits away."""
+    frontier = src & allowed
+    unseen = allowed ^ frontier
+    while frontier:
+        if frontier & dst:
+            return True
+        grown = 0
+        for s, movers in step.items():
+            f = frontier & movers
+            if f:
+                grown |= f << s if s > 0 else f >> -s
+        frontier = grown & unseen
+        unseen ^= frontier
+    return False
+
+
 def vertexwise_steps(w, box, keep: int) -> dict[int, int]:
     """``rays._steps`` by one ``world_neighbors`` call per ``keep`` vertex
     of the rectangle ``box``: ``step[s]`` holds the vertices whose

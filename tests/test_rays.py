@@ -7,13 +7,14 @@ import pytest
 
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import Graph
-from pebblekit.rays import (ANNULI, RING_WIDTH, RayGraph, _steps,
+from pebblekit.rays import (ANNULI, RING_WIDTH, RayGraph, _reaches, _steps,
                             is_linear_family, ray_graph)
 from pebblekit.worlds import (DEFAULT_WINDOW_CAP, RaySpec, _window_box,
                               canonical_rays, make_world, truncate, world_norm)
 
 from conftest import cycle_graph, path_graph, star_graph
-from oracles import contains_subgraph, coordinate_ray_graph, vertexwise_steps
+from oracles import (contains_subgraph, coordinate_ray_graph, frontier_reaches,
+                     vertexwise_steps)
 
 
 def test_half_grid_columns_form_a_path():
@@ -129,17 +130,22 @@ def test_steps_match_vertexwise_oracle(d0):
         assert _steps(w, box, keep) == vertexwise_steps(w, box, keep), w
 
 
+def _coordinate_search_worlds():
+    """One world of each kind, with the number of canonical rays it
+    supplies to the coordinate-search comparison."""
+    return [(make_world("full-grid"), 9), (make_world("half-grid"), 7),
+            (make_world("hex-half-grid"), 4),
+            (make_world("product-Z", base=Graph.from_edges(
+                4, [(0, 1), (1, 2), (2, 3), (0, 2)])), 4),
+            (make_world("product-N", base=cycle_graph(5)), 5),
+            (make_world("dominated-ray", k=3), 4)]
+
+
 @pytest.mark.parametrize("d0", [1, 2, 3, 5, 8, 11])
 def test_ray_graph_matches_coordinate_search(d0):
     # the bitmask kernel against a breadth-first search over the shells'
     # coordinates, on shuffled canonical families of every supplied size
-    worlds = [(make_world("full-grid"), 9), (make_world("half-grid"), 7),
-              (make_world("hex-half-grid"), 4),
-              (make_world("product-Z", base=Graph.from_edges(
-                  4, [(0, 1), (1, 2), (2, 3), (0, 2)])), 4),
-              (make_world("product-N", base=cycle_graph(5)), 5),
-              (make_world("dominated-ray", k=3), 4)]
-    for w, supply in worlds:
+    for w, supply in _coordinate_search_worlds():
         for m in range(1, supply + 1):
             family = canonical_rays(w, m)
             random.Random(m).shuffle(family)
@@ -151,6 +157,36 @@ def test_ray_graph_matches_coordinate_search(d0):
     fg = make_world("full-grid")
     family = canonical_rays(fg, 4) + [RaySpec(fg, ((2, d0 + 5),), ((0, 1),), 9)]
     assert ray_graph(fg, family, d0) == coordinate_ray_graph(fg, family, d0)
+
+
+@pytest.mark.parametrize("d0", [1, 4, 14, 40, 120])
+def test_reaches_matches_frontier_flood(d0):
+    # the run fill against a one-step flood, on the step masks of each world
+    # kind, with dense (3/4), half and sparse (1/4) random allowed sets
+    # and one to three src and dst vertices in the shell
+    rng = random.Random(d0)
+    for w, _ in _coordinate_search_worlds():
+        box, keep = _shell(w, d0)
+        step = _steps(w, box, keep)
+        x0, x1, y0, y1 = box
+        n = (x1 - x0 + 1) * (y1 - y0 + 1)
+        shell = [b for b, bit in enumerate(reversed(bin(keep))) if bit == "1"]
+        for _ in range(8):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            for allowed in (a | b, a, a & b):
+                src, dst = (sum(1 << v for v in rng.sample(shell, rng.randint(1, 3)))
+                            for _ in range(2))
+                assert _reaches(step, src, dst, allowed) \
+                    == frontier_reaches(step, src, dst, allowed), (w.kind, d0)
+
+
+@pytest.mark.parametrize("d0", [40, 120])
+def test_ray_graph_matches_coordinate_search_in_deep_windows(d0):
+    fg, hg = make_world("full-grid"), make_world("half-grid")
+    for w, m in ((fg, 4), (fg, 6), (hg, 5)):
+        family = canonical_rays(w, m)
+        assert ray_graph(w, family, d0) == coordinate_ray_graph(w, family, d0), \
+            (w.kind, m)
 
 
 def test_ray_graph_traces_each_ray_once(monkeypatch):
