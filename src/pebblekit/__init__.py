@@ -10,17 +10,15 @@ graphs, linkages) answers them at a chosen window depth and says so.
 from .errors import (GraphParseError, LinkageCheckError, NoLinkageError,
                      PebbleKitError, ResourceCapError, StateCapExceeded,
                      ValidationError, WindowCapExceeded)
-from .graphs import (BarePath, Graph, bridges, enumerate_connected_graphs,
-                     is_bare_path, is_connected, is_cycle_graph,
+from .graphs import (BarePath, Graph, bridges, is_connected, is_cycle_graph,
                      maximal_bare_paths, parse_graph)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, MoveSequence,
                       is_achievable, legal_moves, reachable_states, solve,
                       validate_move_sequence)
 from .permgroups import PermGroup, compose, cycle_notation, inverse, transposition
 from .structure import (BarePathWitness, StructureReport, is_k_pebble_win,
-                        pebble_group_fast, pebble_permutation_group,
-                        rb_colouring, structure_witness,
-                        verify_structure_theorem)
+                        pebble_permutation_group, rb_colouring,
+                        structure_witness, verify_structure_theorem)
 from .worlds import (RaySpec, Truncation, World, canonical_rays,
                      chebyshev_ball, make_world, truncate)
 from .rays import RayGraph, is_linear_family, ray_graph
@@ -36,11 +34,10 @@ __all__ = [
     "StateCapExceeded", "StructureReport", "Truncation", "ValidationError",
     "WindowCapExceeded", "World", "bridges", "canonical_rays",
     "check_linkage", "chebyshev_ball", "compose", "cycle_notation",
-    "enumerate_connected_graphs", "find_linkage",
-    "graph_to_dot", "inverse", "is_achievable", "is_bare_path",
+    "find_linkage", "graph_to_dot", "inverse", "is_achievable",
     "is_connected", "is_cycle_graph", "is_k_pebble_win", "is_linear_family",
     "legal_moves", "make_world", "maximal_bare_paths", "parse_graph",
-    "pebble_group_fast", "pebble_permutation_group", "ray_graph",
+    "pebble_permutation_group", "ray_graph",
     "rb_colouring", "reachable_states", "realize_transition", "solve",
     "structure_witness", "transposition", "truncate",
     "truncation_to_dot", "validate_move_sequence", "verify_structure_theorem",

@@ -105,13 +105,6 @@ def _parse_positions(text: str, m: int) -> list[int]:
     return out
 
 
-def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -315,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PebbleKitError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"pebblekit: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(doc, args.pretty)
+    print(json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True))
     return EXIT_OK
 
 

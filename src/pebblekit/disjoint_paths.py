@@ -3,10 +3,13 @@
 Frontier dynamic programming along a fixed vertex order, with mate-array
 states as in frontier-based search (Yoshinaka et al., "Finding all
 solutions and instances of Numberlink and Slitherlink by ZDDs",
-Algorithms 2012; Kawahara et al., IEICE 2017).  A state records, for every open end of a path fragment
-among the processed vertices, what lies at the fragment's other end: the
-source or target of walk i when the fragment is anchored at a terminal,
-and otherwise the partner open end itself.  A fragment with no terminal
+Algorithms 2012; Kawahara et al., IEICE 2017).  A state records, for
+every open end of a path fragment among the processed vertices, what
+lies at the fragment's other end: walk i alone when the fragment is
+anchored at a terminal of walk i, and otherwise the partner open end
+itself.  Which of walk i's two terminals an anchored end came from is
+not recorded: the two anchored ends of one walk complete it whenever
+they meet, and paths are undirected.  A fragment with no terminal
 carries no walk label, so states that differ only in which walk will
 later claim a floating fragment coincide.  On window graphs the sweep
 order keeps the frontier one column (or one level) wide.  ``linkage``
@@ -22,9 +25,9 @@ from typing import Iterable, Sequence
 from .errors import ResourceCapError, ValidationError
 
 # the label of an open end v names the far end of v's fragment:
-#   ("s", i) / ("t", i)  the fragment is anchored at walk i's source / target
-#   u (a vertex)         the fragment floats; u is its other open end, and
-#                        u == v for a lone vertex, which takes two more edges
+#   ~i < 0        the fragment is anchored at a terminal of walk i
+#   u >= 0        the fragment floats; u (a vertex) is its other open end,
+#                 and u == v for a lone vertex, which takes two more edges
 
 DP_STATE_CAP = 6_000
 
@@ -42,7 +45,7 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
     past that budget the call raises ResourceCapError rather than answer.
     """
     blocked_set = set(blocked)
-    term_of: dict[int, tuple[str, int]] = {}
+    term_of: dict[int, int] = {}
     for i, (s, t) in enumerate(terminals):
         if s in blocked_set or t in blocked_set:
             raise ValidationError(f"terminal of walk {i} is blocked")
@@ -50,10 +53,10 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
             # a single-vertex path: claim the vertex, nothing to route
             blocked_set.add(s)
             continue
-        for v, kind in ((s, "s"), (t, "t")):
+        for v in (s, t):
             if v in term_of:
                 raise ValidationError(f"terminal vertex {v} used twice")
-            term_of[v] = (kind, i)
+            term_of[v] = ~i
     if len(order) != n or sorted(order) != list(range(n)):
         raise ValidationError("order must be a permutation of the vertices")
 
@@ -96,8 +99,8 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
     return () in states
 
 
-def _join(labels: dict[int, object], v: int, chosen: tuple[int, ...],
-          term: tuple[str, int] | None) -> dict[int, object] | None:
+def _join(labels: dict[int, int], v: int, chosen: tuple[int, ...],
+          term: int | None) -> dict[int, int] | None:
     """Labels after v joins the open ends ``chosen``; None when invalid."""
     if len(chosen) == 2 and labels[chosen[0]] == chosen[1]:
         return None  # both ends of one fragment: a cycle
@@ -108,19 +111,17 @@ def _join(labels: dict[int, object], v: int, chosen: tuple[int, ...],
     far.extend(labels.pop(w) for w in chosen)
     far.extend([v] * (2 - len(far)))
     a, b = far
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        # two anchored ends meet: valid only as the source and target of
-        # one walk, which is then complete
-        return labels if a[1] == b[1] else None
-    if isinstance(a, tuple):
-        a, b = b, a
-    labels[a] = b
-    if not isinstance(b, tuple):
-        labels[b] = a
+    if a < 0 and b < 0:
+        # two anchored ends meet: valid only as the two ends of one walk,
+        # which is then complete
+        return labels if a == b else None
+    for x, y in ((a, b), (b, a)):     # an open end names the other far end
+        if x >= 0:
+            labels[x] = y
     return labels
 
 
-def _retire_and_add(new_states: set, labels: dict[int, object], step: int,
+def _retire_and_add(new_states: set, labels: dict[int, int], step: int,
                     retire_after: list[int]) -> None:
     # a vertex whose neighbours are all processed can never take another
     # edge; an open end stranded there kills the state

@@ -288,6 +288,7 @@ def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
+# kept for perfbench/workloads/sweep.py, whose traced replay walks labelled graphs
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected labelled graph on n vertices, exactly once.
 
@@ -553,6 +554,7 @@ def connected_graph_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
 # Bare paths
 # ---------------------------------------------------------------------------
 
+# kept for perfbench/workloads/game.py, which checks structure witnesses with it
 def is_bare_path(g: Graph, seq: BarePath) -> bool:
     """Check the bare-path invariants: a path whose interior vertices all
     have degree exactly 2 in the host graph."""

@@ -12,13 +12,14 @@ forced ray prefixes removed).  On grid windows a pairing whose terminals
 interleave around the rim is refuted at once by planarity.  Otherwise the
 paths are routed by negotiated congestion, each walk along a cheapest
 path found by A* on hop distances, and the routed linkage is
-returned once ``check_linkage`` accepts it.  A pairing the router cannot
-route goes to the exact frontier DP of ``disjoint_paths``: a refutation
-rules the pairing out, and a pairing the DP proves feasible, or cannot
-decide within its state cap, ends the search in ResourceCapError, a
-typed refusal rather than an answer.  Infeasibility is always reported
-as depth-limited: a window that admits no linkage says nothing about
-deeper windows.
+returned once ``check_linkage`` accepts it; a pair cut off from its
+other end refutes the pairing before any routing.  A pairing the router
+cannot route goes to the exact frontier DP of ``disjoint_paths``: a
+refutation rules the pairing out, and a pairing the DP proves feasible,
+or cannot decide within its state cap, ends the search in
+ResourceCapError, a typed refusal rather than an answer.  Infeasibility
+is always reported as depth-limited: a window that admits no linkage
+says nothing about deeper windows.
 
 ``check_linkage`` re-walks a claimed linkage vertex by vertex and is
 deliberately independent of the search: it reads the rays' window
@@ -175,7 +176,7 @@ def _reduce(src_pos: list[list[int]], tgt_pos: list[list[int]],
 
 
 def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
-    """Vertex-disjoint paths joining each terminal pair, or None.
+    """Vertex-disjoint paths joining each terminal pair, False, or None.
 
     Negotiated congestion as in PathFinder (McMurchie & Ebeling, FPGA
     1995).  Each round rips up every walk in turn and reroutes it along its
@@ -184,15 +185,17 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
     counts the other walks on v.  A round that ends with shared vertices
     raises their history and multiplies ``present``, so walks learn to go
     round the contested vertices.  Cheapest paths are found by A* on hop
-    distances to the pair's end, computed once per pair.  None means a
-    terminal pair is disconnected (found before any routing) or the budget
-    of ROUTE_ROUNDS ran out; it proves nothing.
+    distances to the pair's end, computed once per pair.  Returns the
+    paths, one per pair, vertex-disjoint and off ``blocked``; or False, a
+    refutation found before any routing: some pair has no path avoiding
+    ``blocked`` and the other pairs' ends, which its path may not touch;
+    or None when the budget of ROUTE_ROUNDS ran out, which proves nothing.
     """
     ends = {v for pair in terminals for v in pair}
     avoid = [blocked | (ends - {s, e}) for s, e in terminals]
     bounds = [_hop_bound(adj, s, e, av) for (s, e), av in zip(terminals, avoid)]
     if None in bounds:
-        return None
+        return False
     history = [0] * len(adj)
     sharers = [0] * len(adj)
     paths: list[list[int]] = [[] for _ in terminals]
@@ -312,8 +315,9 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     three steps: a pairing whose terminals interleave around the rim of a
     grid window is refuted by the planarity certificate; otherwise it is
     routed (A* per walk, under negotiated congestion), and a routed
-    witness passes ``check_linkage`` before it is returned; when routing
-    fails, the frontier DP decides the pairing.
+    witness passes ``check_linkage`` before it is returned, while a pair
+    the router finds cut off refutes the pairing; when routing runs out
+    of rounds, the frontier DP decides the pairing.
     NoLinkageError means every pairing was refuted, exactly for this
     window and reported as depth-limited, never as a statement about the
     infinite world.
@@ -346,6 +350,8 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
             continue
         terminals, blocked = reduced
         paths = _route(adj, terminals, blocked)
+        if paths is False:
+            continue
         if paths is not None:
             lk = Linkage(sigma=sg, after=X,
                          paths={i: _connector(p, tgt_pos[sg[i]])

@@ -1,16 +1,11 @@
 """Group-level structure of the pebble-pushing game.
 
-The pebble-permutation group of a state is computed on the space of
-unordered pebble configurations, which has C(n, k) points instead of the
-n!/(n-k)! labelled states.  The labelled state space is a covering of
-that configuration graph, so the group is generated by the loop
-transports of the non-tree edges of any spanning tree (one permutation
-per non-tree edge).  That BFS lives in ``pebbles._config_group``, which
-also answers reachability, and the caps here bound configurations, not
-labelled states.  It stops once transpositions joining all k pebbles
-certify S_k, and sifts its other transports into a stabilizer chain only
-when they do not; at S_k every arrangement of k pebbles on their
-component is reachable.  A labelled-state oracle checks it.
+The pebble-permutation group of a state comes from the BFS over the
+C(n, k) unordered pebble configurations in ``pebbles._config_group``
+(loop transports of the non-tree edges, and S_k certified by
+transpositions), so the caps here bound configurations, not labelled
+states.  ``pebble_permutation_group`` is the one door to it: every
+group this module reads outside the sweep comes through there.
 
 The sweep walks the class tree of ``graphs.augmentations``: each class
 is a representative in the labelling its parent gave it, with |Aut G|,
@@ -29,13 +24,13 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 from .errors import PebbleKitError, ValidationError
 from .graphs import (CLASSES_MAX_N, Graph, adjacency_masks, augmentations,
-                     bridges, graph_from_masks, is_connected, is_cycle_graph,
-                     maximal_bare_paths)
+                     bridges, graph_from_masks, is_cycle_graph,
+                     mask_connected, maximal_bare_paths)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, _config_group,
                       validate_state)
 from .permgroups import PermGroup, transposition
@@ -64,20 +59,24 @@ def pebble_permutation_group(g: Graph, start: GameState,
     chain.
     """
     s = validate_state(g, start)
-    if not is_connected(g):
+    adj = adjacency_masks(g)
+    if not mask_connected(g.n, adj):
         raise ValidationError("graph must be connected")
-    return _config_group(adjacency_masks(g), g.n, s, cap)[1]
+    return _config_group(adj, g.n, s, cap)[1]
 
 
+def _base_group(g: Graph, k: int, cap: int) -> PermGroup:
+    if not (1 <= k <= g.n):     # before the base state (0, ..., k-1) is built
+        raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
+    return pebble_permutation_group(g, tuple(range(k)), cap)
+
+
+# kept for perfbench/workloads/game.py and sweep.py, which unpack the pair
 def pebble_group_fast(g: Graph, k: int,
                       cap: int = DEFAULT_STATE_CAP) -> tuple[bool, PermGroup]:
-    """(connected configuration space, group at the base state) for k
-    pebbles.  ``cap`` bounds the configurations searched."""
-    if not (1 <= k <= g.n):
-        raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
-    reps, group = _config_group(adjacency_masks(g), g.n, tuple(range(k)), cap)
-    reached = comb(reps.bit_count(), k) if isinstance(reps, int) else len(reps)
-    return reached == comb(g.n, k), group
+    """(True, the group at the base state (0, ..., k-1)): on a connected
+    graph, the only kind accepted, all configurations reach each other."""
+    return True, _base_group(g, k, cap)
 
 
 def is_k_pebble_win(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -87,9 +86,7 @@ def is_k_pebble_win(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> bool:
     when the group at the base state is all of S_k.  ``cap`` bounds the
     configurations searched.
     """
-    if not is_connected(g):
-        raise ValidationError("graph must be connected")
-    return pebble_group_fast(g, k, cap)[1].is_symmetric()
+    return _base_group(g, k, cap).is_symmetric()
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +169,9 @@ def structure_witness(g: Graph, k: int,
     colouring of the base state (0, ..., k-1).  ``cap`` bounds the
     configurations searched.
     """
-    if not is_connected(g):
-        raise ValidationError("graph must be connected")
     if g.n < k + 2:
         raise ValidationError(f"need at least k+2 = {k + 2} vertices, got {g.n}")
-    group = pebble_group_fast(g, k, cap)[1]
+    group = _base_group(g, k, cap)
     if group.is_symmetric():
         return StructureReport(pebble_win=True, witness=None, colouring=None)
     witness = _find_witness(g, k)

@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import ValidationError, WindowCapExceeded
-from .graphs import Graph, _is_int, is_connected, parse_graph
+from .graphs import PARSE_MAX_N, Graph, _is_int, is_connected, parse_graph
 
 Coord = tuple[int, int]
 
@@ -72,9 +72,11 @@ class World:
                 raise ValidationError("product base must be non-empty and connected")
             row = self.base
         if self.kind == "dominated-ray":
-            if self.k is None or self.k < 1:
-                raise ValidationError("dominated-ray requires k >= 1")
-            # the star K_{1,k}: spine 0, handles 1..k
+            # the star K_{1,k}: spine 0, handles 1..k; at most as many
+            # vertices as a parsed graph
+            if self.k is None or not 1 <= self.k < PARSE_MAX_N:
+                raise ValidationError(
+                    f"dominated-ray requires 1 <= k <= {PARSE_MAX_N - 1}")
             row = Graph.from_edges(self.k + 1, [(0, j) for j in range(1, self.k + 1)])
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "half", self.kind not in ("full-grid", "product-Z"))

@@ -283,6 +283,21 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["option", "file"])
+def test_huge_dominated_ray_k_exits_2_at_once(capsys, tmp_path, source):
+    if source == "option":
+        world = ["--world", "dominated-ray", "--world-k", str(10 ** 18)]
+    else:
+        f = tmp_path / "world.json"
+        f.write_text(json.dumps({"kind": "dominated-ray", "k": 10 ** 18}))
+        world = ["--world-file", str(f)]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "raygraph", *world, "--rays", "canonical:2",
+                             "--d0", "4")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out is None and "dominated-ray requires" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["linkage", "--world", "half-grid", "--rays", "canonical:2", "--depth", "4",
      "--source", "0,5", "--target", "0,1"],
@@ -481,8 +496,9 @@ def _opts(**strategies):
         lambda opts: [o for o in opts if o is not None])
 
 
-_world = st.sampled_from(["half-grid", "full-grid", "hex-half-grid"]).map(
+_world = (st.sampled_from(["half-grid", "full-grid", "hex-half-grid"]).map(
     lambda w: ["--world", w])
+    | _num.map(lambda k: ["--world", "dominated-ray", f"--world-k={k}"]))
 _ray_family = _num.map(lambda m: ["--rays", f"canonical:{m}"])
 
 

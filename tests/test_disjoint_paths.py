@@ -49,11 +49,14 @@ def brute_force(n, adj, terminals, blocked):
 
 def check_routed(adj, terminals, blocked, want):
     """The router may miss a feasible family, but what it returns must be
-    one: vertex-disjoint paths avoiding ``blocked``, one per terminal pair."""
+    one: vertex-disjoint paths avoiding ``blocked``, one per terminal pair;
+    and when it refutes the pairs (False), brute force must agree."""
     paths = _route(adj, terminals, set(blocked))
     if paths is None:
         return
-    assert want, (terminals, sorted(blocked))
+    assert want == (paths is not False), (terminals, sorted(blocked))
+    if paths is False:
+        return
     used = set()
     for (s, t), path in zip(terminals, paths):
         assert path[0] == s and path[-1] == t
@@ -99,6 +102,19 @@ def test_state_cap(monkeypatch):
              (t.index_of((-3, 3)), t.index_of((3, -3)))]
     with pytest.raises(ResourceCapError):
         disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms)
+
+
+def test_anchored_ends_carry_their_walk_only():
+    # an open end anchored at a terminal does not say which of its walk's
+    # two terminals it came from, so this instance, which took over
+    # DP_STATE_CAP states while it did, is decided; the router's paths
+    # are the witness
+    t = truncate(make_world("full-grid"), 3)
+    adj = t.graph.adjacency()
+    terms = [(43, 45), (21, 4), (19, 22)]
+    assert disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms)
+    check_routed(adj, terms, (), True)
+    assert _route(adj, terms, set())
 
 
 def test_fuzz_against_brute_force():

@@ -421,10 +421,26 @@ def test_router_refuses_a_disconnected_pair_before_routing(monkeypatch):
     monkeypatch.setattr(linkage, "_cheapest_path", no_search)
     # 0-1-2 and 3-4 are two components
     adj = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]).adjacency()
-    assert linkage._route(adj, [(0, 2), (3, 1)], set()) is None
+    assert linkage._route(adj, [(0, 2), (3, 1)], set()) is False
     # an end cut off by another pair's ends or by blocked vertices
-    assert linkage._route(adj, [(0, 2), (1, 1)], set()) is None
-    assert linkage._route(adj, [(0, 2)], {1}) is None
+    assert linkage._route(adj, [(0, 2), (1, 1)], set()) is False
+    assert linkage._route(adj, [(0, 2)], {1}) is False
+
+
+@pytest.mark.parametrize("perm", [(3, 1, 0, 2), (0, 2, 3, 1), (2, 3, 1, 0)])
+def test_cut_off_pair_refutes_without_the_dp(monkeypatch, perm):
+    # after the radius-2 ball at depth 4, some terminal pair of each of
+    # these pairings is cut off from its other end, so the router refutes
+    # the pairing before any routing; the DP alone caps on all three
+    def no_dp(*args):
+        raise AssertionError("a cut-off pair reached the DP")
+
+    monkeypatch.setattr(linkage, "disjoint_paths_exist", no_dp)
+    fg = make_world("full-grid")
+    t = truncate(fg, 4)
+    rays = canonical_rays(fg, 4)
+    with pytest.raises(NoLinkageError):
+        find_linkage(t, rays, rays, chebyshev_ball(t, 2), dict(enumerate(perm)))
 
 
 def test_fixed_sigma_probe_outcomes():

@@ -70,8 +70,17 @@ def test_win_examples(p5, c6, k4):
 
 def test_win_requires_connected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValidationError):
-        is_k_pebble_win(g, 1)
+    for call in (is_k_pebble_win, pebble_group_fast):
+        with pytest.raises(ValidationError, match="graph must be connected"):
+            call(g, 1)
+
+
+def test_huge_k_is_refused_before_a_state_is_built(c6):
+    t0 = time.perf_counter()
+    for call in (is_k_pebble_win, pebble_group_fast, structure_witness):
+        with pytest.raises(ValidationError):
+            call(c6, 10 ** 18)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_group_colouring_and_witness_require_connected():

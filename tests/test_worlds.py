@@ -7,7 +7,7 @@ import pytest
 
 from pebblekit.dot import truncation_to_dot
 from pebblekit.errors import ValidationError, WindowCapExceeded
-from pebblekit.graphs import Graph, is_connected
+from pebblekit.graphs import PARSE_MAX_N, Graph, is_connected
 from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, Truncation, World, canonical_rays,
                               chebyshev_ball, make_world, truncate,
@@ -30,6 +30,16 @@ def test_make_world_validation():
     with pytest.raises(ValidationError):
         make_world("dominated-ray", k=0)
     assert make_world("dominated-ray", k=3).k == 3
+
+
+def test_dominated_ray_k_is_bounded_like_a_parsed_graph():
+    # the star K_{1,k} is built with the world, before any window cap
+    assert make_world("dominated-ray", k=PARSE_MAX_N - 1).row.n == PARSE_MAX_N
+    for k in (PARSE_MAX_N, 10 ** 18):
+        with pytest.raises(ValidationError, match="dominated-ray requires"):
+            make_world("dominated-ray", k=k)
+        with pytest.raises(ValidationError, match="dominated-ray requires"):
+            world_from_json_dict({"kind": "dominated-ray", "k": k})
 
 
 def interior(t):
