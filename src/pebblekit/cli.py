@@ -2,8 +2,8 @@
 
 Every verb validates its inputs, calls the library, and prints a single
 JSON document on stdout.  Exit codes: 0 success, 2 validation error,
-3 resource-cap error.  Diagnostics go to stderr only.  No algorithmic
-logic lives here.
+3 resource cap, memory included.  Diagnostics go to stderr only.  No
+algorithmic logic lives here.
 """
 
 from __future__ import annotations
@@ -302,8 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         doc = args.fn(args)
-    except ResourceCapError as exc:
-        print(f"pebblekit: resource cap: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:
+        # a MemoryError means a cap above what the machine holds
+        print(f"pebblekit: resource cap: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (PebbleKitError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"pebblekit: {exc}", file=sys.stderr)

@@ -6,20 +6,21 @@ tail of the target ray out of the window.  The walks must be pairwise
 disjoint, and a linkage "after X" confines X to the segments before
 the switch points.
 
-``find_linkage`` handles one pairing sigma at a time.  It reduces the
-walk system to vertex-disjoint paths between fixed terminals (X and the
-forced ray prefixes removed).  On grid windows a pairing whose terminals
-interleave around the rim is refuted at once by planarity.  Otherwise the
-paths are routed by negotiated congestion, each walk along a cheapest
-path found by A* on hop distances, and the routed linkage is
-returned once ``check_linkage`` accepts it; a pair cut off from its
-other end refutes the pairing before any routing.  A pairing the router
-cannot route goes to the exact frontier DP of ``disjoint_paths``: a
-refutation rules the pairing out, and a pairing the DP proves feasible,
-or cannot decide within its state cap, ends the search in
-ResourceCapError, a typed refusal rather than an answer.  Infeasibility
-is always reported as depth-limited: a window that admits no linkage
-says nothing about deeper windows.
+``find_linkage`` reduces a query once: X and the forced ray prefixes fix
+each source ray's switch point and a blocked set.  A pairing sigma only
+pairs ends, switch point i with the last window vertex of target ray
+sigma(i), leaving vertex-disjoint paths between fixed terminals.  On
+grid windows a pairing whose terminals interleave around the rim is
+refuted at once by planarity.  Otherwise the paths are routed by
+negotiated congestion, each walk along a cheapest path found by A* on
+hop distances, and the routed linkage is returned once ``check_linkage``
+accepts it; a pair cut off from its other end refutes the pairing before
+any routing.  A pairing the router cannot route goes to the exact
+frontier DP of ``disjoint_paths``: a refutation rules the pairing out,
+and a pairing the DP proves feasible, or cannot decide within its state
+cap, ends the search in ResourceCapError, a typed refusal rather than an
+answer.  Infeasibility is always reported as depth-limited: a window
+that admits no linkage says nothing about deeper windows.
 
 ``check_linkage`` re-walks a claimed linkage vertex by vertex and is
 deliberately independent of the search: it reads the rays' window
@@ -140,42 +141,44 @@ def _rim_chords_cross(t: Truncation, terminals: list[tuple[int, int]]) -> bool:
                for (a, b), (c, f) in itertools.combinations(chords, 2))
 
 
-def _reduce(src_pos: list[list[int]], tgt_pos: list[list[int]],
-            X: frozenset[int], sigma: dict[int, int]):
-    """The fixed pairing as vertex-disjoint paths between fixed terminals.
+def _reduce(src_pos: list[list[int]], X: frozenset[int]):
+    """The part of a query that no pairing changes.
 
     A walk is its forced prefix (its source ray up to the last X hit)
     followed by any simple path from the next ray vertex, its earliest
     switch point, to the last in-window vertex of its target ray: once X
     and the forced prefixes are removed from the graph, the remaining
     freedom is exactly a family of vertex-disjoint paths between fixed
-    terminals.  When X holds the ray's last window vertex only a pure ride
-    remains, a single-vertex path on that vertex.  Returns ``(terminals,
-    blocked)``, or None when two walks need the same endpoint or an
-    endpoint is blocked, so that no linkage with this pairing exists.
+    terminals.  When X holds the ray's last window vertex, that vertex is
+    the switch point and only a pure ride remains, a single-vertex path on
+    it.  Returns ``(switch, blocked)``: each source ray's switch point, and
+    X plus the forced prefixes minus the switch points.
     """
+    switch: list[int] = []
     blocked: set[int] = set(X)
-    terminals: list[tuple[int, int]] = []
-    for i, rp in enumerate(src_pos):
+    for rp in src_pos:
         last_x = max((p for p, v in enumerate(rp) if v in X), default=-1)
         start = min(last_x + 1, len(rp) - 1)
-        s = rp[start]
-        if s in X and tgt_pos[sigma[i]] != rp:
-            return None   # no switch point left after X
-        e = tgt_pos[sigma[i]][-1]
-        terminals.append((s, e))
+        switch.append(rp[start])
         blocked.update(rp[:start])
-        blocked.discard(s)   # a pure ride may end on X
-    seen: set[int] = set()
-    for s, e in terminals:
-        for v in (s, e) if s != e else (s,):
-            if v in seen or v in blocked:
-                return None   # a shared endpoint, or one claimed by X or a prefix
-            seen.add(v)
-    return terminals, blocked
+    return switch, frozenset(blocked.difference(switch))
 
 
-def _route(adj, terminals: list[tuple[int, int]], blocked: set[int]):
+def _terminals(switch: list[int], tgt_pos: list[list[int]], X: frozenset[int],
+               blocked: frozenset[int], sigma: dict[int, int]):
+    """Switch point i paired with the last window vertex of target ray
+    sigma[i]; None when a switch point in X is not a pure ride (rays are
+    disjoint or identical, so a pure ride's ends coincide), two walks need
+    the same endpoint, or X or a forced prefix claims an endpoint."""
+    terminals = [(s, tgt_pos[sigma[i]][-1]) for i, s in enumerate(switch)]
+    ends = [v for s, e in terminals for v in {s, e}]
+    if (any(s in X and s != e for s, e in terminals)
+            or len(set(ends)) < len(ends) or not blocked.isdisjoint(ends)):
+        return None
+    return terminals
+
+
+def _route(adj, terminals: list[tuple[int, int]], blocked: frozenset[int]):
     """Vertex-disjoint paths joining each terminal pair, False, or None.
 
     Negotiated congestion as in PathFinder (McMurchie & Ebeling, FPGA
@@ -285,20 +288,6 @@ def _connector(path: list[int], tgt: list[int]) -> tuple[int, ...]:
     return () if land == 0 else tuple(path[:land + 1])
 
 
-def _refuted(t: Truncation, adj, terminals: list[tuple[int, int]],
-             blocked: set[int]) -> bool | None:
-    """True when the frontier DP proves the reduced problem infeasible,
-    False when it proves it feasible, None when it exceeds DP_STATE_CAP."""
-    n = t.graph.n
-    order = list(range(n))
-    if t.world.row is not None:   # a finite row: sweep level by level
-        order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
-    try:
-        return not disjoint_paths_exist(n, adj, order, terminals, blocked)
-    except ResourceCapError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Search over pairings
 # ---------------------------------------------------------------------------
@@ -310,14 +299,15 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
 
     With ``sigma`` supplied the returned linkage induces exactly that
     injection; with ``sigma`` omitted every injection is tried in
-    ``itertools.permutations`` order, identity first.  Each pairing is
-    reduced to disjoint paths between fixed terminals, then decided in
-    three steps: a pairing whose terminals interleave around the rim of a
-    grid window is refuted by the planarity certificate; otherwise it is
-    routed (A* per walk, under negotiated congestion), and a routed
-    witness passes ``check_linkage`` before it is returned, while a pair
-    the router finds cut off refutes the pairing; when routing runs out
-    of rounds, the frontier DP decides the pairing.
+    ``itertools.permutations`` order, identity first.  The query is reduced
+    once, to a switch point per source ray and a blocked set; a pairing only
+    pairs ends, which leaves disjoint paths between fixed terminals.  A
+    pairing whose terminals interleave around the rim of a grid window is
+    refuted by the planarity certificate; otherwise it is routed (A* per
+    walk, under negotiated congestion), and a routed witness passes
+    ``check_linkage`` before it is returned, while a pair the router finds
+    cut off refutes the pairing; when routing runs out of rounds, the
+    frontier DP decides the pairing.
     NoLinkageError means every pairing was refuted, exactly for this
     window and reported as depth-limited, never as a statement about the
     infinite world.
@@ -341,14 +331,17 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                 raise ValidationError(f"sigma target {j} out of range")
     src_pos, tgt_pos = _validate_families(t, source, target)
     adj = t.graph.adjacency()
+    switch, blocked = _reduce(src_pos, X)
+    order = list(range(t.graph.n))
+    if t.world.row is not None:   # a finite row: sweep level by level
+        order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     sigmas = ([dict(sigma)] if sigma is not None else
               (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
     unresolved: set[str] = set()
     for sg in sigmas:
-        reduced = _reduce(src_pos, tgt_pos, X, sg)
-        if reduced is None or _rim_chords_cross(t, reduced[0]):
+        terminals = _terminals(switch, tgt_pos, X, blocked, sg)
+        if terminals is None or _rim_chords_cross(t, terminals):
             continue
-        terminals, blocked = reduced
         paths = _route(adj, terminals, blocked)
         if paths is False:
             continue
@@ -358,12 +351,14 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                                 for i, p in enumerate(paths)})
             check_linkage(t, source, target, lk)
             return lk
-        verdict = _refuted(t, adj, terminals, blocked)
-        if verdict is False:
+        try:
+            feasible = disjoint_paths_exist(t.graph.n, adj, order, terminals, blocked)
+        except ResourceCapError:
+            unresolved.add(f"a pairing is undecided within {DP_STATE_CAP} DP states")
+            continue
+        if feasible:
             unresolved.add("a pairing is feasible by the exact DP, but the "
                            f"router found no witness in {ROUTE_ROUNDS} rounds")
-        elif verdict is None:
-            unresolved.add(f"a pairing is undecided within {DP_STATE_CAP} DP states")
     if unresolved:
         raise ResourceCapError(
             f"linkage at window depth {t.depth} neither routed nor refuted: "

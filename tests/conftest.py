@@ -3,6 +3,11 @@ import pytest
 from pebblekit.graphs import Graph
 
 
+def pytest_addoption(parser):
+    parser.addoption("--rewrite-golden", action="store_true",
+                     help="rewrite tests/golden from the current code")
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

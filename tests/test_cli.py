@@ -37,11 +37,17 @@ def k4_file(tmp_path):
     return str(f)
 
 
-def run_cli(capsys, *argv):
+def run_cli_text(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process command line."""
     code = main(list(argv))
     out = capsys.readouterr()
-    doc = json.loads(out.out) if out.out.strip() else None
-    return code, doc, out.err
+    return code, out.out, out.err
+
+
+def run_cli(capsys, *argv):
+    code, out, err = run_cli_text(capsys, *argv)
+    doc = json.loads(out) if out.strip() else None
+    return code, doc, err
 
 
 def test_win_false_on_path(capsys, p5_file):
@@ -358,6 +364,36 @@ def test_resource_cap_exit_3(capsys, k4_file):
                              "--world", "half-grid", "--rays", "canonical:301",
                              "--d0", "2")
     assert code == 3 and doc is None and "cap" in err
+
+
+# run in a child, which caps its own address space at its size plus 8 MiB
+_MEMORY_CAPPED_MAIN = """
+import resource, sys
+from pebblekit.cli import main
+kb = next(int(line.split()[1]) for line in open("/proc/self/status")
+          if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (kb * 1024 + (8 << 20), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="the child reads its size from /proc")
+def test_memory_exhaustion_exits_3(tmp_path):
+    # seven pebbles on the 22-cycle: 170,544 configurations, far past
+    # 8 MiB, yet inside the default state cap
+    f = tmp_path / "c22.json"
+    f.write_text(json.dumps({"n": 22, "edges": [[i, (i + 1) % 22] for i in range(22)]}))
+    src = str(Path(pebblekit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_CAPPED_MAIN, "group", "--graph", str(f),
+         "--state", "[0,1,2,3,4,5,6]"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "pebblekit: resource cap: out of memory\n"
 
 
 def test_win_and_structure_obey_the_state_cap(capsys, tmp_path):

@@ -7,6 +7,7 @@ from math import factorial, perm
 
 import pytest
 
+from pebblekit import structure
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               connected_graph_classes,
@@ -14,10 +15,10 @@ from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               is_bare_path, is_connected, is_cycle_graph)
 from pebblekit.pebbles import _config_group, reachable_states
 from pebblekit.permgroups import PermGroup, transposition
-from pebblekit.structure import (SWEEP_MAX_N, is_k_pebble_win,
-                                 pebble_group_fast, pebble_permutation_group,
-                                 rb_colouring, structure_witness,
-                                 verify_structure_theorem)
+from pebblekit.structure import (SWEEP_MAX_N, StructureWitnessNotFound,
+                                 is_k_pebble_win, pebble_group_fast,
+                                 pebble_permutation_group, rb_colouring,
+                                 structure_witness, verify_structure_theorem)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import harvest_group, labelled_class, labelled_sweep
@@ -407,6 +408,15 @@ def test_witness_mixed_bare_paths():
     br = bridges(g)
     assert all((min(a, b), max(a, b)) in br
                for a, b in zip(rep.witness.vertices, rep.witness.vertices[1:]))
+
+
+def test_missing_witness_is_refused(k4, monkeypatch):
+    # K4's bare paths are single edges, each missing two vertices
+    assert structure._find_witness(k4, 1) is None
+    # a losing graph without a witness is a refusal, never a report
+    monkeypatch.setattr(structure, "_find_witness", lambda g, k: None)
+    with pytest.raises(StructureWitnessNotFound, match=r"k=2 in Graph\(n=5, "):
+        structure_witness(path_graph(5), 2)
 
 
 # ---------------------------------------------------------------------------

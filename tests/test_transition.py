@@ -1,7 +1,10 @@
 """Realizing pebble move sequences on the ray graph as linkages."""
 
+from collections import deque
+
 import pytest
 
+from pebblekit import linkage
 from pebblekit.errors import ValidationError
 from pebblekit.linkage import check_linkage, realize_transition
 from pebblekit.rays import RayGraph, ray_graph
@@ -76,6 +79,29 @@ def test_greedy_failure_falls_back_to_exact_search():
     moves = [(0, 1), (0, 2), (1, 2), (0, 2), (0, 1)]
     lk = realize_transition(t, rays, moves, set(), rg=ray_graph(fg, rays, d0=4))
     assert lk.sigma == {0: 0, 1: 1}
+    check_linkage(t, [rays[0], rays[1]], rays, lk)
+
+
+def test_greedy_bfs_miss_falls_back_to_exact_search(monkeypatch):
+    # every move has switch points and landings left, but the last move's
+    # BFS round the radius-1 ball finds no landing beyond the used region
+    fg = make_world("full-grid")
+    t = truncate(fg, 3)
+    rays = canonical_rays(fg, 3)
+    moves = [(0, 1), (2, 1), (2, 0), (2, 1)]
+    queues = []
+
+    def recorded(items):
+        queues.append(deque(items))
+        return queues[-1]
+
+    monkeypatch.setattr(linkage, "deque", recorded)
+    lk = realize_transition(t, rays, moves, set(chebyshev_ball(t, 1)),
+                            rg=ray_graph(fg, rays, d0=4))
+    # one BFS per move, so no move stopped at an empty source or landing
+    # set, and the last one ran dry
+    assert len(queues) == len(moves) - 1 and not queues[-1]
+    assert lk.sigma == {0: 2, 1: 1}
     check_linkage(t, [rays[0], rays[1]], rays, lk)
 
 
