@@ -7,10 +7,13 @@ labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
 r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Each
-representative is packed into one int.  The BFS stops once transposition
-transports join all k pebbles, which certifies G = S_k; only a BFS that
-ends without them sifts its other transports into a stabilizer chain,
-whose orbit product may still certify S_k.  When G = S_k the class is
+representative is packed into one int.  The BFS stops once proved
+transpositions join all k pebbles, which certifies G = S_k: each is a
+transposition transport or a conjugate of one by another transport, as
+a conjugate of a group element lies in the group (Seress, Permutation
+Group Algorithms, 2003).  Only a BFS that ends without them sifts its
+distinct other transports into a stabilizer chain, whose orbit product
+may still certify S_k.  When G = S_k the class is
 every arrangement of k pebbles on the component holding them.  Only
 ``solve`` searches labelled states by A* on summed goal distances (Hart,
 Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never
@@ -70,12 +73,20 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     non-tree edge closes a loop and yields one generator of the group at
     ``start``.  A representative is packed into one int, slot i's vertex
     in the vb bits from i * vb, so a move rewrites one field.  A loop
-    transport that changes two fields is a transposition and goes to a
-    union-find over the k slots: k - 1 unions make a spanning tree of
-    transpositions, which generates S_k, as (a c) = (a b)(b c)(a b).  The
-    other transports wait in a list, and only a BFS that ends without
-    the tree sifts them into the stabilizer chain, in the order found,
-    stopping once the orbit product certifies S_k; the tree follows them.
+    transport that changes two fields is a transposition (i j) of slots.
+    Any other transport becomes a slot map p, kept once, and the
+    conjugate p (i j) p^-1 = (p(i) p(j)) is in the group too.  Every
+    proved pair goes to a union-find over the k slots, and a pair that
+    joins two classes is kept: it goes through each kept map, and each
+    new map goes through the kept pairs.  A pair whose ends were already
+    joined needs no turn, since the conjugates of the kept pairs between
+    its ends join its conjugate's.  k - 1 unions make a spanning tree of
+    transpositions, which generates S_k, as (a c) = (a b)(b c)(a b), and
+    the BFS stops there.  Proved pairs that never join all slots split
+    them into blocks that the group permutes, so it is not S_k.  Only a BFS
+    that ends without the tree sifts the distinct maps into the
+    stabilizer chain, in the order found, stopping once the orbit
+    product certifies S_k; the tree follows them.
 
     Returns (reps, group).  When the group is all of S_k, reps is the
     vertex bitmask of the component C holding the pebbles, and the class
@@ -108,9 +119,9 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     top = sum(1 << (s + vb - 1) for s in slots)
     low = sum(field << s for s in slots) ^ top
     rep: dict = {first: sum(v << s for v, s in zip(start, slots))}
-    tree: list[tuple[int, ...]] = []    # transposition transports joining slots
+    pairs: list[tuple[int, int]] = []   # proved transpositions joining slots
     label = list(range(k))              # union-find over slots, by relabelling
-    loops: list[tuple[int, int]] = []   # other transports: (arrangement, configuration)
+    maps: dict[tuple[int, ...], None] = {}  # other transports, each once, in order found
     queue = deque([first])
     pop = queue.popleft
     push = queue.append
@@ -133,32 +144,44 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                 if old is None:
                     rep[ncfg] = rest | (b.bit_length() - 1) << s
                     push(ncfg)
-                elif cfg < ncfg:        # each non-tree edge once; tree edges transport to 0
-                    ncode = rest | (b.bit_length() - 1) << s
-                    x = ncode ^ old
-                    # one top bit per field of x that is not zero
-                    moved = (((x & low) + low) | x) & top
-                    if moved.bit_count() == 2:
-                        i = ((moved & -moved).bit_length() - 1) // vb
-                        j = (moved.bit_length() - 1) // vb
-                        new, gone = label[i], label[j]
-                        if new != gone:
-                            label = [new if y == gone else y for y in label]
-                            tree.append(transposition(k, i, j))
-                            if len(tree) == k - 1:
-                                return _mask_component(adj_masks, first), PermGroup.symmetric(k, tree)
-                    elif x:
-                        loops.append((ncode, ncfg))
+                    continue
+                if cfg > ncfg:          # each non-tree edge once; tree edges transport to 0
+                    continue
+                ncode = rest | (b.bit_length() - 1) << s
+                x = ncode ^ old
+                # one top bit per field of x that is not zero
+                moved = (((x & low) + low) | x) & top
+                if moved.bit_count() == 2:
+                    joins = [(((moved & -moved).bit_length() - 1) // vb,
+                              (moved.bit_length() - 1) // vb)]
+                elif x:
+                    slot_of = {old >> t & field: i for i, t in enumerate(slots)}
+                    p = tuple(slot_of[ncode >> t & field] for t in slots)
+                    if p in maps:
+                        continue
+                    maps[p] = None
+                    # p (i j) p^-1 = (p(i) p(j)) is in the group too
+                    joins = [(p[i], p[j]) for i, j in pairs]
+                else:
+                    continue
+                while joins:
+                    i, j = joins.pop()
+                    new, gone = label[i], label[j]
+                    if new == gone:
+                        continue
+                    label = [new if y == gone else y for y in label]
+                    pairs.append((i, j))
+                    if len(pairs) == k - 1:
+                        return _mask_component(adj_masks, first), PermGroup.symmetric(
+                            k, [transposition(k, i, j) for i, j in pairs])
+                    joins += [(p[i], p[j]) for p in maps]
     target_order = factorial(k)
     add_perm = group._add_perm
-    for ncode, ncfg in loops:
-        old = rep[ncfg]
-        slot_of = {old >> s & field: i for i, s in enumerate(slots)}
-        if (add_perm(tuple(slot_of[ncode >> s & field] for s in slots))
-                and group.order_lower_bound() == target_order):
+    for p in maps:
+        if add_perm(p) and group.order_lower_bound() == target_order:
             return _mask_component(adj_masks, first), group
-    for t in tree:              # uncertified: the tree joins the chain
-        add_perm(t)
+    for i, j in pairs:          # uncertified: the proved pairs join the chain
+        add_perm(transposition(k, i, j))
     if group.order() == target_order:
         return _mask_component(adj_masks, first), group
     for c, code in rep.items():     # unpacked in place: one table at a time

@@ -8,7 +8,9 @@ generators) cheap.  The product of orbit sizes always counts distinct
 elements, so it is a sound lower bound on the order; when it reaches the
 full k! the chain is certifiably complete without any Schreier closure.
 A caller holding another certificate of S_k, such as transpositions that
-join all k points, builds S_k's standard chain with ``symmetric``.
+join all k points, builds S_k's standard chain with ``symmetric``; a
+conjugate g t g^-1 = (g(i) g(j)) of a member t = (i j) by a member g is
+a member, so known transpositions and generators give more.
 """
 
 from __future__ import annotations

@@ -92,22 +92,22 @@ C4_PENDANT = {"n": 5, "edges": [[0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]}
 
 
 @pytest.mark.parametrize("doc, state, stdout", [
-    # S_5, certified by four transposition transports joining the pebbles
+    # S_5, certified by a tree of proved transpositions: one transposition
+    # transport and three of its conjugates by other transports
     (THETA7, "[0,1,2,3,4]",
-     '{"degree": 5, "generators": [[0, 2, 1, 3, 4], [0, 4, 2, 3, 1], '
-     '[4, 1, 2, 3, 0], [3, 1, 2, 0, 4]], "generators_cycles": ["(1 2)", '
-     '"(1 4)", "(0 4)", "(0 3)"], "order": 120, "symmetric": true}\n'),
-    # S_4 from a tree that forms late in the search: the other transports
-    # are never sifted
+     '{"degree": 5, "generators": [[0, 2, 1, 3, 4], [2, 1, 0, 3, 4], '
+     '[0, 1, 4, 3, 2], [0, 3, 2, 1, 4]], "generators_cycles": ["(1 2)", '
+     '"(0 2)", "(2 4)", "(1 3)"], "order": 120, "symmetric": true}\n'),
+    # S_4 from one transposition transport and its two conjugates by the
+    # 3-cycle found before it; no transport is ever sifted
     (THETA7, "[6,1,2,3]",
-     '{"degree": 4, "generators": [[1, 0, 2, 3], [2, 1, 0, 3], [0, 3, 2, 1]], '
-     '"generators_cycles": ["(0 1)", "(0 2)", "(1 3)"], "order": 24, '
+     '{"degree": 4, "generators": [[1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]], '
+     '"generators_cycles": ["(0 1)", "(0 2)", "(0 3)"], "order": 24, '
      '"symmetric": true}\n'),
-    # S_3 from the stabilizer chain after a search without a tree: the
-    # 3-cycle, then the one transposition the tree holds
+    # S_3 from one transposition transport and its conjugate by a 3-cycle
     (C4_PENDANT, "[0,1,2]",
-     '{"degree": 3, "generators": [[1, 2, 0], [0, 2, 1]], "generators_cycles": '
-     '["(0 1 2)", "(1 2)"], "order": 6, "symmetric": true}\n'),
+     '{"degree": 3, "generators": [[0, 2, 1], [2, 1, 0]], "generators_cycles": '
+     '["(1 2)", "(0 2)"], "order": 6, "symmetric": true}\n'),
     # rotations only: three pebbles on a 6-cycle
     (C6, "[0,1,2]",
      '{"degree": 3, "generators": [[1, 2, 0]], "generators_cycles": '

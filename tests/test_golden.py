@@ -71,6 +71,23 @@ CASES = {
     "transition-greedy-miss": ["transition", "--world", "full-grid", "--depth", "3",
                                "--rays", "canonical:3", "--x-ball", "1", "--moves",
                                "[[0,1],[2,1],[2,0],[2,1]]"],
+    # one cap hit per capped verb (linkage's is the DP cap above)
+    "group-state-cap": ["--state-cap", "1", "group", "--graph", "{tmp}/c6.json",
+                        "--state", "[0,1,2]"],
+    "win-state-cap": ["--state-cap", "1", "win", "--graph", "{tmp}/p5.json",
+                      "--k", "2"],
+    "structure-state-cap": ["--state-cap", "1", "structure", "--graph",
+                            "{tmp}/p6.json", "--k", "2"],
+    "solve-state-cap": ["--state-cap", "1", "solve", "--graph", "{tmp}/p5.json",
+                        "--start", "[0,1]", "--goal", "[3,4]"],
+    "raygraph-window-cap": ["--window-cap", "50", "raygraph", "--world",
+                            "full-grid", "--rays", "canonical:4", "--d0", "10"],
+    "transition-window-cap": ["--window-cap", "50", "transition", "--world",
+                              "full-grid", "--depth", "8", "--rays", "canonical:3",
+                              "--moves", "[[0,1],[2,1]]", "--x-ball", "2"],
+    "export-dot-window-cap": ["--window-cap", "10", "export-dot", "--world",
+                              "half-grid", "--depth", "5", "--rays", "canonical:3",
+                              "--out", "{tmp}/w.dot"],
 }
 
 

@@ -3,11 +3,12 @@
 import itertools
 import random
 import time
+from collections import deque
 from math import factorial, perm
 
 import pytest
 
-from pebblekit import structure
+from pebblekit import pebbles, structure
 from pebblekit.errors import ValidationError
 from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               connected_graph_classes,
@@ -133,10 +134,11 @@ def test_fast_group_matches_state_space_group():
 
 def test_config_group_matches_harvest_on_every_class():
     # every connected class with n <= 6 and every k <= n - 1 at the base
-    # state.  Transpositions enter the chain only after the other
-    # transports, so a symmetric group whose generators are all
-    # transpositions comes from the union-find certificate; it must hold
-    # k - 1 of them, joining the k slots.
+    # state.  Every generator is a proved element.  Transpositions enter
+    # the chain only after the other transports, so a symmetric group
+    # whose generators are all transpositions comes from the union-find
+    # certificate, fed by transposition transports and their conjugates;
+    # it must hold k - 1 of them, joining the k slots.
     certified = 0
     for n in range(2, 7):
         for masks, _ in connected_graph_classes(n):
@@ -146,6 +148,7 @@ def test_config_group_matches_harvest_on_every_class():
                 grp = _config_group(masks, n, base)[1]
                 want = set(harvest_group(g, base).elements())
                 assert set(grp.elements()) == want, (masks, k)
+                assert all(p in want for p in grp.generators), (masks, k, grp.generators)
                 moved = [[i for i in range(k) if p[i] != i] for p in grp.generators]
                 if k < 2 or not grp.is_symmetric() or any(len(m) != 2 for m in moved):
                     continue
@@ -201,22 +204,66 @@ def test_config_group_matches_harvest_across_field_widths(n):
                     assert all(sum(1 << v for v in r) == c for c, r in reps.items()), case
 
 
+THETA7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
+                             (5, 6), (6, 2), (1, 5)])
+
+
 def test_tree_certified_query_sifts_nothing(monkeypatch):
-    # both THETA7 queries end on the transposition tree, so no transport
-    # reaches the stabilizer chain; a search that ends without a tree
-    # sifts its transports, then the tree
+    # the THETA7 and c4-pendant queries end on a tree of proved
+    # transpositions, so no transport reaches the stabilizer chain; a
+    # search that ends without a tree sifts its distinct transports, then
+    # the tree
     sifts = []
     real = PermGroup._add_perm
     monkeypatch.setattr(PermGroup, "_add_perm",
                         lambda self, p: sifts.append(p) or real(self, p))
-    theta7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
-                                  (5, 6), (6, 2), (1, 5)])
     for start in ((0, 1, 2, 3, 4), (6, 1, 2, 3)):
-        assert pebble_permutation_group(theta7, start).is_symmetric()
-    assert sifts == []
+        assert pebble_permutation_group(THETA7, start).is_symmetric()
     c4_pendant = Graph.from_edges(5, [(0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     assert pebble_permutation_group(c4_pendant, (0, 1, 2)).is_symmetric()
-    assert sifts == [(1, 2, 0), (0, 2, 1)]
+    assert sifts == []
+    # a 5-cycle with a pendant vertex proves no transposition on the way
+    # to S_4; the chain's orbit product certifies it
+    c5_pendant = graph_from_masks((38, 9, 17, 18, 12, 1))
+    assert pebble_permutation_group(c5_pendant, (0, 1, 2, 3)).is_symmetric()
+    assert sifts == [(1, 3, 0, 2), (0, 2, 3, 1), (0, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("g, start, dequeued", [
+    (THETA7, (0, 1, 2, 3, 4), 9),
+    (THETA7, (6, 1, 2, 3), 7),
+    # hubs 0 and 1 joined by paths with 3, 3 and 2 interior vertices
+    (Graph.from_edges(10, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6),
+                           (6, 7), (7, 1), (0, 8), (8, 9), (9, 1)]),
+     (0, 1, 2, 3, 4), 37),
+], ids=["theta7", "theta7-late", "theta332"])
+def test_conjugated_transpositions_end_the_search_early(monkeypatch, g, start,
+                                                        dequeued):
+    # conjugates of proved transpositions complete the tree after 9, 7 and
+    # 37 configurations; transposition transports alone need 20, 24 and 157
+    pops = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops.append(None)
+            return super().popleft()
+
+    monkeypatch.setattr(pebbles, "deque", CountingDeque)
+    grp = pebble_permutation_group(g, start)
+    assert grp.is_symmetric()
+    assert len(pops) == dequeued
+
+
+def test_repeated_transports_are_sifted_once(monkeypatch):
+    # on the 22-cycle with k = 7, 38,760 non-tree loops move pebbles, each
+    # by a rotation; a repeat never extends the chain, so at most
+    # |G| - 1 = 6 distinct transports are sifted
+    sifts = []
+    real = PermGroup._add_perm
+    monkeypatch.setattr(PermGroup, "_add_perm",
+                        lambda self, p: sifts.append(p) or real(self, p))
+    assert pebble_permutation_group(cycle_graph(22), tuple(range(7))).order() == 7
+    assert 1 <= len(sifts) <= 6
 
 
 def _connected_without(adj, v):
