@@ -241,7 +241,8 @@ def solve(g: Graph, start: GameState, goal: GameState,
     A* over labelled states with h(s) = sum of d(s[i], goal[i]), which a
     move changes by at most 1; ties go to the deeper state, then the lesser
     tuple.  ``cap`` bounds the labelled states stored; a search that reaches
-    it asks ``is_achievable``, with the same cap, whether to answer None.
+    it asks ``is_achievable``, with the same cap, whether to answer None,
+    and otherwise refuses with ``StateCapExceeded`` for its own cap.
     """
     s, t = _validate_pair(g, start, goal)
     adj = g.adjacency()
@@ -277,9 +278,12 @@ def solve(g: Graph, start: GameState, goal: GameState,
                 x = u[:i] + (w,) + u[i + 1:]
                 old = seen.get(x)
                 if old is None and len(seen) >= cap:
-                    if is_achievable(g, s, t, cap):
-                        raise StateCapExceeded(f"state search exceeded cap of {cap} states")
-                    return None
+                    try:
+                        if not is_achievable(g, s, t, cap):
+                            return None
+                    except StateCapExceeded:
+                        pass    # refused below as this search's own cap
+                    raise StateCapExceeded(f"state search exceeded cap of {cap} states")
                 if old is not None and old[0] <= d:
                     continue
                 seen[x] = (d, u)

@@ -84,42 +84,6 @@ def test_group_output(capsys, p5_file):
     assert doc["degree"] == 3 and doc["order"] == 1 and not doc["symmetric"]
 
 
-THETA7 = {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5],
-                           [5, 6], [6, 2], [1, 5]]}
-C6 = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}
-# a 4-cycle 4-1-3-2 with vertex 0 hanging off 4
-C4_PENDANT = {"n": 5, "edges": [[0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]}
-
-
-@pytest.mark.parametrize("doc, state, stdout", [
-    # S_5, certified by a tree of proved transpositions: one transposition
-    # transport and three of its conjugates by other transports
-    (THETA7, "[0,1,2,3,4]",
-     '{"degree": 5, "generators": [[0, 2, 1, 3, 4], [2, 1, 0, 3, 4], '
-     '[0, 1, 4, 3, 2], [0, 3, 2, 1, 4]], "generators_cycles": ["(1 2)", '
-     '"(0 2)", "(2 4)", "(1 3)"], "order": 120, "symmetric": true}\n'),
-    # S_4 from one transposition transport and its two conjugates by the
-    # 3-cycle found before it; no transport is ever sifted
-    (THETA7, "[6,1,2,3]",
-     '{"degree": 4, "generators": [[1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]], '
-     '"generators_cycles": ["(0 1)", "(0 2)", "(0 3)"], "order": 24, '
-     '"symmetric": true}\n'),
-    # S_3 from one transposition transport and its conjugate by a 3-cycle
-    (C4_PENDANT, "[0,1,2]",
-     '{"degree": 3, "generators": [[0, 2, 1], [2, 1, 0]], "generators_cycles": '
-     '["(1 2)", "(0 2)"], "order": 6, "symmetric": true}\n'),
-    # rotations only: three pebbles on a 6-cycle
-    (C6, "[0,1,2]",
-     '{"degree": 3, "generators": [[1, 2, 0]], "generators_cycles": '
-     '["(0 1 2)"], "order": 3, "symmetric": false}\n'),
-], ids=["theta7-tree", "theta7-late-tree", "c4-pendant-chain", "c6-rotations"])
-def test_group_stdout_is_pinned(capsys, tmp_path, doc, state, stdout):
-    f = tmp_path / "g.json"
-    f.write_text(json.dumps(doc))
-    assert main(["group", "--graph", str(f), "--state", state]) == 0
-    assert capsys.readouterr().out == stdout
-
-
 def test_structure_output(capsys, p5_file):
     code, doc, _ = run_cli(capsys, "structure", "--graph", p5_file, "--k", "2")
     assert code == 0

@@ -1,5 +1,9 @@
-"""Every verb's answers, pinned: exit code, exact stdout and, for a non-zero
-exit, the stderr line, one file per case under ``tests/golden/``.
+"""Every printed answer, pinned: one file per case under ``tests/golden/``.
+
+A CLI case pins the exit code, the exact stdout and, for a non-zero exit,
+the stderr line. A demo case runs one ``demos/*.py`` script in a fresh
+interpreter, in an empty directory, and pins its exit code, its exact
+stdout and its stderr, which must be empty.
 
 A change that means to change an answer rewrites the corpus with
 
@@ -9,19 +13,32 @@ and lists the rewritten files as a behaviour change.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from test_cli import run_cli_text
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = {f"demo-{p.stem}": p for p in sorted((ROOT / "demos").glob("*.py"))}
 GRAPHS = {
     "p5.json": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
     "p6.json": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]},
     "c6.json": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]},
+    "theta7.json": {"n": 7, "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4],
+                                      [4, 5], [5, 6], [6, 2], [1, 5]]},
+    # a 4-cycle 4-1-3-2 with vertex 0 hanging off 4
+    "c4-pendant.json": {"n": 5, "edges": [[0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]},
 }
 FULL4 = ["--world", "full-grid", "--depth", "4", "--rays", "canonical:4",
          "--source", "0,1,2,3", "--target", "0,1,2,3"]
+# the full grid's first m canonical rays at depth 8, each ray its own target
+FULL8 = ["--world", "full-grid", "--depth", "8", "--rays", "canonical:4"]
+FULL8_M2 = [*FULL8, "--source", "0,1", "--target", "0,1"]
+FULL8_M3 = [*FULL8, "--source", "0,1,2", "--target", "0,1,2"]
 HALF6 = ["--world", "half-grid", "--rays", "canonical:6",
          "--source", "0,1,2", "--target", "3,4,5"]
 # "{tmp}" stands for the directory that holds the graph files and the
@@ -71,6 +88,26 @@ CASES = {
     "transition-greedy-miss": ["transition", "--world", "full-grid", "--depth", "3",
                                "--rays", "canonical:3", "--x-ball", "1", "--moves",
                                "[[0,1],[2,1],[2,0],[2,1]]"],
+    # the group engine's certificates: S_5 from one transposition transport
+    # and three of its conjugates, S_4 from one and its two conjugates by
+    # the 3-cycle found before it, S_3 from one and its conjugate by a
+    # 3-cycle (rotations only, on the 6-cycle, is the "group" case above)
+    "group-theta7-tree": ["group", "--graph", "{tmp}/theta7.json",
+                          "--state", "[0,1,2,3,4]"],
+    "group-theta7-late-tree": ["group", "--graph", "{tmp}/theta7.json",
+                               "--state", "[6,1,2,3]"],
+    "group-c4-pendant-chain": ["group", "--graph", "{tmp}/c4-pendant.json",
+                               "--state", "[0,1,2]"],
+    # the router's witnesses, whose rounds test_router_witnesses_are_pinned
+    # counts
+    "linkage-full-swap": ["linkage", *FULL8_M2, "--sigma", "1,0"],
+    "linkage-full-swap-ball2": ["linkage", *FULL8_M2, "--sigma", "1,0",
+                                "--x-ball", "2"],
+    "linkage-full-swap-0-2": ["linkage", *FULL8_M3, "--sigma", "2,1,0"],
+    "linkage-full-cyclic-ball2": ["linkage", *FULL8_M3, "--sigma", "1,2,0",
+                                  "--x-ball", "2"],
+    "linkage-full-cyclic-ball4": ["linkage", *FULL8_M3, "--sigma", "1,2,0",
+                                  "--x-ball", "4"],
     # one cap hit per capped verb (linkage's is the DP cap above)
     "group-state-cap": ["--state-cap", "1", "group", "--graph", "{tmp}/c6.json",
                         "--state", "[0,1,2]"],
@@ -104,17 +141,30 @@ def _answer(capsys, tmp_path, argv):
     return doc
 
 
+def _demo_answer(tmp_path, script):
+    """What the golden file of one demo holds."""
+    cwd = tmp_path / script.stem
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return {"argv": ["python", f"demos/{script.name}"], "exit": proc.returncode,
+            "stdout": proc.stdout, "stderr": proc.stderr}
+
+
 def test_every_verb_answers_as_pinned(capsys, tmp_path, request):
     for name, doc in GRAPHS.items():
         (tmp_path / name).write_text(json.dumps(doc))
     rewrite = request.config.getoption("--rewrite-golden")
+    answers = {name: _answer(capsys, tmp_path, argv) for name, argv in CASES.items()}
+    answers.update((name, _demo_answer(tmp_path, script))
+                   for name, script in DEMOS.items())
     changed = []
-    for name, argv in CASES.items():
-        got = _answer(capsys, tmp_path, argv)
+    for name, got in answers.items():
         path = GOLDEN / f"{name}.json"
         if rewrite:
             path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         elif not path.exists() or json.loads(path.read_text()) != got:
             changed.append(name)
     assert not changed, f"answers differ from tests/golden: {changed}"
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(answers)

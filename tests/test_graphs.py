@@ -329,6 +329,9 @@ def test_bare_path_cover_cycle(c6):
     assert paths
     for seq in paths:
         assert len(seq) == 6 and is_bare_path(c6, seq)
+    # a repeated vertex, a vertex out of range, a step that is not an edge
+    for seq in [(0, 1, 0), (5, 6), (0, 2)]:
+        assert not is_bare_path(c6, seq)
 
 
 def test_bare_path_cover_k4_absent(k4):

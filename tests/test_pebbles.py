@@ -350,6 +350,15 @@ def test_solve_cap_below_the_search_raises():
     assert cap > 4 * comb(10, 6)
 
 
+def test_solve_refuses_by_its_own_cap(p5):
+    # the configuration check that solve asks at its cap refuses too (P5
+    # has 10 configurations of two pebbles); the refusal solve raises
+    # names its own search
+    with pytest.raises(StateCapExceeded) as exc:
+        solve(p5, (0, 1), (3, 4), cap=1)
+    assert str(exc.value) == "state search exceeded cap of 1 states"
+
+
 def test_solve_unreachable_at_the_cap_asks_configurations():
     # a spider with legs 1, 2 and 3-4: 10 configurations, 20 labelled
     # states in the class of (0, 1, 2), and (0, 1, 3) outside it; the

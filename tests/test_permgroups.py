@@ -65,6 +65,7 @@ def test_cyclic_group():
     assert (2, 0, 1) in g
     assert transposition(3, 0, 1) not in g
     assert set(g.elements()) == naive_closure(3, [(1, 2, 0)])
+    assert repr(g) == "PermGroup(degree=3, order=3, generators=['(0 1 2)'])"
 
 
 def test_order_lower_bound_is_sound():
