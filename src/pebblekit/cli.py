@@ -161,6 +161,18 @@ def _cmd_raygraph(args) -> dict:
     return doc
 
 
+def _linkage_answer(t, args, search) -> dict:
+    """The answer of ``search(X)``, X the ``--x-ball`` ball or empty: its
+    linkage, or the window's "no" as a result, not an error."""
+    x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
+    try:
+        lk = search(x)
+    except NoLinkageError as exc:
+        return {"linkage": None, "reason": "no-linkage-at-depth",
+                "depth": exc.depth}
+    return {"linkage": lk.to_json_dict(t), "depth": t.depth}
+
+
 def _cmd_linkage(args) -> dict:
     t = _window(args)
     rays = _parse_rays(t.world, args.rays, args.window_cap)
@@ -170,29 +182,19 @@ def _cmd_linkage(args) -> dict:
     if args.sigma:
         targets = _parse_positions(args.sigma, len(tgt))
         sigma = {i: t_pos for i, t_pos in enumerate(targets)}
-    x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
-    try:
-        lk = find_linkage(t, src, tgt, x, sigma)
-    except NoLinkageError as exc:
-        return {"linkage": None, "reason": "no-linkage-at-depth",
-                "depth": exc.depth}
-    return {"linkage": lk.to_json_dict(t), "depth": t.depth}
+    return _linkage_answer(t, args, lambda x: find_linkage(t, src, tgt, x, sigma))
 
 
 def _cmd_transition(args) -> dict:
     t = _window(args)
     rays = _parse_rays(t.world, args.rays, args.window_cap)
     moves = _parse_moves(args.moves)
-    x = set(chebyshev_ball(t, args.x_ball)) if args.x_ball is not None else set()
     # the ray graph reads deeper shells than the window: bound them too
     rg = ray_graph(t.world, rays, d0=max(4, t.depth), window_cap=args.window_cap)
-    try:
-        lk = realize_transition(t, rays, moves, x, rg=rg)
-    except NoLinkageError as exc:
-        return {"linkage": None, "reason": "no-linkage-at-depth",
-                "depth": exc.depth}
-    return {"linkage": lk.to_json_dict(t), "depth": t.depth,
-            "induced": {str(i): j for i, j in sorted(lk.sigma.items())}}
+    doc = _linkage_answer(t, args, lambda x: realize_transition(t, rays, moves, x, rg=rg))
+    if doc["linkage"] is not None:
+        doc["induced"] = doc["linkage"]["sigma"]
+    return doc
 
 
 def _cmd_export_dot(args) -> dict:

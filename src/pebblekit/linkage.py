@@ -306,8 +306,9 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     refuted by the planarity certificate; otherwise it is routed (A* per
     walk, under negotiated congestion), and a routed witness passes
     ``check_linkage`` before it is returned, while a pair the router finds
-    cut off refutes the pairing; when routing runs out of rounds, the
-    frontier DP decides the pairing.
+    cut off refutes the pairing.  Every pairing is routed or refuted
+    before the frontier DP runs: only when none routed does the DP decide
+    the pairings on which routing ran out of rounds.
     NoLinkageError means every pairing was refuted, exactly for this
     window and reported as depth-limited, never as a statement about the
     infinite world.
@@ -332,25 +333,27 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     src_pos, tgt_pos = _validate_families(t, source, target)
     adj = t.graph.adjacency()
     switch, blocked = _reduce(src_pos, X)
-    order = list(range(t.graph.n))
-    if t.world.row is not None:   # a finite row: sweep level by level
-        order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     sigmas = ([dict(sigma)] if sigma is not None else
               (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
-    unresolved: set[str] = set()
+    missed: list[list[tuple[int, int]]] = []    # routing ran out of rounds
     for sg in sigmas:
         terminals = _terminals(switch, tgt_pos, X, blocked, sg)
         if terminals is None or _rim_chords_cross(t, terminals):
             continue
         paths = _route(adj, terminals, blocked)
-        if paths is False:
-            continue
-        if paths is not None:
+        if paths is None:
+            missed.append(terminals)
+        elif paths is not False:
             lk = Linkage(sigma=sg, after=X,
                          paths={i: _connector(p, tgt_pos[sg[i]])
                                 for i, p in enumerate(paths)})
             check_linkage(t, source, target, lk)
             return lk
+    order = list(range(t.graph.n))
+    if t.world.row is not None:   # a finite row: sweep level by level
+        order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
+    unresolved: set[str] = set()
+    for terminals in missed:
         try:
             feasible = disjoint_paths_exist(t.graph.n, adj, order, terminals, blocked)
         except ResourceCapError:

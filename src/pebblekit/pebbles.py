@@ -12,8 +12,8 @@ transpositions join all k pebbles, which certifies G = S_k: each is a
 transposition transport or a conjugate of one by another transport, as
 a conjugate of a group element lies in the group (Seress, Permutation
 Group Algorithms, 2003).  Only a BFS that ends without them sifts its
-distinct other transports into a stabilizer chain, whose orbit product
-may still certify S_k.  When G = S_k the class is
+distinct other transports into a stabilizer chain, whose order may
+still be k!.  When G = S_k the class is
 every arrangement of k pebbles on the component holding them.  Only
 ``solve`` searches labelled states by A* on summed goal distances (Hart,
 Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import chain, permutations
-from math import comb, factorial, perm
+from math import comb, perm
 from operator import itemgetter
 from typing import Iterable
 
@@ -85,8 +85,8 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     the BFS stops there.  Proved pairs that never join all slots split
     them into blocks that the group permutes, so it is not S_k.  Only a BFS
     that ends without the tree sifts the distinct maps into the
-    stabilizer chain, in the order found, stopping once the orbit
-    product certifies S_k; the tree follows them.
+    stabilizer chain, in the order found, then the proved pairs, and
+    tests the chain's order against k! once.
 
     Returns (reps, group).  When the group is all of S_k, reps is the
     vertex bitmask of the component C holding the pebbles, and the class
@@ -175,14 +175,10 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                         return _mask_component(adj_masks, first), PermGroup.symmetric(
                             k, [transposition(k, i, j) for i, j in pairs])
                     joins += [(p[i], p[j]) for p in maps]
-    target_order = factorial(k)
-    add_perm = group._add_perm
-    for p in maps:
-        if add_perm(p) and group.order_lower_bound() == target_order:
-            return _mask_component(adj_masks, first), group
-    for i, j in pairs:          # uncertified: the proved pairs join the chain
-        add_perm(transposition(k, i, j))
-    if group.order() == target_order:
+    # uncertified: the distinct maps, then the proved pairs, join the chain
+    for p in chain(maps, (transposition(k, i, j) for i, j in pairs)):
+        group._add_perm(p)
+    if group.is_symmetric():
         return _mask_component(adj_masks, first), group
     for c, code in rep.items():     # unpacked in place: one table at a time
         rep[c] = tuple(code >> s & field for s in slots)

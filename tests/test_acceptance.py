@@ -9,6 +9,7 @@ weighted by the labelled graphs it stands for.
 import itertools
 import os
 import random
+import time
 from math import factorial
 
 import pytest
@@ -38,15 +39,17 @@ def _verdict(criterion: str, ok: bool, detail: str = ""):
 # -- 1: structure-theorem sweep ---------------------------------------------
 
 def test_criterion_01_structure_sweep():
-    budget_ms = 600_000
+    budget_s = 600
+    t0 = time.perf_counter()
     rep = verify_structure_theorem(7, workers=os.cpu_count())
-    ok = (rep["failures"] == 0 and rep["elapsed_ms"] <= budget_ms
+    elapsed_s = time.perf_counter() - t0
+    ok = (rep["failures"] == 0 and elapsed_s <= budget_s
           and rep["checked"] == 9_440_360 and rep["non_pebble_win"] == 207_024)
     _verdict(
         "criterion 1 structure sweep n<=7",
         ok,
         f"checked={rep['checked']} non_pebble_win={rep['non_pebble_win']} "
-        f"failures={rep['failures']} elapsed={rep['elapsed_ms']}ms")
+        f"failures={rep['failures']} elapsed={elapsed_s:.1f}s")
 
 
 # -- 2: group decision vs definitional all-pairs check -----------------------

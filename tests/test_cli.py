@@ -1,4 +1,6 @@
-"""The command-line surface: JSON out, exit codes, thin-adapter parity."""
+"""The command-line surface: exit codes, caps, no traceback, and what a
+golden file cannot hold (stderr progress, timing, ``python -m``).  Every
+printed answer is pinned in ``tests/golden/``, by ``test_golden.py``."""
 
 import io
 import json
@@ -22,14 +24,6 @@ from pebblekit.worlds import WORLD_KINDS
 
 
 @pytest.fixture
-def p5_file(tmp_path):
-    doc = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
-    f = tmp_path / "p5.json"
-    f.write_text(json.dumps(doc))
-    return str(f)
-
-
-@pytest.fixture
 def k4_file(tmp_path):
     doc = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
     f = tmp_path / "k4.json"
@@ -50,49 +44,6 @@ def run_cli(capsys, *argv):
     return code, doc, err
 
 
-def test_win_false_on_path(capsys, p5_file):
-    code, doc, _ = run_cli(capsys, "win", "--graph", p5_file, "--k", "2")
-    assert code == 0
-    assert doc == {"pebble_win": False}
-
-
-def test_win_matches_library(capsys, k4_file):
-    code, doc, _ = run_cli(capsys, "win", "--graph", k4_file, "--k", "2")
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert code == 0 and doc["pebble_win"] == is_k_pebble_win(g, 2)
-
-
-def test_solve_round_trip(capsys, p5_file):
-    code, doc, _ = run_cli(capsys, "solve", "--graph", p5_file,
-                           "--start", "[0,1]", "--goal", "[3,4]")
-    assert code == 0 and doc["achievable"]
-    states = [tuple(s) for s in doc["states"]]
-    assert states[0] == (0, 1) and states[-1] == (3, 4)
-    assert doc["moves"] == len(states) - 1
-
-
-def test_solve_unreachable(capsys, p5_file):
-    code, doc, _ = run_cli(capsys, "solve", "--graph", p5_file,
-                           "--start", "[0,1]", "--goal", "[1,0]")
-    assert code == 0 and doc == {"achievable": False, "states": None}
-
-
-def test_group_output(capsys, p5_file):
-    code, doc, _ = run_cli(capsys, "group", "--graph", p5_file,
-                           "--state", "[0,1,2]")
-    assert code == 0
-    assert doc["degree"] == 3 and doc["order"] == 1 and not doc["symmetric"]
-
-
-def test_structure_output(capsys, p5_file):
-    code, doc, _ = run_cli(capsys, "structure", "--graph", p5_file, "--k", "2")
-    assert code == 0
-    assert doc["pebble_win"] is False
-    assert doc["witness"]["vertices"] == [0, 1, 2, 3, 4]
-    assert all(doc["witness"]["edge_is_bridge"])
-    assert doc["colouring"] == {"0": "r", "1": "b"}
-
-
 def test_verify_structure(capsys):
     code, doc, err = run_cli(capsys, "verify", "--structure", "--n-max", "4",
                              "--workers", "1")
@@ -102,22 +53,15 @@ def test_verify_structure(capsys):
     assert doc["checked"] == ref["checked"]
     assert doc["non_pebble_win"] == ref["non_pebble_win"]
     assert doc["per_n"] == ref["per_n"]
-    assert "elapsed_ms" in doc and "failures_detail" in doc
+    # no clock value in the answer: the seconds go to stderr only
+    assert sorted(doc) == ["checked", "failures", "failures_detail", "n_max",
+                           "non_pebble_win", "per_n"]
     # one progress line per n on stderr, seconds so far never falling
     lines = err.splitlines()
     assert [line.rsplit(" ", 2)[0] for line in lines] == [
         f"pebblekit: n={row['n']} classes={row['classes']}" for row in ref["per_n"]]
     seconds = [float(line.split()[-2]) for line in lines]
     assert seconds == sorted(seconds) and all(line.endswith(" s") for line in lines)
-
-
-def test_raygraph_full_grid(capsys):
-    code, doc, _ = run_cli(capsys, "raygraph", "--world", "full-grid",
-                           "--rays", "canonical:4", "--d0", "10")
-    assert code == 0
-    assert doc["stabilized"] is True
-    assert sorted(map(tuple, doc["edges"])) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert doc["linear"] is False
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -129,58 +73,6 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert main(argv) == 0
     assert proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
-
-
-def test_raygraph_half_grid_linear(capsys):
-    code, doc, _ = run_cli(capsys, "raygraph", "--world", "half-grid",
-                           "--rays", "canonical:3", "--d0", "8")
-    assert code == 0 and doc["linear"] is True
-
-
-def test_linkage_command(capsys):
-    code, doc, _ = run_cli(capsys, "linkage", "--world", "half-grid",
-                           "--depth", "8", "--rays", "canonical:6",
-                           "--source", "0,1,2", "--target", "3,4,5",
-                           "--sigma", "0,1,2")
-    assert code == 0
-    assert doc["linkage"]["sigma"] == {"0": 0, "1": 1, "2": 2}
-
-
-def test_linkage_no_linkage_is_result_not_error(capsys):
-    code, doc, _ = run_cli(capsys, "linkage", "--world", "half-grid",
-                           "--depth", "6", "--rays", "canonical:6",
-                           "--source", "0,1,2", "--target", "3,4,5",
-                           "--sigma", "2,1,0")
-    assert code == 0
-    assert doc == {"linkage": None, "reason": "no-linkage-at-depth", "depth": 6}
-
-
-def test_transition_no_linkage_is_result_not_error(capsys):
-    # two half-grid columns are adjacent in the ray graph, but the radius-2
-    # ball covers the whole depth-2 window, so no walk may switch in it
-    code, doc, _ = run_cli(capsys, "transition", "--world", "half-grid",
-                           "--rays", "canonical:2", "--depth", "2",
-                           "--x-ball", "2", "--moves", "[[0],[1]]")
-    assert code == 0
-    assert doc == {"linkage": None, "reason": "no-linkage-at-depth", "depth": 2}
-
-
-def test_transition_command(capsys):
-    code, doc, _ = run_cli(capsys, "transition", "--world", "full-grid",
-                           "--depth", "8", "--rays", "canonical:3",
-                           "--moves", "[[0,1],[2,1]]")
-    assert code == 0
-    assert doc["induced"] == {"0": 2, "1": 1}
-
-
-def test_export_dot(capsys, tmp_path):
-    out = tmp_path / "w.dot"
-    code, doc, _ = run_cli(capsys, "export-dot", "--world", "half-grid",
-                           "--depth", "3", "--rays", "canonical:2",
-                           "--out", str(out))
-    assert code == 0 and doc["written"] == str(out)
-    text = out.read_text()
-    assert text.startswith("graph") and "pos=" in text
 
 
 def test_world_verbs_take_the_world_file_depth(capsys, tmp_path):
@@ -216,14 +108,6 @@ def test_raygraph_has_no_shell_options(capsys):
                   opt, "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_export_dot_graph(capsys, tmp_path, p5_file):
-    out = tmp_path / "g.dot"
-    code, doc, _ = run_cli(capsys, "export-dot", "--graph", p5_file,
-                           "--out", str(out))
-    assert code == 0
-    assert "0 -- 1" in out.read_text()
 
 
 def test_validation_errors_exit_2(capsys, tmp_path):
@@ -295,25 +179,6 @@ def test_bad_ray_positions_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["linkage", "--rays", "canonical:2", "--depth", "4",
-      "--source", "0", "--target", "1"], "give either --world or --world-file"),
-    (["verify"], "verify requires --structure"),
-    (["raygraph", "--world", "half-grid", "--rays", "spiral:3", "--d0", "4"],
-     "unsupported ray family spec 'spiral:3'"),
-])
-def test_missing_or_unknown_options_exit_2(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out is None and message in err
-
-
-def test_solve_refuses_a_start_that_is_not_an_array(capsys, p5_file):
-    code, out, err = run_cli(capsys, "solve", "--graph", p5_file,
-                             "--start", '{"a": 1}', "--goal", "[1]")
-    assert code == 2 and out is None
-    assert "expected a JSON array of vertex indices" in err
-
-
 def test_resource_cap_exit_3(capsys, k4_file):
     code, doc, err = run_cli(capsys, "--state-cap", "2", "group",
                              "--graph", k4_file, "--state", "[0,1]")
@@ -374,20 +239,6 @@ def test_win_and_structure_obey_the_state_cap(capsys, tmp_path):
         code, doc, _ = run_cli(capsys, "--state-cap", "6", verb,
                                "--graph", str(f), "--k", "2")
         assert code == 0 and doc["pebble_win"] == is_k_pebble_win(g, 2), verb
-
-
-def test_pretty_flag(capsys, p5_file):
-    code = main(["--pretty", "win", "--graph", p5_file, "--k", "2"])
-    out = capsys.readouterr().out
-    assert code == 0 and "\n" in out.strip()
-    assert json.loads(out) == {"pebble_win": False}
-
-
-def test_edge_list_format(capsys, tmp_path):
-    f = tmp_path / "tri.txt"
-    f.write_text("0 1\n1 2\n2 0\n")
-    code, doc, _ = run_cli(capsys, "win", "--graph", str(f), "--k", "1")
-    assert code == 0 and doc["pebble_win"] is True
 
 
 # -- fuzzed file inputs: any document ends in exit 0, 2 or 3, never a traceback

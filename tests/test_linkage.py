@@ -443,6 +443,28 @@ def test_cut_off_pair_refutes_without_the_dp(monkeypatch, perm):
         find_linkage(t, rays, rays, chebyshev_ball(t, 2), dict(enumerate(perm)))
 
 
+def test_every_pairing_is_routed_before_the_dp(monkeypatch):
+    # the identity's routing runs out of rounds; the swap, tried next,
+    # routes, so the DP never runs on the identity
+    route = linkage._route
+    calls = 0
+
+    def identity_misses(*args):
+        nonlocal calls
+        calls += 1
+        return None if calls == 1 else route(*args)
+
+    def no_dp(*args):
+        raise AssertionError("the DP ran before every pairing was routed")
+
+    monkeypatch.setattr(linkage, "_route", identity_misses)
+    monkeypatch.setattr(linkage, "disjoint_paths_exist", no_dp)
+    fg = make_world("full-grid")
+    rays = canonical_rays(fg, 2)
+    lk = find_linkage(truncate(fg, 8), rays, rays)
+    assert lk.sigma == {0: 1, 1: 0}
+
+
 def test_fixed_sigma_probe_outcomes():
     # 60 seeded pairings of the full grid's four canonical rays after a
     # ball of radius 0-2, at depth 3: 57 refuted and 3 routed
