@@ -17,6 +17,7 @@ def graph_to_dot(g: Graph) -> str:
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(g.n):
         label = g.labels[v] if g.labels else str(v)
+        label = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         lines.append(f'  {v} [label="{label}"];')
     for u, v in g.sorted_edges():
         lines.append(f"  {u} -- {v};")

@@ -110,9 +110,8 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
         if reached > cap:
             raise StateCapExceeded(
                 f"configuration space with {reached} states exceeds cap {cap}")
-    group = PermGroup(k)
     if k == 1:
-        return _mask_component(adj_masks, first), group
+        return _mask_component(adj_masks, first), PermGroup(1)
     vb = (n - 1).bit_length()
     field = (1 << vb) - 1
     slots = range(0, k * vb, vb)        # the low bit of each slot's field
@@ -176,8 +175,7 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                             k, [transposition(k, i, j) for i, j in pairs])
                     joins += [(p[i], p[j]) for p in maps]
     # uncertified: the distinct maps, then the proved pairs, join the chain
-    for p in chain(maps, (transposition(k, i, j) for i, j in pairs)):
-        group._add_perm(p)
+    group = PermGroup(k, chain(maps, (transposition(k, i, j) for i, j in pairs)))
     if group.is_symmetric():
         return _mask_component(adj_masks, first), group
     for c, code in rep.items():     # unpacked in place: one table at a time

@@ -2,11 +2,11 @@
 
 Any degree is accepted.  The groups the pebble game builds act on the
 pebbles of a small graph, so a plain deterministic Schreier-Sims
-suffices.  Closure of the chain is deferred: adding generators only
-rebuilds orbits, which keeps the hot path (feeding many redundant
-generators) cheap.  The product of orbit sizes always counts distinct
-elements, so it is a sound lower bound on the order; when it reaches the
-full k! the chain is certifiably complete without any Schreier closure.
+suffices.  The chain is closed once, when the group is built: each
+generator is sifted and only rebuilds orbits, which keeps feeding many
+redundant generators cheap, and then one Schreier closure runs.  The
+product of orbit sizes counts distinct elements, so once it reaches the
+full k! the chain is certifiably complete and the closure stops early.
 A caller holding another certificate of S_k, such as transpositions that
 join all k points, builds S_k's standard chain with ``symmetric``; a
 conjugate g t g^-1 = (g(i) g(j)) of a member t = (i j) by a member g is
@@ -74,10 +74,11 @@ def cycle_notation(p: Perm) -> str:
 class PermGroup:
     """Subgroup of S_k given by generators.
 
-    Membership and order queries go through a stabilizer chain with base
-    points chosen on demand (first moved point of each new residue).
-    Transversals store each coset representative with its inverse so
-    sifting never recomputes inverses.
+    Each generator is sifted in order and kept only when it extends the
+    stabilizer chain, whose base points are chosen on demand (first moved
+    point of each new residue); the chain is then closed, so membership
+    and order queries only read it.  Transversals store each coset
+    representative with its inverse so sifting never recomputes inverses.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -90,17 +91,26 @@ class PermGroup:
         # per level: point -> (u, u_inv) with u(base) = point
         self._trans: list[dict[int, tuple[Perm, Perm]]] = []
         self._id = identity_perm(degree)
-        self._full = factorial(degree)
-        self._closed = True
         for p in generators:
-            self.add(p)
+            perm = check_perm(p, degree)
+            residue, lvl = self._sift_from(0, perm)
+            if residue != self._id:
+                self.generators.append(perm)
+                self._insert_residue(residue, lvl)
+        # an orbit product of k! is the whole symmetric group; nothing to close
+        full = factorial(degree)
+        while self.order() < full:
+            hit = self._find_open_schreier()
+            if hit is None:
+                break
+            self._insert_residue(*hit)
 
     @classmethod
     def symmetric(cls, degree: int, generators: list[Perm]) -> PermGroup:
         """S_k on its standard chain, base 0..k-2 with level i moved by the
         (i j), j > i; no closure runs, so ``generators`` must generate S_k.
-        The chain is built once per degree and shared: every sift into a
-        complete chain ends on the identity, so nothing ever extends it."""
+        The chain is built once per degree and shared, since no group
+        changes after it is built."""
         chain = _STANDARD_CHAINS.get(degree)
         if chain is None:
             chain = _STANDARD_CHAINS[degree] = ([], [], [])
@@ -111,7 +121,7 @@ class PermGroup:
                 chain[2].append({u[i]: (u, u) for u in moves})
         group = cls(degree)
         group.generators = generators
-        group._base, group._level_gens, group._trans = map(list, chain)
+        group._base, group._level_gens, group._trans = chain
         return group
 
     # -- chain internals ----------------------------------------------------
@@ -162,7 +172,6 @@ class PermGroup:
         self._level_gens[lvl].append(residue)
         for i in range(lvl + 1):
             self._rebuild_orbit(i)
-        self._closed = False
 
     def _find_open_schreier(self) -> tuple[Perm, int] | None:
         for i in range(len(self._base)):
@@ -179,46 +188,17 @@ class PermGroup:
                         return r, lvl
         return None
 
-    def _ensure_closed(self) -> None:
-        # an orbit product of k! is the whole symmetric group; nothing to close
-        while not self._closed and self.order_lower_bound() < self._full:
-            hit = self._find_open_schreier()
-            if hit is None:
-                break
-            self._insert_residue(*hit)
-        self._closed = True
-
-    def _add_perm(self, perm: Perm) -> bool:
-        """Add a generator known to be a valid permutation."""
-        residue, lvl = self._sift_from(0, perm)
-        if residue == self._id:
-            return False
-        self.generators.append(perm)
-        self._insert_residue(residue, lvl)
-        return True
-
     # -- public surface -----------------------------------------------------
 
-    def add(self, p: Iterable[int]) -> bool:
-        """Add a generator; returns True when it extended the chain."""
-        return self._add_perm(check_perm(p, self.degree))
-
-    def order_lower_bound(self) -> int:
-        """Product of orbit sizes; a certified lower bound on the order."""
+    def order(self) -> int:
         return prod(map(len, self._trans))
 
-    def order(self) -> int:
-        self._ensure_closed()
-        return self.order_lower_bound()
-
     def __contains__(self, p: Iterable[int]) -> bool:
-        perm = check_perm(p, self.degree)
-        self._ensure_closed()
-        residue, _ = self._sift_from(0, perm)
+        residue, _ = self._sift_from(0, check_perm(p, self.degree))
         return residue == self._id
 
     def is_symmetric(self) -> bool:
-        return self.order() == self._full
+        return self.order() == factorial(self.degree)
 
     def elements(self, cap: int = 50_000) -> Iterator[Perm]:
         """Enumerate all elements, each once, as the products of one coset

@@ -263,6 +263,8 @@ def verify_structure_theorem(n_max: int, workers: int | None = None,
     """
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
+    if workers is not None and workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     if workers is None:
         workers = (os.cpu_count() or 1) if n_max > 7 else 1
     workers = min(workers, os.cpu_count() or 1, -(-_CLASS_COUNTS[n_max - 1] // SWEEP_CHUNK))

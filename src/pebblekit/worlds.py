@@ -64,8 +64,13 @@ class World:
     def __post_init__(self):
         if self.kind not in WORLD_KINDS:
             raise ValidationError(f"unknown world kind {self.kind!r}")
+        product = self.kind in ("product-Z", "product-N")
+        if self.base is not None and not product:
+            raise ValidationError(f"{self.kind} takes no base graph")
+        if self.k is not None and self.kind != "dominated-ray":
+            raise ValidationError(f"{self.kind} takes no k")
         row = None
-        if self.kind in ("product-Z", "product-N"):
+        if product:
             if self.base is None:
                 raise ValidationError(f"{self.kind} requires a base graph")
             if self.base.n == 0 or not is_connected(self.base):

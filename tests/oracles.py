@@ -75,11 +75,9 @@ def harvest_group(g: Graph, start: tuple[int, ...]) -> PermGroup:
     achieved permutation."""
     slot_of = {v: i for i, v in enumerate(start)}
     base = frozenset(start)
-    group = PermGroup(len(start))
-    for s in labelled_class(g, start):
-        if frozenset(s) == base:
-            group.add(tuple(slot_of[x] for x in s))
-    return group
+    return PermGroup(len(start), (tuple(slot_of[x] for x in s)
+                                  for s in labelled_class(g, start)
+                                  if frozenset(s) == base))
 
 
 def labelled_sweep(n: int) -> tuple[int, int, int]:

@@ -12,10 +12,8 @@ import random
 import time
 from math import factorial
 
-import pytest
-
 from pebblekit.errors import NoLinkageError
-from pebblekit.graphs import Graph, enumerate_connected_graphs
+from pebblekit.graphs import enumerate_connected_graphs
 from pebblekit.linkage import check_linkage, find_linkage, realize_transition
 from pebblekit.permgroups import transposition
 from pebblekit.rays import is_linear_family, ray_graph

@@ -127,6 +127,8 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     {"kind": "half-grid", "depth": float("inf")},
     {"kind": "half-grid", "depth": 2.7},
     {"kind": "half-grid", "depth": True},
+    {"kind": "half-grid", "k": 5},
+    {"kind": "full-grid", "base": {"n": 1, "edges": []}},
 ])
 def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     f = tmp_path / "world.json"

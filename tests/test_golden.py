@@ -32,6 +32,9 @@ GRAPHS = {
     # a 4-cycle 4-1-3-2 with vertex 0 hanging off 4
     "c4-pendant.json": {"n": 5, "edges": [[0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]},
     "k4.json": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    # labels that DOT must escape: a quote, a backslash, a newline
+    "labels.json": {"n": 3, "edges": [[0, 1], [1, 2]],
+                    "labels": {"0": 'a"b', "1": "c\\d", "2": "e\nf"}},
     # a string is written as it is: the triangle as an edge list
     "tri.txt": "0 1\n1 2\n2 0\n",
 }
@@ -74,6 +77,8 @@ CASES = {
                         "--rays", "canonical:3", "--moves", "[[0,1],[2,1]]"],
     "export-dot-graph": ["export-dot", "--graph", "{tmp}/p5.json",
                          "--out", "{tmp}/w.dot"],
+    "export-dot-labels": ["export-dot", "--graph", "{tmp}/labels.json",
+                          "--out", "{tmp}/w.dot"],
     "win-pretty": ["--pretty", "win", "--graph", "{tmp}/p5.json", "--k", "2"],
     "win-k4": ["win", "--graph", "{tmp}/k4.json", "--k", "2"],
     "win-edge-list": ["win", "--graph", "{tmp}/tri.txt", "--k", "1"],
@@ -96,6 +101,8 @@ CASES = {
                              "--rays", "canonical:3", "--moves", "[0,1]"],
     "export-dot-no-depth": ["export-dot", "--world", "half-grid",
                             "--out", "{tmp}/w.dot"],
+    "raygraph-unread-world-k": ["raygraph", "--world", "full-grid", "--world-k",
+                                "7", "--rays", "canonical:4", "--d0", "4"],
     "linkage-no-world": ["linkage", "--rays", "canonical:2", "--depth", "4",
                          "--source", "0", "--target", "1"],
     # the linkage engine's answers and refusals

@@ -46,11 +46,13 @@ def test_oracles_do_not_import_the_game_engine():
 def test_modules_use_every_name_they_import():
     import ast
     from pathlib import Path
-    pkg = Path(pebblekit.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    # the package's __init__ imports to re-export
+    files = [p for p in (root / "src" / "pebblekit").glob("*.py") if p.name != "__init__.py"]
+    files += (root / "tests").glob("*.py")
+    files += (root / "demos").glob("*.py")
     stale = []
-    for path in sorted(pkg.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in sorted(files):
         tree = ast.parse(path.read_text())
         bound = {}
         for node in ast.walk(tree):
@@ -61,7 +63,7 @@ def test_modules_use_every_name_they_import():
                     name = alias.asname or alias.name.split(".")[0]
                     bound[name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        stale += [f"{path.name}:{line} {name}" for name, line in bound.items()
+        stale += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound.items()
                   if name not in used]
     assert not stale, stale
 

@@ -68,14 +68,18 @@ def test_cyclic_group():
     assert repr(g) == "PermGroup(degree=3, order=3, generators=['(0 1 2)'])"
 
 
-def test_order_lower_bound_is_sound():
-    g = PermGroup(5)
-    g.add((1, 0, 2, 3, 4))
-    g.add((1, 2, 3, 4, 0))
-    assert g.order_lower_bound() <= factorial(5)
-    assert g.order() == factorial(5)
-    # after closure the bound is the order itself
-    assert g.order_lower_bound() == factorial(5)
+def test_a_built_group_does_no_closure_work_when_queried(monkeypatch):
+    # S_5 from a 5-cycle and a transposition needs a Schreier closure,
+    # which runs once, when the group is built
+    g = PermGroup(5, [(1, 2, 3, 4, 0), transposition(5, 0, 1)])
+
+    def closure(self):
+        raise AssertionError("closure ran on a query")
+
+    monkeypatch.setattr(PermGroup, "_find_open_schreier", closure)
+    assert g.order() == factorial(5) and g.is_symmetric()
+    assert (4, 3, 2, 1, 0) in g
+    assert len(set(g.elements())) == factorial(5)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -89,22 +93,20 @@ def test_symmetric_chain_is_all_of_s_k(k):
     assert len(elems) == len(set(elems)) == factorial(k)
     assert set(elems) == set(itertools.permutations(range(k)))
     assert all(p in g for p in elems)
-    assert not any(g.add(p) for p in itertools.permutations(range(k)))
-    assert g.generators == path
+    # the constructor keeps every generator and closes the same group
+    built = PermGroup(k, path)
+    assert built.generators == path and built.order() == factorial(k)
 
 
 def test_redundant_generator_not_recorded():
-    g = PermGroup(3, [(1, 2, 0)])
-    assert not g.add((2, 0, 1))           # already a member
+    g = PermGroup(3, [(1, 2, 0), (2, 0, 1)])    # (2, 0, 1) is already a member
     assert g.generators == [(1, 2, 0)]
 
 
 def test_invalid_perm_rejected():
-    g = PermGroup(3)
-    with pytest.raises(ValidationError):
-        g.add((0, 0, 1))
-    with pytest.raises(ValidationError):
-        g.add((0, 1))
+    for bad in [(0, 0, 1), (0, 1)]:
+        with pytest.raises(ValidationError):
+            PermGroup(3, [(1, 2, 0), bad])
 
 
 def test_elements_past_the_cap_is_a_resource_refusal():

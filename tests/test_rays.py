@@ -10,7 +10,7 @@ from pebblekit.graphs import Graph
 from pebblekit.rays import (ANNULI, RING_WIDTH, RayGraph, _reaches, _steps,
                             is_linear_family, ray_graph)
 from pebblekit.worlds import (DEFAULT_WINDOW_CAP, RaySpec, _window_box,
-                              canonical_rays, make_world, truncate, world_norm)
+                              canonical_rays, make_world, world_norm)
 
 from conftest import cycle_graph, path_graph, star_graph
 from oracles import (contains_subgraph, coordinate_ray_graph, frontier_reaches,

@@ -204,19 +204,30 @@ def test_config_group_matches_harvest_across_field_widths(n):
                     assert all(sum(1 << v for v in r) == c for c, r in reps.items()), case
 
 
+@pytest.fixture
+def sifts(monkeypatch):
+    """Every generator a PermGroup receives to sift, in order."""
+    received = []
+    real = PermGroup.__init__
+
+    def recording(self, degree, generators=()):
+        generators = list(generators)
+        received.extend(generators)
+        real(self, degree, generators)
+
+    monkeypatch.setattr(PermGroup, "__init__", recording)
+    return received
+
+
 THETA7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
                              (5, 6), (6, 2), (1, 5)])
 
 
-def test_tree_certified_query_sifts_nothing(monkeypatch):
+def test_tree_certified_query_sifts_nothing(sifts):
     # the THETA7 and c4-pendant queries end on a tree of proved
     # transpositions, so no transport reaches the stabilizer chain; a
     # search that ends without a tree sifts its distinct transports, then
     # the tree
-    sifts = []
-    real = PermGroup._add_perm
-    monkeypatch.setattr(PermGroup, "_add_perm",
-                        lambda self, p: sifts.append(p) or real(self, p))
     for start in ((0, 1, 2, 3, 4), (6, 1, 2, 3)):
         assert pebble_permutation_group(THETA7, start).is_symmetric()
     c4_pendant = Graph.from_edges(5, [(0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
@@ -254,14 +265,10 @@ def test_conjugated_transpositions_end_the_search_early(monkeypatch, g, start,
     assert len(pops) == dequeued
 
 
-def test_repeated_transports_are_sifted_once(monkeypatch):
+def test_repeated_transports_are_sifted_once(sifts):
     # on the 22-cycle with k = 7, 38,760 non-tree loops move pebbles, each
     # by a rotation; a repeat never extends the chain, so at most
     # |G| - 1 = 6 distinct transports are sifted
-    sifts = []
-    real = PermGroup._add_perm
-    monkeypatch.setattr(PermGroup, "_add_perm",
-                        lambda self, p: sifts.append(p) or real(self, p))
     assert pebble_permutation_group(cycle_graph(22), tuple(range(7))).order() == 7
     assert 1 <= len(sifts) <= 6
 
@@ -613,3 +620,9 @@ def test_sweep_default_is_serial_up_to_n7(monkeypatch):
 def test_sweep_rejects_large_n():
     with pytest.raises(ValidationError):
         verify_structure_theorem(SWEEP_MAX_N + 1)
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        verify_structure_theorem(3, workers=workers)

@@ -9,11 +9,11 @@ from pebblekit.dot import truncation_to_dot
 from pebblekit.errors import ValidationError, WindowCapExceeded
 from pebblekit.graphs import PARSE_MAX_N, Graph, is_connected
 from pebblekit.rays import ray_graph
-from pebblekit.worlds import (RaySpec, Truncation, World, canonical_rays,
+from pebblekit.worlds import (WORLD_KINDS, RaySpec, Truncation, canonical_rays,
                               chebyshev_ball, make_world, truncate,
                               world_from_json_dict, world_neighbors, world_norm)
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
 
 
 def triangle():
@@ -30,6 +30,27 @@ def test_make_world_validation():
     with pytest.raises(ValidationError):
         make_world("dominated-ray", k=0)
     assert make_world("dominated-ray", k=3).k == 3
+
+
+@pytest.mark.parametrize("kind", WORLD_KINDS)
+def test_a_world_refuses_options_its_kind_does_not_read(kind):
+    # only the product worlds read a base and only the dominated ray a k;
+    # a world built with either ignored would not equal the world it is
+    tri = {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+    base = triangle() if kind.startswith("product") else None
+    k = 3 if kind == "dominated-ray" else None
+    doc = {"kind": kind, "k": k, "base": tri if base else None}
+    assert make_world(kind, base=base, k=k) == world_from_json_dict(doc)
+    if base is None:
+        with pytest.raises(ValidationError, match=f"{kind} takes no base graph"):
+            make_world(kind, base=triangle(), k=k)
+        with pytest.raises(ValidationError, match=f"{kind} takes no base graph"):
+            world_from_json_dict({**doc, "base": tri})
+    if k is None:
+        with pytest.raises(ValidationError, match=f"{kind} takes no k"):
+            make_world(kind, base=base, k=5)
+        with pytest.raises(ValidationError, match=f"{kind} takes no k"):
+            world_from_json_dict({**doc, "k": 5})
 
 
 def test_dominated_ray_k_is_bounded_like_a_parsed_graph():
