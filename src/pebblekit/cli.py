@@ -42,6 +42,13 @@ def _load_world(args) -> tuple[World, int | None]:
     """The world the arguments name, and the depth its file gives (None
     without a file or a depth in it)."""
     if args.world_file:
+        given = [opt for opt, value in (("--world", args.world), ("--base", args.base),
+                                        ("--world-k", args.world_k))
+                 if value is not None]
+        if given:
+            raise ValidationError(
+                f"{', '.join(given)} cannot be given beside --world-file, "
+                "which names the whole world")
         doc = json.loads(Path(args.world_file).read_text())
         world = world_from_json_dict(doc)
         depth = doc.get("depth")

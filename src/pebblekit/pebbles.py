@@ -15,9 +15,10 @@ Group Algorithms, 2003).  Only a BFS that ends without them sifts its
 distinct other transports into a stabilizer chain, whose order may
 still be k!.  When G = S_k the class is
 every arrangement of k pebbles on the component holding them.  Only
-``solve`` searches labelled states by A* on summed goal distances (Hart,
-Nilsson, Raphael 1968).  Caps are hard errors, so "unreachable" is never
-wrong.
+``solve`` searches labelled states, by A* on summed goal distances (Hart,
+Nilsson, Raphael 1968); it packs each state, heap entry and parent link
+into one int, about 140 bytes per stored state.  Caps are hard errors, so
+"unreachable" is never wrong.
 """
 
 from __future__ import annotations
@@ -237,51 +238,90 @@ def solve(g: Graph, start: GameState, goal: GameState,
     tuple.  ``cap`` bounds the labelled states stored; a search that reaches
     it asks ``is_achievable``, with the same cap, whether to answer None,
     and otherwise refuses with ``StateCapExceeded`` for its own cap.
+
+    Every state, heap entry and parent link is one int, none of which the
+    cyclic garbage collector tracks.  A state holds slot i's vertex in
+    the vb bits at ``shifts[i]``, slot 0 highest, so int order is tuple
+    order, and a move of slot i from v to w is u ^ (v ^ w) << shifts[i].
+    A heap entry is ((f << DB | DTOP - d) << SB) | state, so it orders as
+    the tuple (f, -d, state); ``seen`` maps a state to d << SB | parent.
     """
     s, t = _validate_pair(g, start, goal)
     adj = g.adjacency()
-    rows = []                   # rows[i][v]: distance from v to t[i]
+    n, k = g.n, len(s)
+    rows = []                   # rows[i][v]: distance from v to t[i], or -1
     for v in t:
-        row, queue = {v: 0}, [v]
+        row = [-1] * n
+        row[v] = 0
+        queue = [v]
         for u in queue:
             for w in adj[u]:
-                if w not in row:
+                if row[w] < 0:
                     row[w] = row[u] + 1
                     queue.append(w)
         rows.append(row)
-    if any(v not in row for row, v in zip(rows, s)):
+    if any(row[v] < 0 for row, v in zip(rows, s)):
         return None             # a pebble and its goal in different components
-    seen = {s: (0, s)}          # state: (moves, parent)
-    heap = [(sum(row[v] for row, v in zip(rows, s)), 0, s)]
+    vb = (n - 1).bit_length()
+    field = (1 << vb) - 1
+    shifts = [(k - 1 - i) * vb for i in range(k)]
+    SB = k * vb                 # state bits
+    DB = cap.bit_length() + 1   # depth bits: no stored depth exceeds cap
+    DTOP = (1 << DB) - 1
+    FB = DB + SB                # f's lowest bit in a heap entry
+    state = (1 << SB) - 1
+    # place[i][w]: w in slot i's field; gain[i][w]: that plus rows[i][w] in f's
+    # field, so a heap entry trades gain[i][v] for gain[i][w] when i moves
+    place = [[w << sh for w in range(n)] for sh in shifts]
+    gain = [[p + (r << FB) for p, r in zip(pl, row)]
+            for pl, row in zip(place, rows)]
+    bit = [1 << v for v in range(n)]
+    slots = list(zip(shifts, place, gain))
+    s0 = sum(v << sh for v, sh in zip(s, shifts))
+    t0 = sum(v << sh for v, sh in zip(t, shifts))
+    seen = {s0: s0}             # state: d << SB | parent
+    heap = [(sum(row[v] for row, v in zip(rows, s)) << DB | DTOP) << SB | s0]
     while heap:
-        f, neg, u = heappop(heap)
-        if u == t:
-            plan = [t]
-            while plan[-1] != s:
-                plan.append(seen[plan[-1]][1])
-            return plan[::-1]
-        if -neg > seen[u][0]:
+        e = heappop(heap)
+        u = e & state
+        if u == t0:
+            plan = [t0]
+            while plan[-1] != s0:
+                plan.append(seen[plan[-1]] & state)
+            return [tuple(c >> sh & field for sh in shifts) for c in reversed(plan)]
+        d = DTOP - (e >> SB & DTOP)
+        if d > seen[u] >> SB:
             continue            # a shorter route to u was pushed later
-        occupied = set(u)
-        d = 1 - neg             # moves to each successor of u
-        for i, v in enumerate(u):
-            row = rows[i]
+        occupied = 0
+        for sh in shifts:
+            occupied |= bit[u >> sh & field]
+        d += 1                  # moves to each successor of u
+        link = d << SB | u
+        # u with f + 1 and DTOP - d above it; a slot's move takes its
+        # vertex's field and goal distance out and puts the target's in
+        top = ((e >> FB) + 1 << DB | DTOP - d) << SB | u
+        for sh, pl, gn in slots:
+            v = u >> sh & field
+            rest = u ^ pl[v]
+            base = top - gn[v]
             for w in adj[v]:
-                if w in occupied:
+                if occupied & bit[w]:
                     continue
-                x = u[:i] + (w,) + u[i + 1:]
+                x = rest | pl[w]
                 old = seen.get(x)
-                if old is None and len(seen) >= cap:
-                    try:
-                        if not is_achievable(g, s, t, cap):
-                            return None
-                    except StateCapExceeded:
-                        pass    # refused below as this search's own cap
-                    raise StateCapExceeded(f"state search exceeded cap of {cap} states")
-                if old is not None and old[0] <= d:
+                if old is None:
+                    if len(seen) >= cap:
+                        try:
+                            if not is_achievable(g, s, t, cap):
+                                return None
+                        except StateCapExceeded:
+                            pass    # refused below as this search's own cap
+                        raise StateCapExceeded(
+                            f"state search exceeded cap of {cap} states")
+                elif old >> SB <= d:
                     continue
-                seen[x] = (d, u)
-                heappush(heap, (f + 1 - row[v] + row[w], -d, x))
+                seen[x] = link
+                heappush(heap, base + gn[w])
     return None
 
 

@@ -46,6 +46,9 @@ WORLD_KINDS = ("full-grid", "half-grid", "hex-half-grid",
 
 DEFAULT_WINDOW_CAP = 250_000
 
+# the keys a world descriptor may hold: the command line reads its depth
+_DESCRIPTOR_KEYS = ("kind", "base", "k", "depth")
+
 
 @dataclass(frozen=True)
 class World:
@@ -94,6 +97,11 @@ def make_world(kind: str, base: Graph | None = None, k: int | None = None) -> Wo
 def world_from_json_dict(doc: dict) -> World:
     if not isinstance(doc, dict):
         raise ValidationError("a world descriptor must be a JSON object")
+    unread = sorted(map(repr, doc.keys() - _DESCRIPTOR_KEYS))
+    if unread:
+        raise ValidationError(
+            f"world descriptor keys {', '.join(unread)} are not read "
+            f"(use {', '.join(_DESCRIPTOR_KEYS)})")
     kind = doc.get("kind")
     if not isinstance(kind, str):
         raise ValidationError(f"world kind must be a string, got {kind!r}")

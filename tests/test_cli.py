@@ -139,6 +139,23 @@ def test_malformed_world_file_exit_2(capsys, tmp_path, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("opts", [
+    ["--world", "full-grid"],
+    ["--base", "nonexistent.json"],
+    ["--world-k", "7"],
+    ["--world", "full-grid", "--world-k", "7", "--base", "nonexistent.json"],
+])
+def test_world_options_beside_a_world_file_exit_2(capsys, tmp_path, opts):
+    # the file names the whole world, so an option beside it would be dropped
+    f = tmp_path / "world.json"
+    f.write_text(json.dumps({"kind": "half-grid", "depth": 4}))
+    code, out, err = run_cli(capsys, "raygraph", "--world-file", str(f), *opts,
+                             "--rays", "canonical:2", "--d0", "4")
+    assert code == 2 and out is None
+    assert all(opt in err for opt in opts if opt.startswith("--"))
+    assert "beside --world-file" in err
+
+
 @pytest.mark.parametrize("source", ["option", "file"])
 def test_huge_dominated_ray_k_exits_2_at_once(capsys, tmp_path, source):
     if source == "option":

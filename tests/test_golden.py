@@ -23,7 +23,8 @@ from test_cli import run_cli_text
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = {f"demo-{p.stem}": p for p in sorted((ROOT / "demos").glob("*.py"))}
-GRAPHS = {
+# the input files of the cases: graphs, then world descriptors
+FILES = {
     "p5.json": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
     "p6.json": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]},
     "c6.json": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]},
@@ -37,6 +38,9 @@ GRAPHS = {
                     "labels": {"0": 'a"b', "1": "c\\d", "2": "e\nf"}},
     # a string is written as it is: the triangle as an edge list
     "tri.txt": "0 1\n1 2\n2 0\n",
+    "half-grid.json": {"kind": "half-grid", "depth": 4},
+    # a misspelt depth and a key no code reads
+    "half-grid-depht.json": {"kind": "half-grid", "depht": 4, "bogus": 1},
 }
 FULL4 = ["--world", "full-grid", "--depth", "4", "--rays", "canonical:4",
          "--source", "0,1,2,3", "--target", "0,1,2,3"]
@@ -103,6 +107,15 @@ CASES = {
                             "--out", "{tmp}/w.dot"],
     "raygraph-unread-world-k": ["raygraph", "--world", "full-grid", "--world-k",
                                 "7", "--rays", "canonical:4", "--d0", "4"],
+    # a world file names the whole world, and each of its keys is read
+    "raygraph-world-beside-world-file": ["raygraph", "--world-file",
+                                         "{tmp}/half-grid.json", "--world",
+                                         "full-grid", "--rays", "canonical:2",
+                                         "--d0", "4"],
+    "export-dot-unread-world-key": ["export-dot", "--world-file",
+                                    "{tmp}/half-grid-depht.json", "--rays",
+                                    "canonical:2", "--depth", "3",
+                                    "--out", "{tmp}/w.dot"],
     "linkage-no-world": ["linkage", "--rays", "canonical:2", "--depth", "4",
                          "--source", "0", "--target", "1"],
     # the linkage engine's answers and refusals
@@ -187,7 +200,7 @@ def _demo_answer(tmp_path, script):
 
 
 def test_every_verb_answers_as_pinned(capsys, tmp_path, request):
-    for name, doc in GRAPHS.items():
+    for name, doc in FILES.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rewrite = request.config.getoption("--rewrite-golden")
     answers = {name: _answer(capsys, tmp_path, argv) for name, argv in CASES.items()}

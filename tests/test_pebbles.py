@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import comb, perm
 
 import pytest
@@ -332,6 +333,23 @@ def test_solve_stores_a_tenth_of_the_space():
     assert solve(g, start, goal, cap=cap)[-1] == goal
     with pytest.raises(StateCapExceeded):
         labelled_distance(g, start, goal, cap=cap)
+
+
+def test_solve_memory_per_stored_state():
+    # the 3x3 grid with k = 8: swapping pebbles 0 and 1 is odd, off the
+    # class, so the search runs to its cap before the configurations
+    # decide; each stored state is a few ints, about 135 bytes of
+    # tracemalloc peak (a tuple-keyed search took about 240)
+    g = Graph.from_edges(9, [(v, v + 1) for v in range(9) if v % 3 < 2]
+                         + [(v, v + 3) for v in range(6)])
+    cap = 50_000
+    tracemalloc.start()
+    try:
+        assert solve(g, tuple(range(8)), (1, 0, *range(2, 8)), cap=cap) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * cap
 
 
 def test_solve_cap_below_the_search_raises():

@@ -53,6 +53,15 @@ def test_a_world_refuses_options_its_kind_does_not_read(kind):
             world_from_json_dict({**doc, "k": 5})
 
 
+def test_a_world_descriptor_refuses_keys_no_code_reads():
+    # a misspelt key would be dropped, and the answer would be about the
+    # world without it; "depth" is read by the command line
+    doc = {"kind": "half-grid", "depth": 4}
+    assert world_from_json_dict(doc) == make_world("half-grid")
+    with pytest.raises(ValidationError, match="keys 'bogus', 'depht' are not read"):
+        world_from_json_dict({"kind": "half-grid", "depht": 4, "bogus": 1})
+
+
 def test_dominated_ray_k_is_bounded_like_a_parsed_graph():
     # the star K_{1,k} is built with the world, before any window cap
     assert make_world("dominated-ray", k=PARSE_MAX_N - 1).row.n == PARSE_MAX_N
