@@ -38,17 +38,22 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return parse_graph(text, fmt)
 
 
+def _refuse_beside(option: str, why: str, others: dict) -> None:
+    """Refuse the options of ``others`` (flag to value) given beside
+    ``option``, which would drop them."""
+    given = [opt for opt, value in others.items() if value is not None]
+    if given:
+        raise ValidationError(
+            f"{', '.join(given)} cannot be given beside {option}, {why}")
+
+
 def _load_world(args) -> tuple[World, int | None]:
     """The world the arguments name, and the depth its file gives (None
     without a file or a depth in it)."""
     if args.world_file:
-        given = [opt for opt, value in (("--world", args.world), ("--base", args.base),
-                                        ("--world-k", args.world_k))
-                 if value is not None]
-        if given:
-            raise ValidationError(
-                f"{', '.join(given)} cannot be given beside --world-file, "
-                "which names the whole world")
+        _refuse_beside("--world-file", "which names the whole world",
+                       {"--world": args.world, "--base": args.base,
+                        "--world-k": args.world_k})
         doc = json.loads(Path(args.world_file).read_text())
         world = world_from_json_dict(doc)
         depth = doc.get("depth")
@@ -160,7 +165,11 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_raygraph(args) -> dict:
-    w, _ = _load_world(args)
+    w, file_depth = _load_world(args)
+    if file_depth is not None:
+        raise ValidationError(
+            "raygraph reads no window depth: drop the world file's 'depth' "
+            "and give the start depth as --d0")
     rays = _parse_rays(w, args.rays, args.window_cap)
     rg = ray_graph(w, rays, d0=args.d0, window_cap=args.window_cap)
     doc = rg.to_json_dict()
@@ -206,9 +215,15 @@ def _cmd_transition(args) -> dict:
 
 def _cmd_export_dot(args) -> dict:
     if args.graph:
+        _refuse_beside("--graph", "which draws a graph, not a world window",
+                       {"--world": args.world, "--world-file": args.world_file,
+                        "--base": args.base, "--world-k": args.world_k,
+                        "--rays": args.rays, "--depth": args.depth})
         g = _load_graph(args.graph, args.format)
         text = dot.graph_to_dot(g)
     else:
+        if args.format is not None:
+            raise ValidationError("--format is read only with --graph")
         t = _window(args)
         rays = _parse_rays(t.world, args.rays, args.window_cap) if args.rays else None
         text = dot.truncation_to_dot(t, rays)

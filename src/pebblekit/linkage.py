@@ -184,15 +184,17 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: frozenset[int]):
     Negotiated congestion as in PathFinder (McMurchie & Ebeling, FPGA
     1995).  Each round rips up every walk in turn and reroutes it along its
     cheapest path, where entering vertex v costs
-    ``(1 + history[v]) * (1 + present * sharers[v])`` and ``sharers[v]``
-    counts the other walks on v.  A round that ends with shared vertices
-    raises their history and multiplies ``present``, so walks learn to go
-    round the contested vertices.  Cheapest paths are found by A* on hop
-    distances to the pair's end, computed once per pair.  Returns the
-    paths, one per pair, vertex-disjoint and off ``blocked``; or False, a
-    refutation found before any routing: some pair has no path avoiding
-    ``blocked`` and the other pairs' ends, which its path may not touch;
-    or None when the budget of ROUTE_ROUNDS ran out, which proves nothing.
+    ``(1 + history[v]) * (2 + weight * sharers[v])`` and ``sharers[v]``
+    counts the other walks on v: twice PathFinder's cost with present
+    factor ``weight / 2``, so costs stay integers.  A round that ends with
+    shared vertices raises their history and doubles ``weight`` (1, 2, 4,
+    ...), so walks learn to go round the contested vertices.  Cheapest
+    paths are found by A* on hop distances to the pair's end, computed
+    once per pair.  Returns the paths, one per pair, vertex-disjoint and
+    off ``blocked``; or False, a refutation found before any routing: some
+    pair has no path avoiding ``blocked`` and the other pairs' ends, which
+    its path may not touch; or None when the budget of ROUTE_ROUNDS ran
+    out, which proves nothing.
     """
     ends = {v for pair in terminals for v in pair}
     avoid = [blocked | (ends - {s, e}) for s, e in terminals]
@@ -202,13 +204,13 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: frozenset[int]):
     history = [0] * len(adj)
     sharers = [0] * len(adj)
     paths: list[list[int]] = [[] for _ in terminals]
-    present = 0.5
+    weight = 1
     for _ in range(ROUTE_ROUNDS):
         for i, (s, e) in enumerate(terminals):
             for v in paths[i]:
                 sharers[v] -= 1
             paths[i] = _cheapest_path(adj, s, e, avoid[i], history, sharers,
-                                      present, bounds[i])
+                                      weight, bounds[i])
             for v in paths[i]:
                 sharers[v] += 1
         shared = {v for p in paths for v in p if sharers[v] > 1}
@@ -216,7 +218,7 @@ def _route(adj, terminals: list[tuple[int, int]], blocked: frozenset[int]):
             return paths
         for v in shared:
             history[v] += 1
-        present *= 2
+        weight *= 2
     return None
 
 
@@ -244,33 +246,47 @@ def _hop_bound(adj, s: int, e: int, avoid: set[int]) -> list[int] | None:
 
 
 def _cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
-                   sharers: list[int], present: float, h: list[int]) -> list[int]:
-    """A* from s to e under the router's vertex costs.  ``h`` comes from
-    ``_hop_bound``, which has shown e reachable; it is consistent, so no
-    vertex is expanded twice and the path is a cheapest one.  Distances
-    and parents are lists indexed by window vertex."""
-    dist = [float("inf")] * len(adj)
-    parent = [-1] * len(adj)
-    dist[s] = 0.0
-    heap = [(h[s], 0.0, s)]
+                   sharers: list[int], weight: int, h: list[int]) -> list[int]:
+    """A* from s to e under the router's vertex costs, doubled: entering v
+    costs ``(1 + history[v]) * (2 + weight * sharers[v])``, and a hop of
+    the bound ``h`` counts 2.  ``h`` comes from ``_hop_bound``, which has
+    shown e reachable; it is consistent, so no vertex is expanded twice
+    and the path is a cheapest one.  Distances and parents are lists
+    indexed by window vertex.
+
+    Each heap entry is one int, ``(f << DB | d) << VB | w``, which orders
+    like the tuple (f, d, w).  VB bits hold any vertex.  DB bits hold any
+    d, the cost of at most n entered vertices: ``_route`` raises a
+    history once a round, so ``history[v] <= ROUTE_ROUNDS``, and fewer
+    than n walks share v, so the round's ``weight`` bounds a vertex cost."""
+    n = len(adj)
+    vb = n.bit_length()
+    db = (n * (1 + ROUTE_ROUNDS) * (2 + weight * n)).bit_length()
+    vmask, dmask = (1 << vb) - 1, (1 << db) - 1
+    dist = [1 << db] * n
+    parent = [-1] * n
+    dist[s] = 0
+    heap = [(2 * h[s] << db) << vb | s]
     while True:
-        _, d, u = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        u = key & vmask
         if u == e:
             path = [u]
             while u != s:
                 u = parent[u]
                 path.append(u)
             return path[::-1]
+        d = key >> vb & dmask
         if d > dist[u]:
             continue
         for w in adj[u]:
             if w in avoid:
                 continue
-            nd = d + (1 + history[w]) * (1 + present * sharers[w])
+            nd = d + (1 + history[w]) * (2 + weight * sharers[w])
             if nd < dist[w]:
                 dist[w] = nd
                 parent[w] = u
-                heapq.heappush(heap, (nd + h[w], nd, w))
+                heapq.heappush(heap, ((nd + 2 * h[w]) << db | nd) << vb | w)
 
 
 def _connector(path: list[int], tgt: list[int]) -> tuple[int, ...]:

@@ -10,10 +10,11 @@ shells give vertex-disjoint witnesses by construction; eventual
 periodicity of the worlds makes the edge set eventually constant.  The
 answer is a certified finite observation, never a proof about the
 infinite world.  ``ray_graph`` decides the rule on bitmasks of the
-deepest window: shells and rays are masks, and step masks repeat two
-levels of the neighbour rule over the window.  Each pair's search takes
-one frontier step, then fills whole runs: a run along the row in one
-addition, and a run in any other direction by doubling the shift.
+deepest window: shells and rays are masks, and step masks repeat the
+neighbour rule of one period of columns on two levels over the window.
+Each pair's search takes one frontier step, then fills whole runs: a run
+along the row in one addition, and a run in any other direction by
+doubling the shift.
 """
 
 from __future__ import annotations
@@ -140,26 +141,35 @@ def _mask(bits: list[int]) -> int:
 
 def _steps(w: World, box: tuple[int, int, int, int], keep: int) -> dict[int, int]:
     """``step[s]`` holds the ``keep`` vertices of the rectangle ``box``
-    whose neighbour lies s bits away.  Neighbour offsets depend only on x
-    and the parity of y (see ``worlds``), so two interior levels give each
-    shift a pattern repeated over the rectangle.  A neighbour outside the
-    rectangle would alias another level: a row neighbour past [x0, x1], a
+    whose neighbour lies s bits away.  Neighbour offsets depend only on
+    the parity of y and on x mod 2 on the integer line, on x on a finite
+    row (see ``worlds``).  So one period of columns on two interior levels
+    gives each shift a pattern, repeated along the row by a column repunit
+    and over the levels by a level-pair repunit.  A neighbour outside the
+    rectangle would alias another vertex, so each shift keeps only the
+    vertices whose neighbour lies inside: a row neighbour past [x0, x1], a
     rung up from the top level and one down from the bottom are dropped."""
     x0, x1, y0, y1 = box
     width = x1 - x0 + 1
-    movers: dict[int, list[int]] = defaultdict(list)
+    period = 2 if w.row is None else width
+    # movers[dy, dx][(y - y0) % 2]: the period's columns that step by (dx, dy)
+    movers: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0])
     for y in (y0 + 1, y0 + 2):
-        for x in range(x0, x1 + 1):
-            b = (y - y0) % 2 * width + x - x0   # bit on the pattern's level of y's parity
+        for x in range(x0, x0 + period):
             for nx, ny in world_neighbors(w, (x, y)):
-                if x0 <= nx <= x1:
-                    movers[(ny - y) * width + nx - x].append(b)
-    reps = (y1 - y0) // 2 + 1
-    repunit = ((1 << 2 * width * reps) - 1) // ((1 << 2 * width) - 1)
+                movers[ny - y, nx - x][(y - y0) % 2] |= 1 << x - x0
     row = (1 << width) - 1
-    keep_at = {width: keep & ~(row << (y1 - y0) * width), -width: keep & ~row}
-    step = {s: _mask(bits) * repunit & keep_at.get(s, keep) for s, bits in movers.items()}
-    return {s: m for s, m in step.items() if m}
+    cols = ((1 << period * -(-width // period)) - 1) // ((1 << period) - 1)
+    levels = ((1 << width * (y1 - y0 + 1)) - 1) // row
+    pairs = ((1 << 2 * width * ((y1 - y0) // 2 + 1)) - 1) // ((1 << 2 * width) - 1)
+    step = {}
+    for (dy, dx), (even, odd) in movers.items():
+        pattern = (even * cols & row | (odd * cols & row) << width) * pairs
+        inside = ((row >> abs(dx) << max(-dx, 0))
+                  * (levels >> abs(dy) * width << max(-dy, 0) * width))
+        if m := pattern & keep & inside:
+            step[dy * width + dx] = m
+    return step
 
 
 def _edge_set_at(step: dict[int, int], boxes: list[int], traces: list[int],

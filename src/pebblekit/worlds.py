@@ -19,8 +19,11 @@ connected graph; the levels run over Z or over N (y >= 0).
   with literal dominating vertices the world admits a single ray.
 
 The neighbour offsets of (x, y) depend only on x and on y mod 2, except
-that the bottom level of a half world has no rung down; ``rays`` builds a
-window's step masks from two levels on this, so every world must keep it.
+that the bottom level of a half world has no rung down; on the integer
+line they depend on x only through x mod 2 (the brick wall's rungs).
+``rays`` builds a window's step masks from one period of columns (two on
+the line, the whole row otherwise) on two levels on this, so every world
+must keep it.
 
 A truncation is the induced subgraph on all coordinates within ``depth``
 under the world's window norm.  Windows are monotone: the depth-d window

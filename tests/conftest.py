@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from pebblekit.graphs import Graph
+
+# every property test draws the same examples on every run and keeps no
+# example database, so a failure reproduces on rerun and in CI; a test's
+# own @settings still sets its max_examples
+settings.register_profile("pebblekit", derandomize=True, database=None)
+settings.load_profile("pebblekit")
 
 
 def pytest_addoption(parser):

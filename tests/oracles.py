@@ -263,3 +263,34 @@ def cheapest_cost(adj, s: int, e: int, avoid: set[int], history: list[int],
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return None
+
+
+def float_cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int],
+                        sharers: list[int], present: float, h: list[int]) -> list[int]:
+    """The router's A* on float tuple heap entries (f, d, vertex), where
+    entering v costs ``(1 + history[v]) * (1 + present * sharers[v])``;
+    ``h`` is ``linkage._hop_bound``'s hop bound, so e is reachable.  Its
+    ties fall to the lesser d, then the lesser vertex, which fixes the
+    path returned among equally cheap ones."""
+    dist = [float("inf")] * len(adj)
+    parent = [-1] * len(adj)
+    dist[s] = 0.0
+    heap = [(h[s], 0.0, s)]
+    while True:
+        _, d, u = heapq.heappop(heap)
+        if u == e:
+            path = [u]
+            while u != s:
+                u = parent[u]
+                path.append(u)
+            return path[::-1]
+        if d > dist[u]:
+            continue
+        for w in adj[u]:
+            if w in avoid:
+                continue
+            nd = d + (1 + history[w]) * (1 + present * sharers[w])
+            if nd < dist[w]:
+                dist[w] = nd
+                parent[w] = u
+                heapq.heappush(heap, (nd + h[w], nd, w))

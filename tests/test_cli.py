@@ -156,6 +156,34 @@ def test_world_options_beside_a_world_file_exit_2(capsys, tmp_path, opts):
     assert "beside --world-file" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    # raygraph reads its start depth from --d0, never from the file
+    (["raygraph", "--world-file", "{world}", "--rays", "canonical:2", "--d0", "4"],
+     ["'depth'", "--d0"]),
+    # a graph's DOT file reads no world option
+    *((["export-dot", "--graph", "{graph}", opt, value, "--out", "{out}"], [opt])
+      for opt, value in (("--world", "half-grid"), ("--world-file", "{world}"),
+                         ("--base", "{graph}"), ("--world-k", "3"),
+                         ("--rays", "canonical:2"), ("--depth", "3"))),
+    (["export-dot", "--graph", "{graph}", "--world", "half-grid", "--depth", "3",
+      "--out", "{out}"], ["--world", "--depth"]),
+    # a graph format with no graph to read
+    (["export-dot", "--format", "json", "--world", "half-grid", "--depth", "3",
+      "--out", "{out}"], ["--format", "--graph"]),
+])
+def test_unread_options_exit_2(capsys, tmp_path, argv, named):
+    # an option the verb would drop is refused, and the refusal names it
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"kind": "half-grid", "depth": 4}))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    out = tmp_path / "w.dot"
+    code, doc, err = run_cli(capsys, *(a.format(world=world, graph=graph, out=out)
+                                       for a in argv))
+    assert code == 2 and doc is None and not out.exists()
+    assert all(n in err for n in named), err
+
+
 @pytest.mark.parametrize("source", ["option", "file"])
 def test_huge_dominated_ray_k_exits_2_at_once(capsys, tmp_path, source):
     if source == "option":

@@ -118,6 +118,16 @@ CASES = {
                                     "--out", "{tmp}/w.dot"],
     "linkage-no-world": ["linkage", "--rays", "canonical:2", "--depth", "4",
                          "--source", "0", "--target", "1"],
+    # each option a verb would drop is refused: a world file's depth under
+    # raygraph, a world option beside a graph, a format with no graph
+    "raygraph-world-file-depth": ["raygraph", "--world-file", "{tmp}/half-grid.json",
+                                  "--rays", "canonical:2", "--d0", "4"],
+    "export-dot-graph-beside-world": ["export-dot", "--graph", "{tmp}/p5.json",
+                                      "--world", "half-grid", "--depth", "3",
+                                      "--out", "{tmp}/w.dot"],
+    "export-dot-format-without-graph": ["export-dot", "--format", "json",
+                                        "--world", "half-grid", "--depth", "3",
+                                        "--out", "{tmp}/w.dot"],
     # the linkage engine's answers and refusals
     "linkage-no-linkage": ["linkage", *HALF6, "--depth", "6", "--sigma", "2,1,0"],
     # two half-grid columns are adjacent in the ray graph, but the radius-2

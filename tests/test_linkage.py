@@ -20,7 +20,7 @@ from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
                               truncate)
 
-from oracles import cheapest_cost
+from oracles import cheapest_cost, float_cheapest_path
 
 
 @pytest.fixture(scope="module")
@@ -406,12 +406,39 @@ def test_router_paths_are_cheapest(seed):
         assert h[e] == 0
         assert all(h[u] <= h[w] + 1 for u in range(n) for w in adj[u]
                    if u not in avoid and w not in avoid)
-        path = linkage._cheapest_path(adj, s, e, avoid, history, sharers, present, h)
+        path = linkage._cheapest_path(adj, s, e, avoid, history, sharers,
+                                      int(2 * present), h)
         assert path[0] == s and path[-1] == e
         assert all(v in adj[u] for u, v in zip(path, path[1:]))
         assert not set(path) & avoid
         assert sum((1 + history[v]) * (1 + present * sharers[v])
                    for v in path[1:]) == best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_router_paths_follow_the_float_tie_order(seed):
+    # the integer A* returns the very path of the float-tuple A*, not just
+    # an equally cheap one: the pinned linkage witnesses rest on this tie
+    # order.  Weights run to 2^29, where heap keys pass 64 bits.
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randrange(8, 60)
+        p = rng.choice((0.06, 0.12, 0.3))
+        adj = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < p]).adjacency()
+        s, e = rng.sample(range(n), 2)
+        avoid = {v for v in range(n) if v not in (s, e) and rng.random() < 0.1}
+        h = linkage._hop_bound(adj, s, e, avoid)
+        if h is None:
+            continue
+        # mostly uncontested vertices, so that equally cheap paths abound
+        history = [rng.choice((0, 0, rng.randrange(linkage.ROUTE_ROUNDS + 1)))
+                   for _ in range(n)]
+        sharers = [rng.choice((0, 0, rng.randrange(4))) for _ in range(n)]
+        weight = 1 << rng.randrange(30)
+        assert (linkage._cheapest_path(adj, s, e, avoid, history, sharers, weight, h)
+                == float_cheapest_path(adj, s, e, avoid, history, sharers,
+                                       weight / 2, h))
 
 
 def test_router_refuses_a_disconnected_pair_before_routing(monkeypatch):

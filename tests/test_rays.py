@@ -89,10 +89,27 @@ def test_ray_graph_reads_two_levels_of_neighbours(monkeypatch):
     calls = _count_neighbour_reads(monkeypatch)
     fg = make_world("full-grid")
     rg = ray_graph(fg, canonical_rays(fg, 4), d0=14)
-    # two levels of the depth-21 window's 43-wide rectangle, where one
-    # read per shell vertex would be 43^2 - 29^2 = 1008
-    assert calls[0] <= 2 * 43
+    # two columns on two levels of the depth-21 window's 43-wide
+    # rectangle, where one read per shell vertex would be 43^2 - 29^2 = 1008
+    assert calls[0] == 4
     assert rg.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+
+
+@pytest.mark.parametrize("w, reads", [
+    (make_world("full-grid"), 4), (make_world("half-grid"), 4),
+    (make_world("hex-half-grid"), 4),
+    (make_world("product-Z", base=cycle_graph(5)), 2 * 5),
+    (make_world("product-N", base=path_graph(40)), 2 * 40),
+    (make_world("dominated-ray", k=3), 2 * 4)], ids=lambda v: getattr(v, "kind", v))
+def test_steps_read_one_period_of_columns_on_two_levels(monkeypatch, w, reads):
+    # two columns on the integer line, the whole row otherwise, whatever
+    # the window's size
+    calls = _count_neighbour_reads(monkeypatch)
+    for d0 in (1, 14):
+        calls[0] = 0
+        box, keep = _shell(w, d0)
+        _steps(w, box, keep)
+        assert calls[0] == reads
 
 
 def test_ray_graph_on_a_wide_row_reads_two_levels(monkeypatch):

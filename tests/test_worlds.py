@@ -164,6 +164,20 @@ def test_neighbour_offsets_repeat_every_second_level(w):
             assert offsets(x, 0) == [o for o in offsets(x, 2) if o != (0, -1)], x
 
 
+@pytest.mark.parametrize("w", [
+    make_world("full-grid"), make_world("half-grid"), make_world("hex-half-grid")],
+    ids=lambda w: w.kind)
+def test_neighbour_offsets_repeat_every_second_column_on_the_line(w):
+    # rays._steps reads two columns of the integer line on this
+    def offsets(x, y):
+        return [(nx - x, ny - y) for nx, ny in world_neighbors(w, (x, y))]
+
+    levels = range(0, 7) if w.half else range(-6, 7)
+    for x in range(-6, 7):
+        for y in levels:
+            assert offsets(x, y) == offsets(x + 2, y), (x, y)
+
+
 def test_window_cap():
     fg = make_world("full-grid")
     with pytest.raises(WindowCapExceeded):
