@@ -17,8 +17,10 @@ still be k!.  When G = S_k the class is
 every arrangement of k pebbles on the component holding them.  Only
 ``solve`` searches labelled states, by A* on summed goal distances (Hart,
 Nilsson, Raphael 1968); it packs each state, heap entry and parent link
-into one int, about 140 bytes per stored state.  Caps are hard errors, so
-"unreachable" is never wrong.
+into one int.  A state holds k * ceil(log2 n) bits, so a stored state
+takes about 140 bytes at small k, as on the 3x3 grid with k = 8, and
+more as k grows; its move tables are filled as the search reaches them.
+Caps are hard errors, so "unreachable" is never wrong.
 """
 
 from __future__ import annotations
@@ -245,6 +247,9 @@ def solve(g: Graph, start: GameState, goal: GameState,
     order, and a move of slot i from v to w is u ^ (v ^ w) << shifts[i].
     A heap entry is ((f << DB | DTOP - d) << SB) | state, so it orders as
     the tuple (f, -d, state); ``seen`` maps a state to d << SB | parent.
+    A state holds k * ceil(log2 n) bits, so its bytes grow with k.  The
+    move tables are filled as the search first puts a slot on a vertex,
+    so their memory follows the states reached, not k * n.
     """
     s, t = _validate_pair(g, start, goal)
     adj = g.adjacency()
@@ -271,12 +276,16 @@ def solve(g: Graph, start: GameState, goal: GameState,
     FB = DB + SB                # f's lowest bit in a heap entry
     state = (1 << SB) - 1
     # place[i][w]: w in slot i's field; gain[i][w]: that plus rows[i][w] in f's
-    # field, so a heap entry trades gain[i][v] for gain[i][w] when i moves
-    place = [[w << sh for w in range(n)] for sh in shifts]
-    gain = [[p + (r << FB) for p, r in zip(pl, row)]
-            for pl, row in zip(place, rows)]
+    # field, so a heap entry trades gain[i][v] for gain[i][w] when i moves.
+    # An entry has up to SB + DB bits, so all k * n of them would grow as
+    # k^2 n log n: each is filled when the search first puts slot i on w
+    place = [[None] * n for _ in range(k)]
+    gain = [[None] * n for _ in range(k)]
+    for pl, gn, sh, row, v in zip(place, gain, shifts, rows, s):
+        pl[v] = v << sh
+        gn[v] = pl[v] + (row[v] << FB)
     bit = [1 << v for v in range(n)]
-    slots = list(zip(shifts, place, gain))
+    slots = list(zip(shifts, place, gain, rows))
     s0 = sum(v << sh for v, sh in zip(s, shifts))
     t0 = sum(v << sh for v, sh in zip(t, shifts))
     seen = {s0: s0}             # state: d << SB | parent
@@ -300,14 +309,18 @@ def solve(g: Graph, start: GameState, goal: GameState,
         # u with f + 1 and DTOP - d above it; a slot's move takes its
         # vertex's field and goal distance out and puts the target's in
         top = ((e >> FB) + 1 << DB | DTOP - d) << SB | u
-        for sh, pl, gn in slots:
+        for sh, pl, gn, row in slots:
             v = u >> sh & field
             rest = u ^ pl[v]
             base = top - gn[v]
             for w in adj[v]:
                 if occupied & bit[w]:
                     continue
-                x = rest | pl[w]
+                p = pl[w]
+                if p is None:
+                    p = pl[w] = w << sh
+                    gn[w] = p + (row[w] << FB)
+                x = rest | p
                 old = seen.get(x)
                 if old is None:
                     if len(seen) >= cap:

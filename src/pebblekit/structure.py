@@ -4,8 +4,10 @@ The pebble-permutation group of a state comes from the BFS over the
 C(n, k) unordered pebble configurations in ``pebbles._config_group``
 (loop transports of the non-tree edges, and S_k certified by
 transposition transports and their conjugates by the other transports),
-so the caps here bound configurations, not labelled states.  ``pebble_permutation_group`` is the one door to it: every
-group this module reads outside the sweep comes through there.
+so the caps here bound configurations, not labelled states.
+
+``pebble_permutation_group`` is the one door to it: every group this
+module reads outside the sweep comes through there.
 
 The sweep walks the class tree of ``graphs.augmentations``: each class
 is a representative in the labelling its parent gave it, with |Aut G|,

@@ -17,9 +17,8 @@ from pebblekit.graphs import enumerate_connected_graphs
 from pebblekit.linkage import check_linkage, find_linkage, realize_transition
 from pebblekit.permgroups import transposition
 from pebblekit.rays import is_linear_family, ray_graph
-from pebblekit.structure import (is_k_pebble_win, pebble_group_fast,
-                                 pebble_permutation_group, rb_colouring,
-                                 verify_structure_theorem)
+from pebblekit.structure import (is_k_pebble_win, pebble_permutation_group,
+                                 rb_colouring, verify_structure_theorem)
 from pebblekit.worlds import canonical_rays, chebyshev_ball, make_world, truncate
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
@@ -97,8 +96,7 @@ def test_criterion_04_rb_colouring_contract():
     for n in range(3, 7):
         for g in enumerate_connected_graphs(n):
             for k in range(1, n - 1):
-                cfg_conn, grp = pebble_group_fast(g, k)
-                if cfg_conn and grp.order() == factorial(k):
+                if is_k_pebble_win(g, k):
                     continue
                 losers += 1
                 col = rb_colouring(g, tuple(range(k)))

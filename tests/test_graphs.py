@@ -334,11 +334,6 @@ def test_bare_path_cover_cycle(c6):
         assert not is_bare_path(c6, seq)
 
 
-def test_bare_path_cover_k4_absent(k4):
-    # no maximal bare path misses at most one vertex
-    assert all(k4.n - len(seq) > 1 for seq in maximal_bare_paths(k4))
-
-
 def test_maximal_bare_paths_k4(k4):
     # all degrees 3: every edge is its own maximal bare path
     assert maximal_bare_paths(k4) == sorted(

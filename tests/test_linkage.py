@@ -38,15 +38,6 @@ def test_identity_linkage_is_pure_ride(half_setup):
     assert len(walks) == 2
 
 
-def test_shift_linkage(half_setup):
-    hg, t, cols = half_setup
-    lk = find_linkage(t, cols[:3], cols[3:6], set(), {0: 0, 1: 1, 2: 2})
-    check_linkage(t, cols[:3], cols[3:6], lk)
-    assert lk.sigma == {0: 0, 1: 1, 2: 2}
-    for p in lk.paths.values():
-        assert p                      # families are disjoint: real connectors
-
-
 def test_free_sigma_is_injective(half_setup):
     hg, t, cols = half_setup
     lk = find_linkage(t, cols[:3], cols[3:6], set())
@@ -79,16 +70,6 @@ def test_linkage_after_ball(half_setup):
     for i, p in lk.paths.items():
         assert not (set(p[1:]) & ball)
     assert lk.after == frozenset(ball)
-
-
-def test_full_grid_cyclic_shift():
-    fg = make_world("full-grid")
-    t = truncate(fg, 8)
-    rays = canonical_rays(fg, 3)
-    lk = find_linkage(t, rays, rays, set(chebyshev_ball(t, 2)),
-                      {0: 1, 1: 2, 2: 0})
-    check_linkage(t, rays, rays, lk)
-    assert lk.sigma == {0: 1, 1: 2, 2: 0}
 
 
 def test_validations(half_setup):

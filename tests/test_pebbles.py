@@ -84,7 +84,7 @@ def test_solve_cycle_swap_is_four_moves():
     assert seq is not None
     validate_move_sequence(g, seq)
     assert seq[0] == (0, 1) and seq[-1] == (1, 0)
-    assert len(seq) - 1 == _idastar_length(g, (0, 1), (1, 0))
+    assert len(seq) - 1 == labelled_distance(g, (0, 1), (1, 0))
 
 
 def test_solve_unreachable_returns_none():
@@ -219,31 +219,12 @@ def test_state_cap_is_exact():
             reachable_states(g, start, cap=len(cls) - 1)
 
 
-def _idastar_length(g, start, goal):
-    """Independent oracle: iterative-deepening search for the shortest plan."""
-    if start == goal:
-        return 0
-    for limit in range(1, 64):
-        stack = [(start, 0)]
-        while stack:
-            s, depth = stack.pop()
-            if depth == limit:
-                if s == goal:
-                    return limit
-                continue
-            for t in legal_moves(g, s):
-                stack.append((t, depth + 1))
-        # breadth exhausted at this limit without hitting goal
-    raise AssertionError("no plan within 63 moves")
-
-
 def _small_graphs(max_n):
     for n in range(2, max_n + 1):
         yield from enumerate_connected_graphs(n)
 
 
 def test_solve_is_shortest_on_small_graphs():
-    import random
     rng = random.Random(5)
     graphs = [g for g in _small_graphs(4)]
     graphs += rng.sample(list(enumerate_connected_graphs(5)), 12)
@@ -259,8 +240,7 @@ def test_solve_is_shortest_on_small_graphs():
                 continue
             validate_move_sequence(g, seq)
             assert seq[0] == start and seq[-1] == goal
-            if len(seq) - 1 <= 7:
-                assert len(seq) - 1 == _idastar_length(g, start, goal)
+            assert len(seq) - 1 == labelled_distance(g, start, goal)
 
 
 def test_solve_is_none_exactly_off_the_labelled_class():
@@ -311,9 +291,8 @@ def _far_instance(family, n, k, seed):
     return g, start, goal
 
 
-# seeds with long plans, 7 to 24 moves: all but dense n=8 are beyond the
-# iterative-deepening oracle's 7, and theta n=10 makes A* store thousands
-# of states
+# seeds with long plans, 7 to 24 moves; theta n=10 makes A* store
+# thousands of states
 @pytest.mark.parametrize("family,n,k,seed", [
     ("dense", 8, 4, 3), ("dense", 9, 5, 1), ("dense", 10, 6, 1),
     ("theta", 8, 4, 3), ("theta", 9, 5, 2), ("theta", 10, 6, 2),
@@ -350,6 +329,21 @@ def test_solve_memory_per_stored_state():
     finally:
         tracemalloc.stop()
     assert peak < 160 * cap
+
+
+def test_solve_memory_follows_the_states_reached():
+    # 300 pebbles on P_600 and a goal one move away: a state is 300 fields
+    # of 10 bits, so move tables for all 180,000 (slot, vertex) pairs
+    # would take over 100 MB
+    g = path_graph(600)
+    start, goal = tuple(range(300)), (*range(299), 300)
+    tracemalloc.start()
+    try:
+        assert solve(g, start, goal) == [start, goal]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_solve_cap_below_the_search_raises():

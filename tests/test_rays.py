@@ -25,23 +25,6 @@ def test_half_grid_columns_form_a_path():
     assert is_linear_family(rg)
 
 
-def test_full_grid_four_rays_form_a_cycle():
-    fg = make_world("full-grid")
-    rg = ray_graph(fg, canonical_rays(fg, 4), d0=10)
-    assert rg.stabilized
-    assert rg.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
-    assert not is_linear_family(rg)
-
-
-def test_product_ray_graph_contains_base():
-    tri = cycle_graph(3)
-    pz = make_world("product-Z", base=tri)
-    rg = ray_graph(pz, canonical_rays(pz, 3), d0=8)
-    assert rg.stabilized
-    assert contains_subgraph(rg, set(tri.sorted_edges()))
-    assert not is_linear_family(rg)
-
-
 def test_star_product_ray_graph_is_star():
     st = star_graph(3)
     pn = make_world("product-N", base=st)

