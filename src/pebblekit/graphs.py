@@ -70,6 +70,22 @@ class Graph:
         """Sorted neighbour tuples, index per vertex; built once per graph."""
         return self._adjacency
 
+    @cached_property
+    def _adjacency_masks(self) -> tuple[int, ...]:
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
+    def _pebble_groups(self) -> dict:
+        """Validated start state -> (configurations reached, component
+        bitmask when the group is S_k or else None, PermGroup), filled by
+        ``pebbles._graph_group``; a graph never changes, so neither does
+        an entry."""
+        return {}
+
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
@@ -185,12 +201,8 @@ def _parse_json(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Per vertex, the bitmask of its neighbours."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
+    """Per vertex, the bitmask of its neighbours; built once per graph."""
+    return g._adjacency_masks
 
 
 def mask_adjacency(n: int, mask: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:

@@ -14,12 +14,17 @@ a conjugate of a group element lies in the group (Seress, Permutation
 Group Algorithms, 2003).  Only a BFS that ends without them sifts its
 distinct other transports into a stabilizer chain, whose order may
 still be k!.  When G = S_k the class is
-every arrangement of k pebbles on the component holding them.  Only
+every arrangement of k pebbles on the component holding them.  The BFS
+runs once per (graph, start): the graph keeps G, the count of reachable
+configurations and, when G = S_k, the component bitmask, for every later
+query at that start, but no table of representatives, so a class or an
+``is_achievable`` answer under a smaller G runs it again.  Only
 ``solve`` searches labelled states, by A* on summed goal distances (Hart,
 Nilsson, Raphael 1968); it packs each state, heap entry and parent link
 into one int.  A state holds k * ceil(log2 n) bits, so a stored state
 takes about 140 bytes at small k, as on the 3x3 grid with k = 8, and
-more as k grows; its move tables are filled as the search reaches them.
+more as k grows; its move tables and goal distances are filled as the
+search reaches them.
 Caps are hard errors, so "unreachable" is never wrong.
 """
 
@@ -29,7 +34,7 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import chain, permutations
 from math import comb, perm
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable
 
 from .errors import StateCapExceeded, ValidationError
@@ -43,7 +48,12 @@ DEFAULT_STATE_CAP = 5_000_000
 
 
 def validate_state(g: Graph, state: Iterable[int]) -> GameState:
-    s = tuple(state)
+    raw = tuple(state)
+    try:
+        # plain ints: a graph keeps its groups by start state, and 1.0 == 1
+        s = tuple(map(index, raw))
+    except TypeError:
+        raise ValidationError(f"pebble positions must be integers, got {raw}") from None
     if not (1 <= len(s) <= g.n):
         raise ValidationError(f"state must place between 1 and {g.n} pebbles, got {len(s)}")
     for v in s:
@@ -186,13 +196,38 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     return rep, group
 
 
+def _graph_group(g: Graph, s: GameState, cap: int, table: bool = False
+                 ) -> tuple[dict[int, GameState] | int | None, PermGroup]:
+    """``_config_group`` for the validated start ``s``, run once per (graph,
+    start).  The graph keeps the count of reachable configurations, the
+    group and, when it is S_k, the component bitmask, but no
+    representative table, so a non-S_k group comes with reps None unless
+    ``table`` asks for the table, which runs the BFS again.  The cap test
+    runs on every call: the reachable configurations are the same count
+    that ``_config_group`` compares with ``cap`` up front."""
+    memo = g._pebble_groups
+    hit = memo.get(s)
+    if hit is not None:
+        reached, comp, group = hit
+        if reached > cap:
+            raise StateCapExceeded(
+                f"configuration space with {reached} states exceeds cap {cap}")
+        if comp is not None or not table:
+            return comp, group
+    reps, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    if hit is None:
+        memo[s] = ((comb(reps.bit_count(), len(s)), reps, group)
+                   if isinstance(reps, int) else (len(reps), None, group))
+    return reps, group
+
+
 def reachable_states(g: Graph, start: GameState,
                      cap: int = DEFAULT_STATE_CAP) -> set[GameState]:
     """The full reachability class of ``start``.  ``cap`` bounds the
     labelled states returned, counted before any is built."""
     s = validate_state(g, start)
     k = len(s)
-    reps, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    reps, group = _graph_group(g, s, cap, table=True)
     size = (perm(reps.bit_count(), k) if isinstance(reps, int)
             else len(reps) * group.order())
     if size > cap:
@@ -222,12 +257,34 @@ def is_achievable(g: Graph, start: GameState, goal: GameState,
     goal vertex lies in the pebbles' component.  ``cap`` bounds
     configurations."""
     s, t = _validate_pair(g, start, goal)
-    reps, group = _config_group(adjacency_masks(g), g.n, s, cap)
+    reps, group = _graph_group(g, s, cap, table=True)
     goal_mask = sum(1 << v for v in t)
     if isinstance(reps, int):
         return goal_mask & ~reps == 0
     r = reps.get(goal_mask)
     return r is not None and tuple(map(r.index, t)) in group
+
+
+def _goal_distance(adj: tuple[tuple[int, ...], ...], t: int):
+    """d(v): the distance from v to t, or None when v is in another
+    component.  The BFS from t grows only until v is labelled, so its
+    memory follows the vertices read."""
+    row = {t: 0}
+    queue = [t]
+    order = iter(queue)         # a list iterator also reads what is appended
+
+    def d(v: int) -> int | None:
+        if v not in row:
+            for u in order:
+                du = row[u] + 1
+                for w in adj[u]:
+                    if w not in row:
+                        row[w] = du
+                        queue.append(w)
+                if v in row:
+                    break
+        return row.get(v)
+    return d
 
 
 def solve(g: Graph, start: GameState, goal: GameState,
@@ -248,24 +305,17 @@ def solve(g: Graph, start: GameState, goal: GameState,
     A heap entry is ((f << DB | DTOP - d) << SB) | state, so it orders as
     the tuple (f, -d, state); ``seen`` maps a state to d << SB | parent.
     A state holds k * ceil(log2 n) bits, so its bytes grow with k.  The
-    move tables are filled as the search first puts a slot on a vertex,
-    so their memory follows the states reached, not k * n.
+    move tables, and the goal-distance BFS of each slot, are filled as the
+    search first puts a slot on a vertex, so their memory follows the
+    states reached, not k * n.
     """
     s, t = _validate_pair(g, start, goal)
     adj = g.adjacency()
     n, k = g.n, len(s)
-    rows = []                   # rows[i][v]: distance from v to t[i], or -1
-    for v in t:
-        row = [-1] * n
-        row[v] = 0
-        queue = [v]
-        for u in queue:
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-        rows.append(row)
-    if any(row[v] < 0 for row, v in zip(rows, s)):
+    # rows[i](v): distance from v to t[i], or None in another component
+    rows = [_goal_distance(adj, v) for v in t]
+    h0 = [row(v) for row, v in zip(rows, s)]
+    if None in h0:
         return None             # a pebble and its goal in different components
     vb = (n - 1).bit_length()
     field = (1 << vb) - 1
@@ -275,21 +325,21 @@ def solve(g: Graph, start: GameState, goal: GameState,
     DTOP = (1 << DB) - 1
     FB = DB + SB                # f's lowest bit in a heap entry
     state = (1 << SB) - 1
-    # place[i][w]: w in slot i's field; gain[i][w]: that plus rows[i][w] in f's
+    # place[i][w]: w in slot i's field; gain[i][w]: that plus rows[i](w) in f's
     # field, so a heap entry trades gain[i][v] for gain[i][w] when i moves.
     # An entry has up to SB + DB bits, so all k * n of them would grow as
     # k^2 n log n: each is filled when the search first puts slot i on w
     place = [[None] * n for _ in range(k)]
     gain = [[None] * n for _ in range(k)]
-    for pl, gn, sh, row, v in zip(place, gain, shifts, rows, s):
+    for pl, gn, sh, h, v in zip(place, gain, shifts, h0, s):
         pl[v] = v << sh
-        gn[v] = pl[v] + (row[v] << FB)
+        gn[v] = pl[v] + (h << FB)
     bit = [1 << v for v in range(n)]
     slots = list(zip(shifts, place, gain, rows))
     s0 = sum(v << sh for v, sh in zip(s, shifts))
     t0 = sum(v << sh for v, sh in zip(t, shifts))
     seen = {s0: s0}             # state: d << SB | parent
-    heap = [(sum(row[v] for row, v in zip(rows, s)) << DB | DTOP) << SB | s0]
+    heap = [(sum(h0) << DB | DTOP) << SB | s0]
     while heap:
         e = heappop(heap)
         u = e & state
@@ -319,7 +369,7 @@ def solve(g: Graph, start: GameState, goal: GameState,
                 p = pl[w]
                 if p is None:
                     p = pl[w] = w << sh
-                    gn[w] = p + (row[w] << FB)
+                    gn[w] = p + (row(w) << FB)
                 x = rest | p
                 old = seen.get(x)
                 if old is None:

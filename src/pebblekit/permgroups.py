@@ -85,7 +85,7 @@ class PermGroup:
         if degree < 1:
             raise ValidationError("degree must be >= 1")
         self.degree = degree
-        self.generators: list[Perm] = []
+        kept: list[Perm] = []
         self._base: list[int] = []
         self._level_gens: list[list[Perm]] = []
         # per level: point -> (u, u_inv) with u(base) = point
@@ -95,8 +95,10 @@ class PermGroup:
             perm = check_perm(p, degree)
             residue, lvl = self._sift_from(0, perm)
             if residue != self._id:
-                self.generators.append(perm)
+                kept.append(perm)
                 self._insert_residue(residue, lvl)
+        # a tuple: one group may reach many callers, so none may change it
+        self.generators: tuple[Perm, ...] = tuple(kept)
         # an orbit product of k! is the whole symmetric group; nothing to close
         full = factorial(degree)
         while self.order() < full:
@@ -106,7 +108,7 @@ class PermGroup:
             self._insert_residue(*hit)
 
     @classmethod
-    def symmetric(cls, degree: int, generators: list[Perm]) -> PermGroup:
+    def symmetric(cls, degree: int, generators: Iterable[Perm]) -> PermGroup:
         """S_k on its standard chain, base 0..k-2 with level i moved by the
         (i j), j > i; no closure runs, so ``generators`` must generate S_k.
         The chain is built once per degree and shared, since no group
@@ -120,7 +122,7 @@ class PermGroup:
                 chain[1].append(moves[1:])      # moves[0] is the identity
                 chain[2].append({u[i]: (u, u) for u in moves})
         group = cls(degree)
-        group.generators = generators
+        group.generators = tuple(generators)
         group._base, group._level_gens, group._trans = chain
         return group
 

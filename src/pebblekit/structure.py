@@ -7,7 +7,11 @@ transposition transports and their conjugates by the other transports),
 so the caps here bound configurations, not labelled states.
 
 ``pebble_permutation_group`` is the one door to it: every group this
-module reads outside the sweep comes through there.
+module reads outside the sweep comes through there, and it reads the
+group that the graph keeps for the start, so one BFS per (graph, start)
+serves these readers, ``pebbles.reachable_states`` and
+``pebbles.is_achievable``.  The sweep runs the BFS on bitmasks, once per
+(class, k), and keeps nothing.
 
 The sweep walks the class tree of ``graphs.augmentations``: each class
 is a representative in the labelling its parent gave it, with |Aut G|,
@@ -34,7 +38,7 @@ from .graphs import (CLASSES_MAX_N, Graph, adjacency_masks, augmentations,
                      bridges, graph_from_masks, is_cycle_graph,
                      mask_connected, maximal_bare_paths)
 from .pebbles import (DEFAULT_STATE_CAP, GameState, _config_group,
-                      validate_state)
+                      _graph_group, validate_state)
 from .permgroups import PermGroup, transposition
 
 
@@ -61,10 +65,9 @@ def pebble_permutation_group(g: Graph, start: GameState,
     chain.
     """
     s = validate_state(g, start)
-    adj = adjacency_masks(g)
-    if not mask_connected(g.n, adj):
+    if not mask_connected(g.n, adjacency_masks(g)):
         raise ValidationError("graph must be connected")
-    return _config_group(adj, g.n, s, cap)[1]
+    return _graph_group(g, s, cap)[1]
 
 
 def _base_group(g: Graph, k: int, cap: int) -> PermGroup:

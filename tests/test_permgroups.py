@@ -87,7 +87,7 @@ def test_symmetric_chain_is_all_of_s_k(k):
     # a path of transpositions (i i+1) generates S_k
     path = [transposition(k, i, i + 1) for i in range(k - 1)]
     g = PermGroup.symmetric(k, path)
-    assert g.generators == path
+    assert g.generators == tuple(path)
     assert g.order() == factorial(k) and g.is_symmetric()
     elems = list(g.elements())
     assert len(elems) == len(set(elems)) == factorial(k)
@@ -95,12 +95,12 @@ def test_symmetric_chain_is_all_of_s_k(k):
     assert all(p in g for p in elems)
     # the constructor keeps every generator and closes the same group
     built = PermGroup(k, path)
-    assert built.generators == path and built.order() == factorial(k)
+    assert built.generators == tuple(path) and built.order() == factorial(k)
 
 
 def test_redundant_generator_not_recorded():
     g = PermGroup(3, [(1, 2, 0), (2, 0, 1)])    # (2, 0, 1) is already a member
-    assert g.generators == [(1, 2, 0)]
+    assert g.generators == ((1, 2, 0),)
 
 
 def test_invalid_perm_rejected():

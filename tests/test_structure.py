@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 import time
 from collections import deque
 from math import factorial, perm
@@ -9,7 +11,7 @@ from math import factorial, perm
 import pytest
 
 from pebblekit import pebbles, structure
-from pebblekit.errors import ValidationError
+from pebblekit.errors import StateCapExceeded, ValidationError
 from pebblekit.graphs import (Graph, adjacency_masks, bridges, canonical_form,
                               connected_graph_classes,
                               enumerate_connected_graphs, graph_from_masks,
@@ -196,17 +198,21 @@ def sifts(monkeypatch):
     return received
 
 
-THETA7 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
-                             (5, 6), (6, 2), (1, 5)])
+def theta7() -> Graph:
+    # a fresh graph each time: a graph keeps every group it has built, so
+    # a test that counts the work of building one needs a graph not yet
+    # queried
+    return Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4),
+                                (4, 5), (5, 6), (6, 2), (1, 5)])
 
 
 def test_tree_certified_query_sifts_nothing(sifts):
-    # the THETA7 and c4-pendant queries end on a tree of proved
+    # the theta7 and c4-pendant queries end on a tree of proved
     # transpositions, so no transport reaches the stabilizer chain; a
     # search that ends without a tree sifts its distinct transports, then
     # the tree
     for start in ((0, 1, 2, 3, 4), (6, 1, 2, 3)):
-        assert pebble_permutation_group(THETA7, start).is_symmetric()
+        assert pebble_permutation_group(theta7(), start).is_symmetric()
     c4_pendant = Graph.from_edges(5, [(0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     assert pebble_permutation_group(c4_pendant, (0, 1, 2)).is_symmetric()
     assert sifts == []
@@ -217,16 +223,20 @@ def test_tree_certified_query_sifts_nothing(sifts):
     assert sifts == [(1, 3, 0, 2), (0, 2, 3, 1), (0, 3, 1, 2)]
 
 
-@pytest.mark.parametrize("g, start, dequeued", [
-    (THETA7, (0, 1, 2, 3, 4), 9),
-    (THETA7, (6, 1, 2, 3), 7),
+def theta332() -> Graph:
     # hubs 0 and 1 joined by paths with 3, 3 and 2 interior vertices
-    (Graph.from_edges(10, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6),
-                           (6, 7), (7, 1), (0, 8), (8, 9), (9, 1)]),
-     (0, 1, 2, 3, 4), 37),
+    return Graph.from_edges(10, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5),
+                                 (5, 6), (6, 7), (7, 1), (0, 8), (8, 9),
+                                 (9, 1)])
+
+
+@pytest.mark.parametrize("make, start, dequeued", [
+    (theta7, (0, 1, 2, 3, 4), 9),
+    (theta7, (6, 1, 2, 3), 7),
+    (theta332, (0, 1, 2, 3, 4), 37),
 ], ids=["theta7", "theta7-late", "theta332"])
-def test_conjugated_transpositions_end_the_search_early(monkeypatch, g, start,
-                                                        dequeued):
+def test_conjugated_transpositions_end_the_search_early(monkeypatch, make,
+                                                        start, dequeued):
     # conjugates of proved transpositions complete the tree after 9, 7 and
     # 37 configurations; transposition transports alone need 20, 24 and 157
     pops = []
@@ -236,6 +246,7 @@ def test_conjugated_transpositions_end_the_search_early(monkeypatch, g, start,
             pops.append(None)
             return super().popleft()
 
+    g = make()
     monkeypatch.setattr(pebbles, "deque", CountingDeque)
     grp = pebble_permutation_group(g, start)
     assert grp.is_symmetric()
@@ -248,6 +259,124 @@ def test_repeated_transports_are_sifted_once(sifts):
     # |G| - 1 = 6 distinct transports are sifted
     assert pebble_permutation_group(cycle_graph(22), tuple(range(7))).order() == 7
     assert 1 <= len(sifts) <= 6
+
+
+# ---------------------------------------------------------------------------
+# a graph keeps its groups
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """One entry per run of the configuration BFS, with its start."""
+    runs = []
+    real = pebbles._config_group
+
+    def counting(adj_masks, n, start, cap=pebbles.DEFAULT_STATE_CAP):
+        runs.append(start)
+        return real(adj_masks, n, start, cap)
+
+    monkeypatch.setattr(pebbles, "_config_group", counting)
+    monkeypatch.setattr(structure, "_config_group", counting)
+    return runs
+
+
+def test_six_readers_share_one_search_on_an_s_k_graph(engine_runs):
+    g, base = theta7(), tuple(range(5))
+    assert len(reachable_states(g, base)) == perm(7, 5)
+    assert pebbles.is_achievable(g, base, (1, 0, 2, 3, 4))
+    assert pebble_permutation_group(g, base).is_symmetric()
+    with pytest.raises(ValidationError):
+        rb_colouring(g, base)
+    assert is_k_pebble_win(g, 5)
+    assert structure_witness(g, 5).pebble_win
+    assert engine_runs == [base]
+
+
+def test_a_non_s_k_table_is_searched_again(engine_runs, c6):
+    # the cyclic group of three pebbles on C6 comes with a table of 20
+    # representatives, which the graph does not keep
+    base = (0, 1, 2)
+    assert len(reachable_states(c6, base)) == 60
+    assert pebble_permutation_group(c6, base).order() == 3
+    assert rb_colouring(c6, base) == {0: "r", 1: "b", 2: "b"}
+    assert not is_k_pebble_win(c6, 3)
+    assert structure_witness(c6, 3).witness.cycle
+    assert len(engine_runs) == 1
+    assert pebbles.is_achievable(c6, base, (1, 2, 0))
+    assert not pebbles.is_achievable(c6, base, (1, 0, 2))
+    assert len(reachable_states(c6, base)) == 60
+    assert len(engine_runs) == 4
+
+
+@pytest.mark.parametrize("make, n", [(path_graph, 5), (complete_graph, 4)],
+                         ids=["trivial", "symmetric"])
+def test_a_stored_group_still_meets_the_cap(make, n):
+    # P5 and K4 place two pebbles in 10 and 6 configurations; a cap below
+    # that refuses after a default-cap call as it does on a fresh graph
+    g, start, low = make(n), (0, 1), perm(n, 2) // 2 - 1
+    calls = [lambda cap: pebble_permutation_group(g, start, cap=cap),
+             lambda cap: reachable_states(g, start, cap=cap),
+             lambda cap: pebbles.is_achievable(g, start, start[::-1], cap=cap),
+             lambda cap: is_k_pebble_win(g, 2, cap=cap),
+             lambda cap: structure_witness(g, 2, cap=cap)]
+    with pytest.raises(StateCapExceeded) as fresh:
+        calls[0](low)
+    for call in calls:
+        call(pebbles.DEFAULT_STATE_CAP)
+        with pytest.raises(StateCapExceeded) as exc:
+            call(low)
+        assert str(exc.value) == str(fresh.value)
+
+
+def test_equal_graphs_give_equal_answers():
+    # a graph queried at many starts first, and an equal one queried cold
+    cases = [(theta7(), 5), (cycle_graph(6), 3), (path_graph(5), 2),
+             (star_graph(3), 2)]
+    for g, k in cases:
+        warm = Graph(g.n, g.edges)
+        assert warm == g and warm is not g
+        for start in itertools.permutations(range(g.n), k):
+            pebble_permutation_group(warm, start)
+        for start in [tuple(range(k)), tuple(range(g.n - 1, g.n - 1 - k, -1))]:
+            for h in (g, warm):
+                grp = pebble_permutation_group(h, start)
+                answer = (grp.order(), grp.generators, reachable_states(h, start),
+                          is_k_pebble_win(h, k), structure_witness(h, k))
+                if h is g:
+                    cold = answer
+            assert answer == cold, (g, start)
+        for entry in [*g._pebble_groups.values(), *warm._pebble_groups.values()]:
+            # a count, a bitmask or None, and the group: no table of
+            # representatives
+            assert not any(isinstance(x, dict) for x in entry), (g, entry)
+
+
+def test_threads_sharing_a_fresh_graph_agree():
+    # from Python 3.12 functools.cached_property takes no lock, so threads
+    # that meet a fresh graph may each build its dict of groups; one dict
+    # is then dropped with its entries, and no answer may change
+    want = [(120, perm(7, 5), True), (3, 60, False)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            graphs = [(theta7(), 5), (cycle_graph(6), 3)]
+            answers = []
+
+            def ask():
+                answers.append([(pebble_permutation_group(g, tuple(range(k))).order(),
+                                 len(reachable_states(g, tuple(range(k)))),
+                                 is_k_pebble_win(g, k)) for g, k in graphs])
+
+            threads = [threading.Thread(target=ask) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert answers == [want] * 6
+    finally:
+        sys.setswitchinterval(old)
 
 
 def _connected_without(adj, v):
