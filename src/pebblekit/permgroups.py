@@ -7,15 +7,20 @@ generator is sifted and only rebuilds orbits, which keeps feeding many
 redundant generators cheap, and then one Schreier closure runs.  The
 product of orbit sizes counts distinct elements, so once it reaches the
 full k! the chain is certifiably complete and the closure stops early.
-A caller holding another certificate of S_k, such as transpositions that
-join all k points, builds S_k's standard chain with ``symmetric``; a
-conjugate g t g^-1 = (g(i) g(j)) of a member t = (i j) by a member g is
-a member, so known transpositions and generators give more.
+The order, and whether the group is S_k, are fixed then too, so
+``order`` and ``is_symmetric`` only read them, and membership in S_k is
+validation alone: every permutation of 0..k-1 lies in S_k, so only a
+smaller group sifts.  A caller holding another certificate of S_k,
+such as transpositions that join all k points, builds S_k's standard
+chain with ``symmetric``; a conjugate g t g^-1 = (g(i) g(j)) of a member
+t = (i j) by a member g is a member, so known transpositions and
+generators give more.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import StateCapExceeded, ValidationError
@@ -43,7 +48,12 @@ def inverse(p: Perm) -> Perm:
 
 
 def check_perm(p: Iterable[int], k: int) -> Perm:
-    t = tuple(p)
+    raw = tuple(p)
+    try:
+        # plain ints: 2.0 sorts like 2 but cannot index a permutation
+        t = tuple(map(index, raw))
+    except TypeError:
+        raise ValidationError(f"not a permutation of 0..{k - 1}: {raw}") from None
     if sorted(t) != list(range(k)):
         raise ValidationError(f"not a permutation of 0..{k - 1}: {t}")
     return t
@@ -76,8 +86,8 @@ class PermGroup:
 
     Each generator is sifted in order and kept only when it extends the
     stabilizer chain, whose base points are chosen on demand (first moved
-    point of each new residue); the chain is then closed, so membership
-    and order queries only read it.  Transversals store each coset
+    point of each new residue); the chain is then closed and the order
+    fixed, so queries only read them.  Transversals store each coset
     representative with its inverse so sifting never recomputes inverses.
     """
 
@@ -101,11 +111,14 @@ class PermGroup:
         self.generators: tuple[Perm, ...] = tuple(kept)
         # an orbit product of k! is the whole symmetric group; nothing to close
         full = factorial(degree)
-        while self.order() < full:
+        while (order := prod(map(len, self._trans))) < full:
             hit = self._find_open_schreier()
             if hit is None:
                 break
             self._insert_residue(*hit)
+        # fixed here, since no group changes after it is built
+        self._order = order
+        self._symmetric = order == full
 
     @classmethod
     def symmetric(cls, degree: int, generators: Iterable[Perm]) -> PermGroup:
@@ -124,6 +137,7 @@ class PermGroup:
         group = cls(degree)
         group.generators = tuple(generators)
         group._base, group._level_gens, group._trans = chain
+        group._order, group._symmetric = factorial(degree), True
         return group
 
     # -- chain internals ----------------------------------------------------
@@ -193,14 +207,16 @@ class PermGroup:
     # -- public surface -----------------------------------------------------
 
     def order(self) -> int:
-        return prod(map(len, self._trans))
+        return self._order
 
     def __contains__(self, p: Iterable[int]) -> bool:
-        residue, _ = self._sift_from(0, check_perm(p, self.degree))
-        return residue == self._id
+        perm = check_perm(p, self.degree)
+        if self._symmetric:     # every permutation of 0..k-1 lies in S_k
+            return True
+        return self._sift_from(0, perm)[0] == self._id
 
     def is_symmetric(self) -> bool:
-        return self.order() == factorial(self.degree)
+        return self._symmetric
 
     def elements(self, cap: int = 50_000) -> Iterator[Perm]:
         """Enumerate all elements, each once, as the products of one coset

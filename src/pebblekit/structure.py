@@ -99,12 +99,14 @@ def is_k_pebble_win(g: Graph, k: int, cap: int = DEFAULT_STATE_CAP) -> bool:
 # ---------------------------------------------------------------------------
 
 def _rb_from_group(group: PermGroup, k: int) -> dict[int, str]:
+    # the (0 j) generate S_k, so all of them lie in the group exactly when
+    # it is S_k, which the group knows from when it was built
+    if group.is_symmetric():
+        raise ValidationError(
+            f"graph is {k}-pebble-win; no red/blue colouring exists")
     # (i l) = (i j)(j l)(i j), so the transpositions in a group form an
     # equivalence relation: pebble 0's class is 0 and every j with (0 j)
     red = {0} | {j for j in range(1, k) if transposition(k, 0, j) in group}
-    if len(red) == k:
-        raise ValidationError(
-            f"graph is {k}-pebble-win; no red/blue colouring exists")
     return {i: ("r" if i in red else "b") for i in range(k)}
 
 
@@ -117,7 +119,9 @@ def rb_colouring(g: Graph, start: GameState,
     (0 j) lies in the pebble-permutation group; both classes are
     non-empty, and for every red i and blue j the transposition (i j) is
     not in the group.  Errors out when the graph is k-pebble-win for
-    k = len(start).
+    k = len(start), before any transposition is tested: the group fixed
+    whether it is S_k when it was built.  Membership in a smaller group
+    sifts through its chain.
     """
     group = pebble_permutation_group(g, start, cap=cap)
     return _rb_from_group(group, len(start))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from math import factorial
 
 import pytest
@@ -51,19 +52,36 @@ def test_degree_zero_is_refused():
         PermGroup(0)
 
 
-def test_symmetric_group():
+def test_symmetric_group(monkeypatch):
     g = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
     assert g.order() == 24
     assert g.is_symmetric()
+    path = PermGroup.symmetric(4, [transposition(4, i, i + 1) for i in range(3)])
+
+    def sift(self, start, p):
+        raise AssertionError("S_4 sifted on a membership query")
+
+    # every permutation of 0..3 lies in S_4: membership is validation alone
+    monkeypatch.setattr(PermGroup, "_sift_from", sift)
     for p in itertools.permutations(range(4)):
-        assert p in g
+        assert p in g and p in path
 
 
-def test_cyclic_group():
+def test_cyclic_group(monkeypatch):
     g = PermGroup(3, [(1, 2, 0)])
     assert g.order() == 3
+    sifts = []
+    real_sift = PermGroup._sift_from
+
+    def sift(self, start, p):
+        sifts.append(p)
+        return real_sift(self, start, p)
+
+    monkeypatch.setattr(PermGroup, "_sift_from", sift)
     assert (2, 0, 1) in g
     assert transposition(3, 0, 1) not in g
+    # a group smaller than S_k answers from its chain
+    assert sifts == [(2, 0, 1), transposition(3, 0, 1)]
     assert set(g.elements()) == naive_closure(3, [(1, 2, 0)])
     assert repr(g) == "PermGroup(degree=3, order=3, generators=['(0 1 2)'])"
 
@@ -107,6 +125,17 @@ def test_invalid_perm_rejected():
     for bad in [(0, 0, 1), (0, 1)]:
         with pytest.raises(ValidationError):
             PermGroup(3, [(1, 2, 0), bad])
+    # entries must be integers, whether or not the group is S_k: 2.0
+    # sorts like 2, and 1.0 cannot index a permutation
+    s3 = PermGroup(3, [(1, 2, 0), (1, 0, 2)])
+    s3_path = PermGroup.symmetric(3, [(1, 0, 2), (0, 2, 1)])
+    swap = PermGroup(3, [(1, 0, 2)])
+    for grp in (s3, s3_path, swap):
+        for bad in [(0, 1, 2.0), (1.0, 0, 2)]:
+            with pytest.raises(ValidationError, match=re.escape(str(bad))):
+                bad in grp
+    with pytest.raises(ValidationError, match=re.escape("(1.0, 0)")):
+        PermGroup(2, [(1.0, 0)])
 
 
 def test_elements_past_the_cap_is_a_resource_refusal():

@@ -491,9 +491,15 @@ def test_rb_cycle_sizes(c6):
     assert col[0] == "r"
 
 
-def test_rb_errors_on_win(k4):
+def test_rb_errors_on_win(k4, monkeypatch):
+    def member(self, p):
+        raise AssertionError("a win graph's group was asked for a member")
+
+    # the group knows it is S_k, so no transposition is tested
+    monkeypatch.setattr(PermGroup, "__contains__", member)
     with pytest.raises(ValidationError, match="pebble-win"):
         rb_colouring(k4, (0, 1))
+    assert structure_witness(k4, 2).pebble_win
 
 
 def test_rb_contract_no_cross_transposition():
