@@ -294,3 +294,84 @@ def float_cheapest_path(adj, s: int, e: int, avoid: set[int], history: list[int]
                 dist[w] = nd
                 parent[w] = u
                 heapq.heappush(heap, (nd + h[w], nd, w))
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _linkage_walks(adj, src: list[int], tgt: list[int], X: frozenset[int],
+                   spend) -> list[int]:
+    """Every walk from ray ``src`` to ray ``tgt`` that ``check_linkage``
+    accepts, as the inclusion-minimal vertex bitmasks: ``src[:a] + path +
+    tgt[b + 1:]`` for a connector ``path`` from ``src[a]`` to ``tgt[b]``,
+    simple as a whole, with X only in ``src[:a]``; and the pure ride when
+    the rays coincide.  A family may swap any walk for a walk of the same
+    pair on a subset of its vertices, so the minimal ones suffice; and a
+    connector with a chord has a shortcut on fewer vertices, so only
+    induced connectors are grown."""
+    near = [sum(1 << w for w in nbrs) for nbrs in adj]
+    masks = {sum(1 << v for v in src)} if src == tgt else set()
+    for a, s in enumerate(src):
+        if s in X or X.intersection(src[a + 1:]):
+            continue
+        prefix = sum(1 << v for v in src[:a])
+        # depth-first over induced paths from s, recording each landing;
+        # ``inner`` is the connector so far without its last vertex u
+        stack = [(s, prefix | 1 << s, 0)]
+        while stack:
+            spend()
+            u, seen, inner = stack.pop()
+            if u in tgt:
+                tail = tgt[tgt.index(u) + 1:]
+                if not X.intersection(tail) and not any(seen >> v & 1 for v in tail):
+                    masks.add(seen | sum(1 << v for v in tail))
+            for w in adj[u]:
+                if not seen >> w & 1 and w not in X and not near[w] & inner:
+                    stack.append((w, seen | 1 << w, inner | 1 << u))
+    minimal: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & m != k for k in minimal):
+            minimal.append(m)
+    return minimal
+
+
+def linkable_by_definition(t, source, target, X=frozenset(), sigma=None,
+                           budget: int = 200_000):
+    """The pairings that some linkage after X realizes in window ``t``, by
+    definition: every walk ``check_linkage`` accepts is enumerated per
+    (source i, target j) as a vertex set, then the search backtracks over
+    pairwise disjoint choices, one walk per source.  With ``sigma`` only
+    that pairing is tried.  Returns a set of tuples, entry i the target of
+    source i, or None once ``budget`` steps are spent."""
+    steps = 0
+
+    def spend():
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise _OverBudget
+
+    adj = t.graph.adjacency()
+    X = frozenset(X)
+    src = [r.positions_in(t) for r in source]
+    tgt = [r.positions_in(t) for r in target]
+    pairings = ([tuple(sigma[i] for i in range(len(src)))] if sigma is not None
+                else list(itertools.permutations(range(len(tgt)), len(src))))
+    try:
+        walks = {}
+        for p in pairings:
+            for i, j in enumerate(p):
+                if (i, j) not in walks:
+                    walks[i, j] = _linkage_walks(adj, src[i], tgt[j], X, spend)
+
+        def extend(p, i, used):
+            spend()
+            if i == len(p):
+                return True
+            return any(not w & used and extend(p, i + 1, used | w)
+                       for w in walks[i, p[i]])
+
+        return {p for p in pairings if extend(p, 0, 0)}
+    except _OverBudget:
+        return None

@@ -14,13 +14,14 @@ from pebblekit import linkage
 from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
 from pebblekit.graphs import Graph
+from pebblekit.pebbles import legal_moves
 from pebblekit.linkage import (Linkage, check_linkage, find_linkage,
                                realize_transition)
 from pebblekit.rays import ray_graph
 from pebblekit.worlds import (RaySpec, canonical_rays, chebyshev_ball, make_world,
                               truncate)
 
-from oracles import cheapest_cost, float_cheapest_path
+from oracles import cheapest_cost, float_cheapest_path, linkable_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -529,3 +530,91 @@ def test_router_witnesses_are_pinned(monkeypatch, name, m, radius, sigma, calls)
     lk = find_linkage(t, rays, rays, x, sigma)
     assert lk.sigma == sigma
     assert count == calls
+
+
+# (kind, world options, window depth, canonical rays): windows where the
+# definition oracle is cheap; hex-half-grid's third zigzag ray starts at
+# height 5, outside the depth-3 window
+DEFINITION_WORLDS = [
+    ("full-grid", {}, 2, 4),
+    ("half-grid", {}, 3, 4),
+    ("hex-half-grid", {}, 3, 2),
+    ("product-Z", {"base": Graph.from_edges(3, [(0, 1), (1, 2)])}, 3, 3),
+    ("product-N", {"base": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])}, 3, 4),
+    ("dominated-ray", {"k": 3}, 3, 4),
+]
+
+
+def agrees_with_definition(t, source, target, X, sigma, answer):
+    """Whether ``answer`` (a ``find_linkage``-style call) agrees with the
+    pairings the definition allows: a found sigma among them, and
+    NoLinkageError exactly when there are none.  None when the oracle
+    spent its budget."""
+    linkable = linkable_by_definition(t, source, target, X, sigma, budget=100_000)
+    if linkable is None:
+        return None
+    try:
+        lk = answer()
+    except NoLinkageError:
+        assert not linkable, (source, target, sorted(X), sigma)
+    else:
+        check_linkage(t, source, target, lk)
+        assert tuple(lk.sigma[i] for i in range(len(source))) in linkable
+    return True
+
+
+@pytest.mark.parametrize("kind, options, depth, m", DEFINITION_WORLDS,
+                         ids=[case[0] for case in DEFINITION_WORLDS])
+def test_linkage_answers_match_the_definition(kind, options, depth, m):
+    # seeded queries: shared and disjoint families (|R| < |S| included), X
+    # a ball (up to the whole window, so rays end in X and only pure rides
+    # remain), scattered vertices or empty, sigma fixed and free; then
+    # realize_transition on the window's ray graph.  Half-grid rays start
+    # on the bottom rim and end on the top one.
+    w = make_world(kind, **options)
+    t = truncate(w, depth)
+    rays = canonical_rays(w, m)
+    rng = random.Random(41)
+    decided = skipped = 0
+
+    def draw_x():
+        c = rng.random()
+        if c < 0.4:
+            return set(chebyshev_ball(t, rng.randint(0, depth)))
+        if c < 0.8:
+            return set(rng.sample(range(t.graph.n), rng.randint(1, 4)))
+        return set()
+
+    for _ in range(80):
+        nR = rng.randint(1, min(3, m))
+        if 2 * nR > m or rng.random() < 0.5:
+            source, target = rng.sample(rays, nR), rays
+        else:
+            pick = rng.sample(rays, m)
+            source, target = pick[:nR], pick[nR:]
+        X = draw_x()
+        sigma = (dict(enumerate(rng.sample(range(len(target)), nR)))
+                 if rng.random() < 0.5 else None)
+        if agrees_with_definition(t, source, target, X, sigma,
+                                  lambda: find_linkage(t, source, target, X, sigma)):
+            decided += 1
+        else:
+            skipped += 1
+    rg = ray_graph(w, rays, d0=depth)
+    g = rg._position_graph
+    for _ in range(20):
+        state = tuple(rng.sample(range(m), rng.randint(1, m)))
+        moves = [state]
+        for _ in range(rng.randint(0, 3)):
+            options_ = legal_moves(g, moves[-1])
+            if options_:
+                moves.append(rng.choice(options_))
+        X = draw_x()
+        source = [rays[s] for s in moves[0]]
+        sigma = dict(enumerate(moves[-1]))
+        if agrees_with_definition(t, source, rays, X, sigma,
+                                  lambda: realize_transition(t, rays, moves, X, rg=rg)):
+            decided += 1
+        else:
+            skipped += 1
+    assert skipped <= 3 and decided + skipped == 100
