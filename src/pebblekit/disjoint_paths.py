@@ -1,8 +1,8 @@
 """Exact decision for vertex-disjoint paths with fixed terminal pairs.
 
-Frontier dynamic programming along a fixed vertex order, with mate-array
-states as in frontier-based search (Yoshinaka et al., "Finding all
-solutions and instances of Numberlink and Slitherlink by ZDDs",
+Frontier dynamic programming along a vertex order of its own, with
+mate-array states as in frontier-based search (Yoshinaka et al., "Finding
+all solutions and instances of Numberlink and Slitherlink by ZDDs",
 Algorithms 2012; Kawahara et al., IEICE 2017).  A state records, for
 every open end of a path fragment among the processed vertices, what
 lies at the fragment's other end: walk i alone when the fragment is
@@ -11,15 +11,18 @@ itself.  Which of walk i's two terminals an anchored end came from is
 not recorded: the two anchored ends of one walk complete it whenever
 they meet, and paths are undirected.  A fragment with no terminal
 carries no walk label, so states that differ only in which walk will
-later claim a floating fragment coincide.  On window graphs the sweep
-order keeps the frontier one column (or one level) wide.  ``linkage``
-uses it to refute what its rim-crossing certificate cannot see.  The
-answer is exact: True iff a family of pairwise vertex-disjoint paths, one
-per terminal pair, exists.
+later claim a floating fragment coincide.  Blocked vertices and those of
+single-vertex walks are never swept; of the live rest, the next vertex
+leaves the fewest open ones (swept, with an unswept live neighbour), ties
+to the least (Inoue & Minato, Hokkaido Univ. TCS tech. report, 2016).
+``linkage`` uses it to refute what its rim-crossing certificate cannot
+see.  The answer is exact: True iff a family of pairwise vertex-disjoint
+paths, one per terminal pair, exists.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 from .errors import ResourceCapError, ValidationError
@@ -32,14 +35,12 @@ from .errors import ResourceCapError, ValidationError
 DP_STATE_CAP = 6_000
 
 
-def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
-                         order: Sequence[int],
+def disjoint_paths_exist(adjacency: Sequence[Iterable[int]],
                          terminals: Sequence[tuple[int, int]],
                          blocked: Iterable[int] = ()) -> bool:
     """Decide whether pairwise vertex-disjoint s_i-t_i paths exist.
 
-    ``order`` is the sweep order (a permutation of 0..n-1); its quality
-    only affects speed, never correctness.  ``blocked`` vertices cannot be
+    The vertices are 0..len(adjacency)-1.  ``blocked`` vertices cannot be
     used by any path.  A path may consist of a single vertex when
     s_i == t_i.  Each step of the sweep keeps at most DP_STATE_CAP states;
     past that budget the call raises ResourceCapError rather than answer.
@@ -57,26 +58,25 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
             if v in term_of:
                 raise ValidationError(f"terminal vertex {v} used twice")
             term_of[v] = ~i
-    if len(order) != n or sorted(order) != list(range(n)):
-        raise ValidationError("order must be a permutation of the vertices")
+    live = set(range(len(adjacency))) - blocked_set
+    if not live.issuperset(term_of):
+        return False    # a single-vertex walk claimed another walk's terminal
 
-    pos = {v: p for p, v in enumerate(order)}
-    retire_after = [max((pos[w] for w in adjacency[v]), default=pos[v])
-                    for v in range(n)]
+    pos = _sweep_order(adjacency, live)
+    retire_after = {v: max((pos[w] for w in adjacency[v] if w in pos), default=pos[v])
+                    for v in pos}
 
     # a state: the sorted (open end, label) pairs
     states: set[tuple] = {()}
-    for step, v in enumerate(order):
+    for step, v in enumerate(pos):
         term = term_of.get(v)
-        earlier = [w for w in adjacency[v] if pos[w] < step]
+        earlier = [w for w in adjacency[v] if pos.get(w, step) < step]
         new_states: set[tuple] = set()
         for state in states:
             labels = dict(state)
             # leave v unused (never allowed for terminals)
             if term is None:
                 _retire_and_add(new_states, labels, step, retire_after)
-            if v in blocked_set:
-                continue
             # use v, joined to 0, 1 or (off a terminal) 2 open neighbours
             ends = [w for w in earlier if w in labels]
             choices: list[tuple[int, ...]] = [()]
@@ -97,6 +97,34 @@ def disjoint_paths_exist(n: int, adjacency: Sequence[Iterable[int]],
     # every terminal is used, and only anchored ends of one walk may meet,
     # so a state with no open end has completed every walk
     return () in states
+
+
+def _sweep_order(adjacency: Sequence[Iterable[int]], live: set[int]) -> dict[int, int]:
+    """Each live vertex's step in min-frontier order.  Sweeping v closes the
+    open vertices whose one unswept live neighbour is v, and opens v if it
+    has one: cost ``(left[v] > 0) - closes[v]``, kept on a lazy heap."""
+    nbrs = [[w for w in a if w in live] if v in live else [] for v, a in enumerate(adjacency)]
+    left = [len(a) for a in nbrs]       # unswept live neighbours
+    closes = [0] * len(nbrs)
+    heap = sorted((int(left[v] > 0), v) for v in live)     # a sorted list is a heap
+    pos: dict[int, int] = {}
+    while heap:
+        cost, v = heapq.heappop(heap)
+        if v in pos or cost != (left[v] > 0) - closes[v]:
+            continue
+        pos[v] = len(pos)
+        for w in nbrs[v]:
+            left[w] -= 1
+        touched = nbrs[v][:]
+        # v and its open neighbours may now wait on one unswept neighbour
+        for u in [v, *(w for w in nbrs[v] if w in pos)]:
+            if left[u] == 1:
+                touched.append(next(x for x in nbrs[u] if x not in pos))
+                closes[touched[-1]] += 1
+        for x in touched:
+            if x not in pos:
+                heapq.heappush(heap, ((left[x] > 0) - closes[x], x))
+    return pos
 
 
 def _join(labels: dict[int, int], v: int, chosen: tuple[int, ...],
@@ -122,8 +150,8 @@ def _join(labels: dict[int, int], v: int, chosen: tuple[int, ...],
 
 
 def _retire_and_add(new_states: set, labels: dict[int, int], step: int,
-                    retire_after: list[int]) -> None:
-    # a vertex whose neighbours are all processed can never take another
+                    retire_after: dict[int, int]) -> None:
+    # a vertex whose live neighbours are all swept can never take another
     # edge; an open end stranded there kills the state
     for u in labels:
         if retire_after[u] <= step:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +45,10 @@ from .worlds import RaySpec, Truncation
 
 # rip-up-and-reroute rounds before the router gives a pairing to the DP
 ROUTE_ROUNDS = 30
+
+# pairings a sigma-free search examines before it refuses: at least 9!, so
+# nine rays still answer; about 18 microseconds each on a rim refutation
+PAIRING_BUDGET = 500_000
 
 
 @dataclass
@@ -331,6 +336,8 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     ResourceCapError means some pairing was neither routed nor refuted;
     its message says whether the DP proved such a pairing feasible (the
     router found no witness in ROUTE_ROUNDS) or ran past its state cap.
+    A sigma-free search that examines PAIRING_BUDGET pairings without an
+    answer also raises it, with the count in its message.
     """
     nR, nS = len(source), len(target)
     if nR == 0:
@@ -352,7 +359,11 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     sigmas = ([dict(sigma)] if sigma is not None else
               (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
     missed: list[list[tuple[int, int]]] = []    # routing ran out of rounds
-    for sg in sigmas:
+    for examined, sg in enumerate(sigmas):
+        if examined == PAIRING_BUDGET:
+            raise ResourceCapError(
+                f"linkage at window depth {t.depth} undecided after {examined} "
+                f"of {math.perm(nS, nR)} pairings, the budget PAIRING_BUDGET")
         terminals = _terminals(switch, tgt_pos, X, blocked, sg)
         if terminals is None or _rim_chords_cross(t, terminals):
             continue
@@ -365,13 +376,10 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                                 for i, p in enumerate(paths)})
             check_linkage(t, source, target, lk)
             return lk
-    order = list(range(t.graph.n))
-    if t.world.row is not None:   # a finite row: sweep level by level
-        order.sort(key=lambda v: (t.coords[v][1], t.coords[v][0]))
     unresolved: set[str] = set()
     for terminals in missed:
         try:
-            feasible = disjoint_paths_exist(t.graph.n, adj, order, terminals, blocked)
+            feasible = disjoint_paths_exist(adj, terminals, blocked)
         except ResourceCapError:
             unresolved.add(f"a pairing is undecided within {DP_STATE_CAP} DP states")
             continue

@@ -70,28 +70,26 @@ def check_routed(adj, terminals, blocked, want):
 def test_simple_cases():
     # path graph: one walk end to end
     adj = [[1], [0, 2], [1]]
-    assert disjoint_paths_exist(3, adj, [0, 1, 2], [(0, 2)])
-    assert not disjoint_paths_exist(3, adj, [0, 1, 2], [(0, 2)], blocked=[1])
+    assert disjoint_paths_exist(adj, [(0, 2)])
+    assert not disjoint_paths_exist(adj, [(0, 2)], blocked=[1])
     # two walks through a single shared hub: impossible
     adj4 = [[2], [2], [0, 1, 3], [2]]
-    assert disjoint_paths_exist(4, adj4, [0, 1, 2, 3], [(0, 3)])
-    assert not disjoint_paths_exist(4, adj4, [0, 1, 2, 3], [(0, 3), (1, 2)])
+    assert disjoint_paths_exist(adj4, [(0, 3)])
+    assert not disjoint_paths_exist(adj4, [(0, 3), (1, 2)])
 
 
 def test_single_vertex_walks():
     adj = [[1], [0, 2], [1]]
-    assert disjoint_paths_exist(3, adj, [0, 1, 2], [(1, 1)])
-    assert not disjoint_paths_exist(3, adj, [0, 1, 2], [(1, 1), (0, 2)])
+    assert disjoint_paths_exist(adj, [(1, 1)])
+    assert not disjoint_paths_exist(adj, [(1, 1), (0, 2)])
 
 
 def test_validation():
     adj = [[1], [0]]
     with pytest.raises(ValidationError):
-        disjoint_paths_exist(2, adj, [0, 0], [(0, 1)])       # bad order
+        disjoint_paths_exist(adj, [(0, 1)], blocked=[0])
     with pytest.raises(ValidationError):
-        disjoint_paths_exist(2, adj, [0, 1], [(0, 1)], blocked=[0])
-    with pytest.raises(ValidationError):
-        disjoint_paths_exist(2, adj, [0, 1], [(0, 1), (1, 0)])  # reused terminal
+        disjoint_paths_exist(adj, [(0, 1), (1, 0)])  # reused terminal
 
 
 def test_state_cap(monkeypatch):
@@ -101,7 +99,7 @@ def test_state_cap(monkeypatch):
     terms = [(t.index_of((-3, -3)), t.index_of((3, 3))),
              (t.index_of((-3, 3)), t.index_of((3, -3)))]
     with pytest.raises(ResourceCapError):
-        disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms)
+        disjoint_paths_exist(adj, terms)
 
 
 def test_anchored_ends_carry_their_walk_only():
@@ -112,7 +110,7 @@ def test_anchored_ends_carry_their_walk_only():
     t = truncate(make_world("full-grid"), 3)
     adj = t.graph.adjacency()
     terms = [(43, 45), (21, 4), (19, 22)]
-    assert disjoint_paths_exist(t.graph.n, adj, list(range(t.graph.n)), terms)
+    assert disjoint_paths_exist(adj, terms)
     check_routed(adj, terms, (), True)
     assert _route(adj, terms, set())
 
@@ -140,9 +138,7 @@ def test_fuzz_against_brute_force():
             terms[-1] = (terms[-1][0], terms[-1][0])   # a single-vertex walk
         pool = verts[2 * k:]
         blocked = set(rng.sample(pool, k=min(rng.randint(0, 2), len(pool))))
-        order = list(range(n))
-        rng.shuffle(order)
-        got = disjoint_paths_exist(n, adj, order, terms, blocked)
+        got = disjoint_paths_exist(adj, terms, blocked)
         want = brute_force(n, adj, terms, blocked)
         assert got == want, (trial, sorted(edges), terms, sorted(blocked))
         check_routed(adj, terms, blocked, want)
@@ -157,7 +153,6 @@ def fuzz_certificate(t, seed, trials, rim_pairs):
     rng = random.Random(seed)
     adj = [list(a) for a in t.graph.adjacency()]
     n = t.graph.n
-    order = list(range(n))
     allv = list(range(n))
     fired = 0
     for trial in range(trials):
@@ -176,7 +171,7 @@ def fuzz_certificate(t, seed, trials, rim_pairs):
         if _rim_chords_cross(t, terms):
             fired += 1
             assert not want, (trial, terms, sorted(blocked))
-        got = disjoint_paths_exist(n, adj, order, terms, blocked)
+        got = disjoint_paths_exist(adj, terms, blocked)
         assert got == want, (trial, terms, sorted(blocked))
         check_routed(adj, terms, blocked, want)
     return fired
@@ -229,6 +224,5 @@ def test_crossing_pairs_on_grid_windows():
         assert not _rim_chords_cross(t, nested)
         if d == 4:
             adj = [list(a) for a in t.graph.adjacency()]
-            order = list(range(t.graph.n))
-            assert not disjoint_paths_exist(t.graph.n, adj, order, crossing)
-            assert disjoint_paths_exist(t.graph.n, adj, order, nested)
+            assert not disjoint_paths_exist(adj, crossing)
+            assert disjoint_paths_exist(adj, nested)

@@ -11,6 +11,7 @@ import pytest
 
 import pebblekit
 from pebblekit import linkage
+from pebblekit.cli import main
 from pebblekit.errors import (LinkageCheckError, NoLinkageError,
                               ResourceCapError, ValidationError)
 from pebblekit.graphs import Graph
@@ -300,6 +301,20 @@ def test_dp_decides_what_the_router_leaves(half_setup, monkeypatch):
                      {0: 2, 1: 1, 2: 0})
 
 
+def test_sigma_free_search_refuses_past_its_pairing_budget(half_setup, monkeypatch,
+                                                           capsys):
+    # onto columns 5, 4, 3 the one order-preserving pairing is the last of
+    # six; a budget of five refuses before it, with exit 3 on the command line
+    hg, t, cols = half_setup
+    assert find_linkage(t, cols[:3], cols[:2:-1]).sigma == {0: 2, 1: 1, 2: 0}
+    monkeypatch.setattr(linkage, "PAIRING_BUDGET", 5)
+    with pytest.raises(ResourceCapError, match="after 5 of 6 pairings"):
+        find_linkage(t, cols[:3], cols[:2:-1])
+    assert main(["linkage", "--world", "half-grid", "--depth", "8", "--rays",
+                 "canonical:6", "--source", "0,1,2", "--target", "5,4,3"]) == 3
+    assert "after 5 of 6 pairings" in capsys.readouterr().err
+
+
 def test_dp_refutes_what_the_certificate_cannot_see():
     # a product window has no rim certificate: the DP alone refutes the
     # reversal of P3 x Z's three rays
@@ -321,14 +336,19 @@ def test_import_leaves_numpy_and_scipy_out():
 
 
 def test_dp_refutes_interior_terminals():
-    # full-grid rays start next to the origin, where the rim certificate
-    # sees nothing; the DP refutes the pairing within its state cap
-    fg = make_world("full-grid")
-    t = truncate(fg, 3)
-    rays = canonical_rays(fg, 4)
-    with pytest.raises(NoLinkageError):
-        find_linkage(t, rays[:3], rays, set(chebyshev_ball(t, 1)),
-                     {0: 0, 1: 2, 2: 1})
+    # after a ball of radius 1 the switch points lie inside the window,
+    # where the rim certificate sees nothing; the DP refutes each pairing
+    # within its state cap (the last two capped in a column-by-column sweep)
+    for kind, depth, source, target, sigma in [
+            ("full-grid", 3, (0, 1, 2), (0, 1, 2, 3), (0, 2, 1)),
+            ("full-grid", 4, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3, 2)),
+            ("half-grid", 8, (0, 1, 2), (3, 4, 5), (2, 1, 0))]:
+        w = make_world(kind)
+        t = truncate(w, depth)
+        rays = canonical_rays(w, 6)
+        with pytest.raises(NoLinkageError):
+            find_linkage(t, [rays[i] for i in source], [rays[j] for j in target],
+                         set(chebyshev_ball(t, 1)), dict(enumerate(sigma)))
 
 
 def test_refusal_says_why(half_setup, monkeypatch):
