@@ -337,7 +337,7 @@ def _linkage_walks(adj, src: list[int], tgt: list[int], X: frozenset[int],
 
 
 def linkable_by_definition(t, source, target, X=frozenset(), sigma=None,
-                           budget: int = 200_000):
+                           budget: int = 100_000):
     """The pairings that some linkage after X realizes in window ``t``, by
     definition: every walk ``check_linkage`` accepts is enumerated per
     (source i, target j) as a vertex set, then the search backtracks over
