@@ -15,6 +15,9 @@ later claim a floating fragment coincide.  Blocked vertices and those of
 single-vertex walks are never swept; of the live rest, the next vertex
 leaves the fewest open ones (swept, with an unswept live neighbour), ties
 to the least (Inoue & Minato, Hokkaido Univ. TCS tech. report, 2016).
+The order is produced step by step as the DP reads it, and each step
+names the vertices it leaves with no unswept live neighbour: such a
+vertex can take no further edge, so a state with an open end there dies.
 ``linkage`` uses it to refute what its rim-crossing certificate cannot
 see.  The answer is exact: True iff a family of pairwise vertex-disjoint
 paths, one per terminal pair, exists.
@@ -23,7 +26,7 @@ paths, one per terminal pair, exists.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, ValidationError
 
@@ -42,41 +45,35 @@ def disjoint_paths_exist(adjacency: Sequence[Iterable[int]],
 
     The vertices are 0..len(adjacency)-1.  ``blocked`` vertices cannot be
     used by any path.  A path may consist of a single vertex when
-    s_i == t_i.  Each step of the sweep keeps at most DP_STATE_CAP states;
-    past that budget the call raises ResourceCapError rather than answer.
+    s_i == t_i.  Each terminal vertex belongs to one walk, a single-vertex
+    walk's included, and no terminal may be blocked: every terminal is
+    checked against both rules before any vertex is claimed, and a breach
+    raises ValidationError.  Each step of the sweep keeps at most
+    DP_STATE_CAP states; past that budget the call raises ResourceCapError
+    rather than answer.
     """
     blocked_set = set(blocked)
     term_of: dict[int, int] = {}
     for i, (s, t) in enumerate(terminals):
         if s in blocked_set or t in blocked_set:
             raise ValidationError(f"terminal of walk {i} is blocked")
-        if s == t:
-            # a single-vertex path: claim the vertex, nothing to route
-            blocked_set.add(s)
-            continue
         for v in (s, t):
-            if v in term_of:
+            if term_of.setdefault(v, ~i) != ~i:
                 raise ValidationError(f"terminal vertex {v} used twice")
-            term_of[v] = ~i
-    live = set(range(len(adjacency))) - blocked_set
-    if not live.issuperset(term_of):
-        return False    # a single-vertex walk claimed another walk's terminal
-
-    pos = _sweep_order(adjacency, live)
-    retire_after = {v: max((pos[w] for w in adjacency[v] if w in pos), default=pos[v])
-                    for v in pos}
+    # a single-vertex walk claims its vertex, with nothing to route
+    live = set(range(len(adjacency))).difference(
+        blocked_set, (s for s, t in terminals if s == t))
 
     # a state: the sorted (open end, label) pairs
     states: set[tuple] = {()}
-    for step, v in enumerate(pos):
+    for v, earlier, gone in _sweep_order(adjacency, live):
         term = term_of.get(v)
-        earlier = [w for w in adjacency[v] if pos.get(w, step) < step]
         new_states: set[tuple] = set()
         for state in states:
             labels = dict(state)
             # leave v unused (never allowed for terminals)
-            if term is None:
-                _retire_and_add(new_states, labels, step, retire_after)
+            if term is None and labels.keys().isdisjoint(gone):
+                new_states.add(state)
             # use v, joined to 0, 1 or (off a terminal) 2 open neighbours
             ends = [w for w in earlier if w in labels]
             choices: list[tuple[int, ...]] = [()]
@@ -86,8 +83,8 @@ def disjoint_paths_exist(adjacency: Sequence[Iterable[int]],
                                for w2 in ends[a + 1:])
             for chosen in choices:
                 joined = _join(labels, v, chosen, term)
-                if joined is not None:
-                    _retire_and_add(new_states, joined, step, retire_after)
+                if joined is not None and joined.keys().isdisjoint(gone):
+                    new_states.add(tuple(sorted(joined.items())))
             if len(new_states) > DP_STATE_CAP:
                 raise ResourceCapError(
                     f"disjoint-path state space exceeded {DP_STATE_CAP}")
@@ -99,32 +96,37 @@ def disjoint_paths_exist(adjacency: Sequence[Iterable[int]],
     return () in states
 
 
-def _sweep_order(adjacency: Sequence[Iterable[int]], live: set[int]) -> dict[int, int]:
-    """Each live vertex's step in min-frontier order.  Sweeping v closes the
+def _sweep_order(adjacency: Sequence[Iterable[int]],
+                 live: set[int]) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Yield ``(v, earlier, gone)`` for each live vertex v in min-frontier
+    order: ``earlier`` holds v's live neighbours swept before it, and
+    ``gone`` the vertices that v's step leaves with no unswept live
+    neighbour, v itself included when it has none.  Sweeping v closes the
     open vertices whose one unswept live neighbour is v, and opens v if it
     has one: cost ``(left[v] > 0) - closes[v]``, kept on a lazy heap."""
     nbrs = [[w for w in a if w in live] if v in live else [] for v, a in enumerate(adjacency)]
     left = [len(a) for a in nbrs]       # unswept live neighbours
     closes = [0] * len(nbrs)
     heap = sorted((int(left[v] > 0), v) for v in live)     # a sorted list is a heap
-    pos: dict[int, int] = {}
+    swept: set[int] = set()
     while heap:
         cost, v = heapq.heappop(heap)
-        if v in pos or cost != (left[v] > 0) - closes[v]:
+        if v in swept or cost != (left[v] > 0) - closes[v]:
             continue
-        pos[v] = len(pos)
+        earlier = [w for w in nbrs[v] if w in swept]
+        swept.add(v)
         for w in nbrs[v]:
             left[w] -= 1
         touched = nbrs[v][:]
         # v and its open neighbours may now wait on one unswept neighbour
-        for u in [v, *(w for w in nbrs[v] if w in pos)]:
+        for u in [v, *earlier]:
             if left[u] == 1:
-                touched.append(next(x for x in nbrs[u] if x not in pos))
+                touched.append(next(x for x in nbrs[u] if x not in swept))
                 closes[touched[-1]] += 1
         for x in touched:
-            if x not in pos:
+            if x not in swept:
                 heapq.heappush(heap, ((left[x] > 0) - closes[x], x))
-    return pos
+        yield v, earlier, [u for u in (v, *earlier) if not left[u]]
 
 
 def _join(labels: dict[int, int], v: int, chosen: tuple[int, ...],
@@ -147,13 +149,3 @@ def _join(labels: dict[int, int], v: int, chosen: tuple[int, ...],
         if x >= 0:
             labels[x] = y
     return labels
-
-
-def _retire_and_add(new_states: set, labels: dict[int, int], step: int,
-                    retire_after: dict[int, int]) -> None:
-    # a vertex whose live neighbours are all swept can never take another
-    # edge; an open end stranded there kills the state
-    for u in labels:
-        if retire_after[u] <= step:
-            return
-    new_states.add(tuple(sorted(labels.items())))

@@ -35,6 +35,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 
 from .errors import (LinkageCheckError, NoLinkageError, ResourceCapError,
                      ValidationError)
@@ -86,8 +87,13 @@ def _family_positions(t: Truncation, rays: list[RaySpec]) -> list[list[int]]:
 
 
 def _window_set(t: Truncation, x_vertices) -> frozenset[int]:
-    """X as a set of window vertices, refused unless each one is in range."""
-    X = frozenset(x_vertices)
+    """X as a set of window vertices, refused unless each one is an integer
+    in range."""
+    try:
+        # plain ints: 1.0 == 1, but a float cannot index the window's coords
+        X = frozenset(map(index, x_vertices))
+    except TypeError:
+        raise ValidationError(f"X vertices must be integers, got {x_vertices!r}") from None
     for v in X:
         if not (0 <= v < t.graph.n):
             raise ValidationError(f"X vertex {v} outside the window")
@@ -346,6 +352,11 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
         raise ValidationError(f"need |source| <= |target|, got {nR} > {nS}")
     X = _window_set(t, x_vertices)
     if sigma is not None:
+        try:
+            # plain ints: 1.0 == 1, but a float cannot index a ray family
+            sigma = {index(i): index(j) for i, j in sigma.items()}
+        except TypeError:
+            raise ValidationError(f"sigma entries must be integers, got {sigma!r}") from None
         if sorted(sigma) != list(range(nR)):
             raise ValidationError("sigma must map every source position")
         if len(set(sigma.values())) != nR:
@@ -356,7 +367,7 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     src_pos, tgt_pos = _validate_families(t, source, target)
     adj = t.graph.adjacency()
     switch, blocked = _reduce(src_pos, X)
-    sigmas = ([dict(sigma)] if sigma is not None else
+    sigmas = ([sigma] if sigma is not None else
               (dict(enumerate(p)) for p in itertools.permutations(range(nS), nR)))
     missed: list[list[tuple[int, int]]] = []    # routing ran out of rounds
     for examined, sg in enumerate(sigmas):

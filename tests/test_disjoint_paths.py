@@ -90,6 +90,12 @@ def test_validation():
         disjoint_paths_exist(adj, [(0, 1)], blocked=[0])
     with pytest.raises(ValidationError):
         disjoint_paths_exist(adj, [(0, 1), (1, 0)])  # reused terminal
+    # a single-vertex walk's vertex is a terminal too, whichever walk
+    # names it first
+    path = [[1], [0, 2], [1]]
+    for terms in ([(0, 1), (1, 1)], [(1, 1), (0, 1)]):
+        with pytest.raises(ValidationError, match="terminal vertex 1 used twice"):
+            disjoint_paths_exist(path, terms)
 
 
 def test_state_cap(monkeypatch):
@@ -113,6 +119,23 @@ def test_anchored_ends_carry_their_walk_only():
     assert disjoint_paths_exist(adj, terms)
     check_routed(adj, terms, (), True)
     assert _route(adj, terms, set())
+
+
+def check_sweep(adj, live):
+    """A wrong ``gone`` only costs states, never an answer, so the sweep's
+    bookkeeping is checked on its own: each live vertex is yielded once,
+    with exactly its live neighbours yielded before it, and appears in one
+    ``gone``, that of the step after which it has no unswept live
+    neighbour."""
+    swept, retired = [], []
+    for v, earlier, gone in disjoint_paths._sweep_order(adj, live):
+        assert v in live and v not in swept
+        assert sorted(earlier) == sorted(w for w in adj[v] if w in swept)
+        swept.append(v)
+        retired.extend(gone)
+        assert sorted(retired) == [u for u in sorted(swept)
+                                   if all(w in swept for w in adj[u] if w in live)]
+    assert sorted(swept) == sorted(live)
 
 
 def test_fuzz_against_brute_force():
@@ -142,6 +165,7 @@ def test_fuzz_against_brute_force():
         want = brute_force(n, adj, terms, blocked)
         assert got == want, (trial, sorted(edges), terms, sorted(blocked))
         check_routed(adj, terms, blocked, want)
+        check_sweep(adj, set(range(n)) - blocked - {s for s, t in terms if s == t})
 
 
 def fuzz_certificate(t, seed, trials, rim_pairs):

@@ -132,13 +132,18 @@ def test_rays_of_another_world_are_refused(grid_setup):
         realize_transition(t, rays, [(0, 1)], set(), rg=rg)
 
 
-@pytest.mark.parametrize("x", [-1, 10**6])
-def test_x_outside_the_window_is_refused(grid_setup, x):
-    # as in find_linkage: -1 is not the window's last vertex, and a vertex
-    # past the window is refused, not left to fail deep in the routing
+X_REFUSALS = [(-1, "outside the window"), (10**6, "outside the window"),
+              (1.0, "must be integers")]
+
+
+@pytest.mark.parametrize("x, message", X_REFUSALS, ids=[str(x) for x, _ in X_REFUSALS])
+def test_x_outside_the_window_is_refused(grid_setup, x, message):
+    # as in find_linkage: -1 is not the window's last vertex, a vertex past
+    # the window is refused, not left to fail deep in the routing, and 1.0
+    # is not a vertex, though it equals one
     fg, _, rays, rg = grid_setup
     t = truncate(fg, 6)
-    with pytest.raises(ValidationError, match="outside the window"):
+    with pytest.raises(ValidationError, match=message):
         realize_transition(t, rays, [(0, 1), (2, 1)], {x}, rg=rg)
 
 
