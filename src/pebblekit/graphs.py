@@ -339,10 +339,10 @@ def graph_from_masks(adj: tuple[int, ...]) -> Graph:
 # class is kept only when it lies in the orbit of a canonically chosen
 # non-cut vertex, so every class arises once, from one parent class.
 # The levels are not canonical: a class keeps the labelling its parent
-# gave it, with |Aut G|.  A canonical form is built only for a parent with
-# automorphisms, for their generators, and for a child whose deletion
-# invariant ties; any other child's new vertex is fixed by every
-# automorphism, and |Aut| follows by orbit-stabilizer.
+# gave it, with |Aut G| and, when known, generators of Aut G.  A canonical
+# form is built for a child whose deletion invariant ties, and for a parent
+# with automorphisms but no generators; any other child's new vertex is
+# fixed by every automorphism, and |Aut| follows by orbit-stabilizer.
 # ``connected_graph_classes`` canonises its final level.
 
 # 261,080 classes at n = 9, 11,716,571 at n = 10
@@ -412,10 +412,10 @@ def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[in
         """Record a leaf; return the depth the search resumes at."""
         nonlocal first, best
         order = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
+        img = [0] * n            # each vertex's bit in the relabelled graph
         for i, v in enumerate(order):
-            pos[v] = i
-        g = tuple(sum(1 << pos[u] for u in _BITS[adj[v]]) for v in order)
+            img[v] = 1 << i
+        g = tuple([sum(map(img.__getitem__, _BITS[adj[v]])) for v in order])
         if not first:
             first = best = [g, order, path]
             return len(path)
@@ -481,39 +481,49 @@ def _is_cut_vertex(adj: tuple[int, ...], u: int, full: int) -> bool:
     return _mask_component(adj, rest & -rest, rest) != rest
 
 
-def augmentations(parent: tuple[int, ...],
-                  parent_aut: int) -> list[tuple[tuple[int, ...], int]]:
+def augmentations(parent: tuple[int, ...], parent_aut: int,
+                  gens: list[list[int]] | None = None) -> list[tuple]:
     """The connected classes on n+1 vertices whose canonical parent is the
     class of ``parent``, a representative on n vertices in any labelling
-    with |Aut| = ``parent_aut``, as (masks, |Aut G|): ``parent``'s masks
-    with a new vertex n.
+    with |Aut| = ``parent_aut``, as (masks, |Aut G|, vertex maps that
+    generate Aut G or None): ``parent``'s masks with a new vertex n.
 
     The new vertex takes the least non-empty neighbourhood (the empty one
-    for n = 0) of each orbit of Aut(parent); a canonical form of the
-    parent gives its automorphisms, and is built only when it has some.
-    A child is kept when n lies in the orbit of its canonical deletion
-    vertex: among the non-cut vertices of least (degree, sum of neighbour
-    degrees), the one with the largest canonical position.  The invariant
-    rejects most children before any canonical form is built, and keeps
-    most of the rest without one: when n alone has the least invariant,
-    every automorphism of the child fixes n, so Aut(child) is the
-    stabilizer in Aut(parent) of n's neighbourhood, of order |Aut(parent)|
-    over the size of that neighbourhood's orbit.  Removing a non-cut
-    vertex leaves a connected graph, so every connected class has one
-    parent class.  An isomorphism between two kept children can be made
-    to fix n, so it joins their neighbourhoods' orbits: each class arises
-    once.
+    for n = 0) of each orbit of Aut(parent), which ``gens`` generate; when
+    they are None, a canonical form of the parent with automorphisms
+    gives them.  A child is kept when n lies in the orbit of its canonical
+    deletion vertex: among the non-cut vertices of least (degree, sum of
+    neighbour degrees), the one with the largest canonical position.  A
+    non-cut vertex of the parent stays one unless it alone is n's
+    neighbourhood, so one of lesser degree than n rejects a whole orbit of
+    neighbourhoods before a child is built.  The invariant rejects most
+    other children before any canonical form is built, and keeps most of
+    the rest without one: when n alone has the least invariant, every
+    automorphism of the child fixes n, so Aut(child) is the stabilizer in
+    Aut(parent) of n's neighbourhood, of order |Aut(parent)| over the size
+    of that neighbourhood's orbit, and all of Aut(parent) when the orbit is
+    one neighbourhood.  Removing a non-cut vertex leaves a connected graph,
+    so every connected class has one parent class.  An isomorphism between
+    two kept children can be made to fix n, so it joins their
+    neighbourhoods' orbits: each class arises once.
     """
     n = len(parent)
     if n >= CLASSES_MAX_N:
         raise ValidationError(f"children have at most {CLASSES_MAX_N} vertices")
-    gens = _canonical(list(parent))[4] if parent_aut > 1 else []
+    if gens is None:
+        gens = _canonical(list(parent))[4] if parent_aut > 1 else []
     full = (1 << (n + 1)) - 1
+    # lo_out[c] / lo_in[c]: the parent's non-cut vertices whose degree in a
+    # child where n has c neighbours is below c, when outside / inside them
+    noncut = [u for u in range(n) if not _is_cut_vertex(parent, u, full >> 1)]
+    lo_out = [sum(1 << u for u in noncut if parent[u].bit_count() < c) for c in range(n + 1)]
+    lo_in = [0] + lo_out[:-1]
     covered = bytearray(1 << n)
     out = []
     for s in range(n > 0, 1 << n):
-        if covered[s]:
-            continue             # Aut(parent) maps a lesser s here
+        c = s.bit_count()
+        if covered[s] or lo_in[c] & s or lo_out[c] & ~s:
+            continue             # a lesser s of its orbit came first, or a vertex beats n
         covered[s] = 1
         members = [s]
         for t in members:
@@ -542,11 +552,13 @@ def augmentations(parent: tuple[int, ...],
             break                # u is a better deletion vertex than n
         else:
             if not ties:
-                out.append((adj, parent_aut // len(members)))
+                aut = parent_aut // len(members)
+                out.append((adj, aut, [] if aut == 1 else
+                            [g + [n] for g in gens] if len(members) == 1 else None))
                 continue
-            _, pos, aut, orbit, _ = _canonical(list(adj))
+            _, pos, aut, orbit, child_gens = _canonical(list(adj))
             if orbit[max(ties + [n], key=pos.__getitem__)] == orbit[n]:
-                out.append((adj, aut))
+                out.append((adj, aut, child_gens))
     return out
 
 
@@ -556,10 +568,10 @@ def connected_graph_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
     n!/|Aut G| labelled graphs.  Capped at n <= CLASSES_MAX_N."""
     if not (1 <= n <= CLASSES_MAX_N):
         raise ValidationError(f"n must be between 1 and {CLASSES_MAX_N}, got {n}")
-    level = [((), 1)]
+    level = [((), 1, [])]
     for _ in range(n):
-        level = [c for p, aut in level for c in augmentations(p, aut)]
-    return [canonical_form(adj) for adj, _ in level]
+        level = [c for p, aut, gens in level for c in augmentations(p, aut, gens)]
+    return [canonical_form(adj) for adj, _, _ in level]
 
 
 # ---------------------------------------------------------------------------

@@ -409,26 +409,41 @@ def find_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
 # Independent checker
 # ---------------------------------------------------------------------------
 
+def _ints(values, what: str) -> list[int]:
+    """``values`` as plain ints, as find_linkage takes them: 1.0 == 1, but
+    a float cannot index a ray family or the window's coords."""
+    try:
+        return list(map(index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        raise LinkageCheckError(f"{what} {bad!r} is not an integer") from None
+
+
 def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                   linkage: Linkage) -> list[list[int]]:
     """Verify a linkage literally and return its walks (window vertex lists).
 
-    Raises LinkageCheckError on any violation.  Checks: sigma and paths
-    are keyed by source positions, and sigma is an injection into the
-    target positions; X and every connector vertex lie in the window;
-    every walk is a path in the window (adjacent consecutive vertices, no
-    repeats); walks are pairwise vertex-disjoint; every walk leaves the
-    window along its target ray; X meets each source ray only before the
-    switch point and meets no other walk vertex.
+    Raises LinkageCheckError on any violation.  Checks: sigma's keys and
+    values, paths' keys and X and connector vertices are integers; sigma
+    and paths are keyed by source positions, and sigma is an injection
+    into the target positions; X and every connector vertex lie in the
+    window; every walk is a path in the window (adjacent consecutive
+    vertices, no repeats); walks are pairwise vertex-disjoint; every walk
+    leaves the window along its target ray; X meets each source ray only
+    before the switch point and meets no other walk vertex.
     """
-    X = linkage.after
+    sigma = dict(zip(_ints(linkage.sigma, "sigma key"),
+                     _ints(linkage.sigma.values(), "sigma value")))
+    paths = dict(zip(_ints(linkage.paths, "paths key"),
+                     [_ints(p, "connector vertex") for p in linkage.paths.values()]))
+    X = frozenset(_ints(linkage.after, "X vertex"))
     src_pos = [_ray_window_positions(t, r) for r in source]
     tgt_pos = [_ray_window_positions(t, r) for r in target]
-    for name, keys in (("sigma", linkage.sigma), ("paths", linkage.paths)):
+    for name, keys in (("sigma", sigma), ("paths", paths)):
         for i in keys:
             if i not in range(len(source)):
                 raise LinkageCheckError(f"{name} key {i!r} is not a source position")
-    if len(set(linkage.sigma.values())) != len(linkage.sigma):
+    if len(set(sigma.values())) != len(sigma):
         raise LinkageCheckError("sigma is not injective")
     for v in X:
         if not 0 <= v < t.graph.n:
@@ -438,12 +453,12 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
     walks: list[list[int]] = []
     switch: list[int] = []
     for i in range(len(source)):
-        if i not in linkage.sigma:
+        if i not in sigma:
             raise LinkageCheckError(f"walk {i} missing from sigma")
-        j = linkage.sigma[i]
+        j = sigma[i]
         if not 0 <= j < len(target):
             raise LinkageCheckError(f"walk {i}: sigma target {j} out of range")
-        path = list(linkage.paths.get(i, ()))
+        path = paths.get(i, [])
         if not path:
             if src_pos[i] != tgt_pos[j]:
                 raise LinkageCheckError(
@@ -472,7 +487,7 @@ def check_linkage(t: Truncation, source: list[RaySpec], target: list[RaySpec],
                 raise LinkageCheckError(
                     f"walk {i}: {t.coords[u]} and {t.coords[v]} not adjacent")
         a = switch[i]
-        if linkage.paths.get(i) and src_pos[i][a] in X:
+        if paths.get(i) and src_pos[i][a] in X:
             raise LinkageCheckError(f"walk {i}: its switch point lies in X")
         # X on the source ray must sit inside the prefix up to the switch point
         if any(v in X for v in src_pos[i][a + 1:]):

@@ -14,9 +14,9 @@ serves these readers, ``pebbles.reachable_states`` and
 (class, k), and keeps nothing.
 
 The sweep walks the class tree of ``graphs.augmentations``: each class
-is a representative in the labelling its parent gave it, with |Aut G|,
-and none is relabelled canonically, since no sweep answer depends on
-the labels.
+is a representative in the labelling its parent gave it, with |Aut G|
+and, when known, generators of Aut G; none is relabelled canonically,
+since no sweep answer depends on the labels.
 
 On a connected graph every configuration of k pebbles reaches every
 other, so the graph is k-pebble-win exactly when the group at one state
@@ -203,12 +203,12 @@ SWEEP_CHUNK = 16
 _CLASS_COUNTS = (1, 1, 1, 2, 6, 21, 112, 853, 11_117, 261_080)
 
 
-def _sweep_children(job) -> tuple[int, int, int, list[dict],
-                                  list[tuple[tuple[int, ...], int]]]:
+def _sweep_children(job) -> tuple[int, int, int, list[dict], list[tuple]]:
     """Sweep the classes on n vertices whose canonical parents are in one
-    chunk of (masks, |Aut G|) pairs.  Returns (classes, checked, non_win,
-    failures, children): the classes' (masks, |Aut G|), kept when ``keep``
-    asks for the next level.
+    chunk of (masks, |Aut G|, generators or None) triples.  Returns
+    (classes, checked, non_win, failures, children): the classes' triples
+    from ``graphs.augmentations``, kept when ``keep`` asks for the next
+    level.
 
     Each class stands for its n!/|Aut G| labelled graphs: k-pebble-win and
     the bare-path witness do not change under relabelling.  k runs
@@ -222,10 +222,10 @@ def _sweep_children(job) -> tuple[int, int, int, list[dict],
     bases = [tuple(range(k)) for k in range(n)]
     checked = non_win = 0
     failures: list[dict] = []
-    children: list[tuple[tuple[int, ...], int]] = []
-    for parent, parent_aut in parents:
-        for adj, aut in augmentations(parent, parent_aut):
-            children.append((adj, aut))
+    children: list[tuple] = []
+    for parent in parents:
+        for adj, aut, gens in augmentations(*parent):
+            children.append((adj, aut, gens))
             copies = factorial(n) // aut
             g: Graph | None = None
             for k in range(n - 2, 0, -1):
@@ -264,11 +264,13 @@ def verify_structure_theorem(n_max: int, workers: int | None = None,
 
     One level of the class tree runs at a time: each job sweeps the
     children of up to SWEEP_CHUNK parent classes and hands back their
-    (masks, |Aut G|) as the next level's parents.  ``workers`` spreads the
-    jobs over one pool, at most one process per CPU and per job of the
-    deepest level; by default the sweep runs in this process up to n = 7
-    and on every CPU beyond.  ``progress(row, seconds)`` is called as each
-    n finishes, with its ``per_n`` row and the seconds since the start.
+    (masks, |Aut G|, generators or None) as the next level's parents, so a
+    parent rebuilds its automorphisms only when none came with it.
+    ``workers`` spreads the jobs over one pool, at most one process per CPU
+    and per job of the deepest level; by default the sweep runs in this
+    process up to n = 7 and on every CPU beyond.  ``progress(row,
+    seconds)`` is called as each n finishes, with its ``per_n`` row and the
+    seconds since the start.
     """
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
@@ -282,7 +284,7 @@ def verify_structure_theorem(n_max: int, workers: int | None = None,
         import multiprocessing as mp
     per_n: list[dict] = []
     failures: list[dict] = []
-    level: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    level: list[tuple] = [((), 1, [])]
     with mp.get_context("fork").Pool(workers) if workers > 1 else nullcontext() as pool:
         for n in range(1, n_max + 1):
             jobs = [(n, level[i:i + SWEEP_CHUNK], n < n_max)

@@ -303,17 +303,36 @@ def test_tie_free_children_get_aut_by_orbit_stabilizer(monkeypatch):
     canonical = graphs._canonical
     monkeypatch.setattr(graphs, "_canonical",
                         lambda adj: canonised.add(tuple(adj)) or canonical(adj))
-    level = [((), 1)]
+    level = [((), 1, [])]
     tie_free = 0
     for n in range(1, 8):
-        level = [c for p, aut in level for c in augmentations(p, aut)]
-        for adj, aut in level:
+        level = [c for p in level for c in augmentations(*p)]
+        for adj, aut, _ in level:
             if adj not in canonised:
                 tie_free += 1
                 assert canonical(list(adj))[2] == aut, adj
-        assert sorted(canonical(list(adj))[0] for adj, _ in level) == sorted(
+        assert sorted(canonical(list(adj))[0] for adj, _, _ in level) == sorted(
             adj for adj, _ in connected_graph_classes(n)), n
     assert tie_free > 500
+
+
+def test_carried_generators_generate_the_automorphism_group():
+    # the sweep hands each class's generators to its children, which
+    # prune their neighbourhoods by the group these vertex maps generate:
+    # wherever they are carried they must generate exactly Aut G
+    level = [((), 1, [])]
+    carried = symmetric = 0
+    for n in range(1, 9):
+        level = [c for p in level for c in augmentations(*p)]
+        for adj, aut, gens in level:
+            if gens is None:
+                continue
+            for gamma in gens:
+                assert _relabel(adj, gamma) == adj, (adj, gamma)
+            assert PermGroup(n, [tuple(g) for g in gens]).order() == aut, adj
+            carried += 1
+            symmetric += aut > 1
+    assert carried > 9_000 and symmetric > 5_000
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,11 @@ def test_checker_refuses_each_broken_rule(half_setup, rule, message):
 
 
 # a sigma value of -1 must not wrap round to the last target ray, nor a
-# connector vertex -1 read as the window's last coordinate
+# connector vertex -1 read as the window's last coordinate; 1.0 == 1, but
+# a float cannot index a ray family or the window
 @pytest.mark.parametrize("field, value", [
-    ("sigma", -1), ("sigma", 2), ("connector", 10**6), ("connector", -1)])
+    ("sigma", -1), ("sigma", 2), ("sigma", 1.0),
+    ("connector", 10**6), ("connector", -1), ("connector", 21.0)])
 def test_checker_refuses_out_of_range_values(half_setup, field, value):
     hg, t, cols = half_setup
     src, tgt = cols[:2], cols[2:4]
@@ -192,31 +194,45 @@ def test_checker_refuses_out_of_range_values(half_setup, field, value):
     else:
         paths[0] = paths[0][:1] + (value,) + paths[0][1:]
         message = "outside the window"
+    if isinstance(value, float):
+        name = "sigma value" if field == "sigma" else "connector vertex"
+        message = f"{name} {value} is not an integer"
     with pytest.raises(LinkageCheckError, match=message):
         check_linkage(t, src, tgt, Linkage(sigma, paths, lk.after))
 
 
-@pytest.mark.parametrize("field", ["sigma", "paths"])
-def test_checker_refuses_keys_that_are_not_source_positions(half_setup, field):
+# a key 0.0 stands for 0 in a dict lookup, and would print as "0.0"
+@pytest.mark.parametrize("field, key", [
+    pytest.param("sigma", 5, id="sigma"), pytest.param("paths", 9, id="paths"),
+    ("sigma", 0.0), ("paths", 0.0)])
+def test_checker_refuses_keys_that_are_not_source_positions(half_setup, field, key):
     hg, t, cols = half_setup
     src, tgt = cols[:2], cols[2:4]
     lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1})
     sigma, paths = dict(lk.sigma), dict(lk.paths)
-    if field == "sigma":
-        sigma[5] = 7
+    if key == 0:
+        # renames key 0; a sigma key 0.0 comes with a paths key 0.0
+        if field == "sigma":
+            sigma[key] = sigma.pop(0)
+        paths[key] = paths.pop(0)
+    elif field == "sigma":
+        sigma[key] = 7
     else:
-        paths[9] = paths[0]
-    with pytest.raises(LinkageCheckError, match=f"{field} key"):
+        paths[key] = paths[0]
+    with pytest.raises(LinkageCheckError, match=f"{field} key {key}"):
         check_linkage(t, src, tgt, Linkage(sigma, paths, lk.after))
 
 
-# X = {-1} must not be read as the window's last coordinate
-@pytest.mark.parametrize("vertex", [-1, 10**6])
+# X = {-1} must not be read as the window's last coordinate, nor X = {1.0}
+# pass as vertex 1
+@pytest.mark.parametrize("vertex", [-1, 10**6, 1.0])
 def test_checker_refuses_x_outside_the_window(half_setup, vertex):
     hg, t, cols = half_setup
     src, tgt = cols[:2], cols[2:4]
     lk = find_linkage(t, src, tgt, set(), {0: 0, 1: 1})
-    with pytest.raises(LinkageCheckError, match="outside the window"):
+    message = ("X vertex 1.0 is not an integer" if isinstance(vertex, float)
+               else "outside the window")
+    with pytest.raises(LinkageCheckError, match=message):
         check_linkage(t, src, tgt, Linkage(lk.sigma, lk.paths, frozenset({vertex})))
 
 

@@ -626,19 +626,21 @@ def test_sweep_failures_name_representatives(monkeypatch):
 
 
 def test_sweep_generates_each_class_once(monkeypatch):
-    # one canonical form per parent with automorphisms, for their
-    # generators, and one per child whose deletion invariant ties; a
-    # child that passes the invariant alone gets |Aut| by orbit-stabilizer.
-    # A canonical form for every parent and for every child that passes
-    # the invariant took 177; every level below n_max again, or every
-    # neighbourhood of a parent, took 370
+    # one canonical form per child whose deletion invariant ties, and one
+    # per parent with automorphisms that no generators came with: a
+    # child that passes the invariant alone gets |Aut| by orbit-stabilizer,
+    # and its parent's generators when every automorphism of the parent
+    # fixes its neighbourhood.  A canonical form for every parent with
+    # automorphisms took 108; for every parent and for every child that
+    # passes the invariant, 177; every level below n_max again, or every
+    # neighbourhood of a parent, 370
     import pebblekit.graphs as graphs
     calls = []
     canonical = graphs._canonical
     monkeypatch.setattr(graphs, "_canonical",
                         lambda adj: calls.append(1) or canonical(adj))
     assert verify_structure_theorem(6, workers=1)["checked"] == 109_080
-    assert len(calls) <= 108
+    assert len(calls) <= 85
 
 
 def test_sweep_parallel_agrees(monkeypatch):
