@@ -415,7 +415,10 @@ def _ints(values, what: str) -> list[int]:
     try:
         return list(map(index, values))
     except TypeError:
-        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        try:
+            bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        except TypeError:
+            raise LinkageCheckError(f"{what} list {values!r} is not iterable") from None
         raise LinkageCheckError(f"{what} {bad!r} is not an integer") from None
 
 

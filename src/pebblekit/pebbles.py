@@ -7,7 +7,10 @@ labelled states cover: one BFS over configurations gives a labelled
 representative r of each reachable configuration and the pebble group G
 of the start, and the states reached there are the (r[p[0]], ...,
 r[p[k-1]]) for p in G (Kornhauser, Miller and Spirakis, FOCS 1984).  Each
-representative is packed into one int.  The BFS stops once proved
+representative is packed into one int, with a flag bit above its fields
+set once its configuration is dequeued, so the BFS reads each non-tree
+edge's loop when it first sees the edge: from an end being dequeued to
+one already in the table and not yet flagged.  The BFS stops once proved
 transpositions join all k pebbles, which certifies G = S_k: each is a
 transposition transport or a conjugate of one by another transport, as
 a conjugate of a group element lies in the group (Seress, Permutation
@@ -85,9 +88,15 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     transporting one labelled representative along the tree; every
     non-tree edge closes a loop and yields one generator of the group at
     ``start``.  A representative is packed into one int, slot i's vertex
-    in the vb bits from i * vb, so a move rewrites one field.  A loop
-    transport that changes two fields is a transposition (i j) of slots.
-    Any other transport becomes a slot map p, kept once, and the
+    in the vb bits from i * vb, so a move rewrites one field, and the bit
+    above the k fields, ``done``, is set when its configuration is
+    dequeued.  An edge is read when first seen: from the configuration
+    being dequeued to a neighbour in the table without ``done``.  An edge
+    to a neighbour with ``done`` was read from there, or is the tree edge
+    this configuration was reached by, which transports to the identity;
+    so each non-tree edge is read once, as early as the BFS order allows.
+    A loop transport that changes two fields is a transposition (i j) of
+    slots.  Any other transport becomes a slot map p, kept once, and the
     conjugate p (i j) p^-1 = (p(i) p(j)) is in the group too.  Every
     proved pair goes to a union-find over the k slots, and a pair that
     joins two classes is kept: it goes through each kept map, and each
@@ -128,8 +137,10 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     vb = (n - 1).bit_length()
     field = (1 << vb) - 1
     slots = range(0, k * vb, vb)        # the low bit of each slot's field
-    top = sum(1 << (s + vb - 1) for s in slots)
-    low = sum(field << s for s in slots) ^ top
+    done = 1 << k * vb                  # set on a representative once dequeued
+    ones = (done - 1) // field          # the low bit of every field
+    top = ones << vb - 1
+    low = (done - 1) ^ top
     rep: dict = {first: sum(v << s for v, s in zip(start, slots))}
     pairs: list[tuple[int, int]] = []   # proved transpositions joining slots
     label = list(range(k))              # union-find over slots, by relabelling
@@ -140,6 +151,7 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
     while queue:
         cfg = pop()
         code = rep[cfg]
+        rep[cfg] = code | done
         free = full ^ cfg
         for s in slots:
             u = code >> s & field
@@ -157,7 +169,7 @@ def _config_group(adj_masks: tuple[int, ...], n: int, start: GameState,
                     rep[ncfg] = rest | (b.bit_length() - 1) << s
                     push(ncfg)
                     continue
-                if cfg > ncfg:          # each non-tree edge once; tree edges transport to 0
+                if old & done:          # read from that end, or the tree edge to here
                     continue
                 ncode = rest | (b.bit_length() - 1) << s
                 x = ncode ^ old

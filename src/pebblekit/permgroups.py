@@ -134,8 +134,11 @@ class PermGroup:
                 chain[0].append(i)
                 chain[1].append(moves[1:])      # moves[0] is the identity
                 chain[2].append({u[i]: (u, u) for u in moves})
-        group = cls(degree)
+        # the chain is filled in, so the empty group's closure need not run
+        group = cls.__new__(cls)
+        group.degree = degree
         group.generators = tuple(generators)
+        group._id = identity_perm(degree)
         group._base, group._level_gens, group._trans = chain
         group._order, group._symmetric = factorial(degree), True
         return group

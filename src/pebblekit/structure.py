@@ -215,8 +215,11 @@ def _sweep_children(job) -> tuple[int, int, int, list[dict], list[tuple]]:
     downward from n-2; a k-pebble-win graph is also j-pebble-win for
     every j < k (drop the extra pebbles and project the moves), so the
     scan stops at the first win and counts the k-1 smaller instances as
-    checked wins.  The suite checks the counts against the labelled sweep
-    for n <= 6.
+    checked wins.  A witness for the least non-win k is one for every
+    larger k, since it may miss at most k vertices, so a class with a
+    non-win looks for one witness, there; only when that finds none is
+    each non-win k checked, downward, and each without a witness reported.
+    The suite checks the counts against the labelled sweep for n <= 6.
     """
     n, parents, keep = job
     bases = [tuple(range(k)) for k in range(n)]
@@ -227,15 +230,19 @@ def _sweep_children(job) -> tuple[int, int, int, list[dict], list[tuple]]:
         for adj, aut, gens in augmentations(*parent):
             children.append((adj, aut, gens))
             copies = factorial(n) // aut
-            g: Graph | None = None
-            for k in range(n - 2, 0, -1):
-                if _config_group(adj, n, bases[k])[1].is_symmetric():
-                    checked += k * copies
-                    break
-                checked += copies
-                non_win += copies
-                if g is None:
-                    g = graph_from_masks(adj)
+            win = n - 2
+            while win > 0 and not _config_group(adj, n, bases[win])[1].is_symmetric():
+                win -= 1
+            # win is the greatest winning k, or 0; each k above it is a non-win
+            checked += max(n - 2, 0) * copies
+            non_win += (n - 2 - win) * copies
+            if win >= n - 2:
+                continue
+            g = graph_from_masks(adj)
+            # a path missing at most win + 1 vertices misses at most k > win
+            if _find_witness(g, win + 1) is not None:
+                continue
+            for k in range(n - 2, win, -1):
                 if _find_witness(g, k) is None:
                     failures.append({
                         "n": n,

@@ -153,6 +153,9 @@ def test_checker_rejects_corrupted_linkages(half_setup):
     ("repeated vertex", "walk 0 repeats a vertex"),
     ("X beyond the prefix", "walk 0 uses X vertex .* beyond its prefix"),
     ("shared vertex", "walks 0 and 1 share vertex"),
+    ("sigma not iterable", "sigma key list 5 is not iterable"),
+    ("connector not iterable", "connector vertex list 5 is not iterable"),
+    ("X not iterable", "X vertex list 5 is not iterable"),
 ])
 def test_checker_refuses_each_broken_rule(half_setup, rule, message):
     hg, t, cols = half_setup
@@ -169,6 +172,12 @@ def test_checker_refuses_each_broken_rule(half_setup, rule, message):
         paths[0] = paths[0][:1] + paths[0]
     elif rule == "X beyond the prefix":
         X = frozenset({paths[0][-1]})       # on target ray 3, on no source ray
+    elif rule == "sigma not iterable":
+        sigma = 5
+    elif rule == "connector not iterable":
+        paths[0] = 5
+    elif rule == "X not iterable":
+        X = 5
     else:
         # up column 1 and along the rim through (3, 8), where walk 0 leaves
         paths[1] = tuple(t.index_of(c) for c in [(1, y) for y in range(9)]

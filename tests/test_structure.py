@@ -25,6 +25,7 @@ from pebblekit.structure import (SWEEP_MAX_N, StructureWitnessNotFound,
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import harvest_group, labelled_class, labelled_sweep
+from sweep_probe import probe
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_tree_certified_query_sifts_nothing(sifts):
     # to S_4; the chain's orbit product certifies it
     c5_pendant = graph_from_masks((38, 9, 17, 18, 12, 1))
     assert pebble_permutation_group(c5_pendant, (0, 1, 2, 3)).is_symmetric()
-    assert sifts == [(1, 3, 0, 2), (0, 2, 3, 1), (0, 3, 1, 2)]
+    assert sifts == [(2, 0, 3, 1), (0, 2, 3, 1)]
 
 
 def theta332() -> Graph:
@@ -231,14 +232,14 @@ def theta332() -> Graph:
 
 
 @pytest.mark.parametrize("make, start, dequeued", [
-    (theta7, (0, 1, 2, 3, 4), 9),
+    (theta7, (0, 1, 2, 3, 4), 7),
     (theta7, (6, 1, 2, 3), 7),
-    (theta332, (0, 1, 2, 3, 4), 37),
+    (theta332, (0, 1, 2, 3, 4), 31),
 ], ids=["theta7", "theta7-late", "theta332"])
 def test_conjugated_transpositions_end_the_search_early(monkeypatch, make,
                                                         start, dequeued):
-    # conjugates of proved transpositions complete the tree after 9, 7 and
-    # 37 configurations; transposition transports alone need 20, 24 and 157
+    # conjugates of proved transpositions complete the tree after 7, 7 and
+    # 31 configurations; transposition transports alone need 16, 13 and 157
     pops = []
 
     class CountingDeque(deque):
@@ -612,17 +613,47 @@ def test_class_sweep_matches_labelled_oracle():
 
 def test_sweep_failures_name_representatives(monkeypatch):
     # with every witness refused, each non-win is a failure, counted per
-    # labelled graph and reported once per class
-    import pebblekit.structure as structure
+    # labelled graph and reported once per class and k, each class's k
+    # downward from n - 2
     monkeypatch.setattr(structure, "_find_witness", lambda g, k: None)
     rep = verify_structure_theorem(5, workers=1)
     assert rep["failures"] == rep["non_pebble_win"] == 264
     detail = rep["failures_detail"]
     assert sum(f["labelled_copies"] for f in detail) == 264
     assert len(detail) < 264
-    for f in detail:
-        g = Graph.from_edges(f["n"], f["representative"])
-        assert is_connected(g) and not is_k_pebble_win(g, f["k"])
+    for (n, edges), fs in itertools.groupby(
+            detail, lambda f: (f["n"], f["representative"])):
+        g = Graph.from_edges(n, edges)
+        assert is_connected(g)
+        assert [f["k"] for f in fs] == [k for k in range(n - 2, 0, -1)
+                                        if not is_k_pebble_win(g, k)]
+
+
+def test_sweep_looks_for_one_witness_per_class(monkeypatch):
+    # a witness for a class's least non-win k serves every larger k, so a
+    # class with a non-win asks for one witness, there
+    asked = []
+    find = structure._find_witness
+    monkeypatch.setattr(structure, "_find_witness",
+                        lambda g, k: asked.append((g.n, k)) or find(g, k))
+    assert verify_structure_theorem(6, workers=1)["failures"] == 0
+    least = []
+    for n in range(3, 7):
+        for adj, _ in connected_graph_classes(n):
+            g = graph_from_masks(adj)
+            wins = [k for k in range(1, n - 1) if is_k_pebble_win(g, k)]
+            if len(wins) < n - 2:
+                least.append((n, len(wins) + 1))
+    assert sorted(asked) == sorted(least)
+
+
+def test_sweep_dequeues_are_pinned():
+    # 1,084 dequeues in all: the BFS reads a non-tree edge's loop when it
+    # first sees the edge, so it proves its tree of transpositions sooner;
+    # read at the end with the lesser configuration mask, 1,315
+    rows = probe(6)
+    assert [row["classes"] for row in rows.values()] == [1, 1, 2, 6, 21, 112]
+    assert [row["dequeues"] for row in rows.values()] == [0, 0, 0, 20, 131, 933]
 
 
 def test_sweep_generates_each_class_once(monkeypatch):
