@@ -340,9 +340,10 @@ def graph_from_masks(adj: tuple[int, ...]) -> Graph:
 # non-cut vertex, so every class arises once, from one parent class.
 # The levels are not canonical: a class keeps the labelling its parent
 # gave it, with |Aut G| and, when known, generators of Aut G.  A canonical
-# form is built for a child whose deletion invariant ties, and for a parent
-# with automorphisms but no generators; any other child's new vertex is
-# fixed by every automorphism, and |Aut| follows by orbit-stabilizer.
+# form is built for a child whose deletion invariant ties with a vertex
+# that is not a twin of the new one, and for a parent with automorphisms
+# but no generators.  Any other child's new vertex has for its orbit the
+# new vertex and its tied twins, and |Aut| follows by orbit-stabilizer.
 # ``connected_graph_classes`` canonises its final level.
 
 # 261,080 classes at n = 9, 11,716,571 at n = 10
@@ -469,9 +470,20 @@ def _canonical(adj: list[int]) -> tuple[tuple[int, ...], list[int], int, list[in
 def canonical_form(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(canonical neighbour bitmasks, |Aut G|) of the graph with neighbour
     bitmasks ``adj``.  Isomorphic graphs, and only they, get the same
-    canonical masks.  Capped at CLASSES_MAX_N vertices."""
-    if len(adj) > CLASSES_MAX_N:
-        raise ValidationError(f"at most {CLASSES_MAX_N} vertices, got {len(adj)}")
+    canonical masks.  Capped at CLASSES_MAX_N vertices; the masks must
+    be those of a simple graph."""
+    n = len(adj)
+    if n > CLASSES_MAX_N:
+        raise ValidationError(f"at most {CLASSES_MAX_N} vertices, got {n}")
+    for v, a in enumerate(adj):
+        if not _is_int(a) or a < 0 or a >> n:
+            raise ValidationError(f"vertex {v}: mask {a!r} is not a set of vertices below {n}")
+        if a >> v & 1:
+            raise ValidationError(f"vertex {v}: self-loop")
+    for v, a in enumerate(adj):
+        for u in _BITS[a]:
+            if not adj[u] >> v & 1:
+                raise ValidationError(f"vertex {v} lists {u}, which does not list {v}")
     canon, _, aut, _, _ = _canonical(list(adj))
     return canon, aut
 
@@ -498,14 +510,19 @@ def augmentations(parent: tuple[int, ...], parent_aut: int,
     neighbourhood, so one of lesser degree than n rejects a whole orbit of
     neighbourhoods before a child is built.  The invariant rejects most
     other children before any canonical form is built, and keeps most of
-    the rest without one: when n alone has the least invariant, every
-    automorphism of the child fixes n, so Aut(child) is the stabilizer in
-    Aut(parent) of n's neighbourhood, of order |Aut(parent)| over the size
-    of that neighbourhood's orbit, and all of Aut(parent) when the orbit is
-    one neighbourhood.  Removing a non-cut vertex leaves a connected graph,
-    so every connected class has one parent class.  An isomorphism between
-    two kept children can be made to fix n, so it joins their
-    neighbourhoods' orbits: each class arises once.
+    the rest without one: when every vertex tied with n on the least
+    invariant is a twin of n (the two have the same neighbours apart from
+    each other), swapping it with n is an automorphism, and an
+    automorphism keeps the invariant, so n's orbit T is n with its ties,
+    the deletion vertex lies in it and the child is kept.  Then the
+    automorphisms fixing n are the stabilizer in Aut(parent) of n's
+    neighbourhood, so |Aut(child)| is |T| times |Aut(parent)| over the size
+    of that neighbourhood's orbit; when the orbit is one neighbourhood,
+    Aut(parent) fixing n and the swaps generate Aut(child).  Any other
+    tie builds a canonical form.  Removing a non-cut vertex leaves a
+    connected graph, so every connected class has one parent class.  An
+    isomorphism between two kept children can be made to fix n, so it
+    joins their neighbourhoods' orbits: each class arises once.
     """
     n = len(parent)
     if n >= CLASSES_MAX_N:
@@ -551,10 +568,14 @@ def augmentations(parent: tuple[int, ...], parent_aut: int,
                 continue
             break                # u is a better deletion vertex than n
         else:
-            if not ties:
-                aut = parent_aut // len(members)
+            if all((adj[u] ^ s) & ~(1 << n | 1 << u) == 0 for u in ties):
+                # every tie is a twin of n: swapping the two is an
+                # automorphism, so the ties and n make up n's orbit
+                aut = (len(ties) + 1) * (parent_aut // len(members))
+                swaps = [[n if v == u else u if v == n else v for v in range(n + 1)]
+                         for u in ties]
                 out.append((adj, aut, [] if aut == 1 else
-                            [g + [n] for g in gens] if len(members) == 1 else None))
+                            [g + [n] for g in gens] + swaps if len(members) == 1 else None))
                 continue
             _, pos, aut, orbit, child_gens = _canonical(list(adj))
             if orbit[max(ties + [n], key=pos.__getitem__)] == orbit[n]:

@@ -31,6 +31,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import factorial
+from operator import index
 from typing import Callable
 
 from .errors import PebbleKitError, ValidationError
@@ -70,7 +71,17 @@ def pebble_permutation_group(g: Graph, start: GameState,
     return _graph_group(g, s, cap)[1]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int: 2.0 == 2, but a float cannot count
+    pebbles or vertices."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _base_group(g: Graph, k: int, cap: int) -> PermGroup:
+    k = _integer(k, "k")
     if not (1 <= k <= g.n):     # before the base state (0, ..., k-1) is built
         raise ValidationError(f"need 1 <= k <= {g.n}, got k={k}")
     return pebble_permutation_group(g, tuple(range(k)), cap)
@@ -178,6 +189,7 @@ def structure_witness(g: Graph, k: int,
     colouring of the base state (0, ..., k-1).  ``cap`` bounds the
     configurations searched.
     """
+    k = _integer(k, "k")
     if g.n < k + 2:
         raise ValidationError(f"need at least k+2 = {k + 2} vertices, got {g.n}")
     group = _base_group(g, k, cap)
@@ -279,11 +291,14 @@ def verify_structure_theorem(n_max: int, workers: int | None = None,
     seconds)`` is called as each n finishes, with its ``per_n`` row and the
     seconds since the start.
     """
+    n_max = _integer(n_max, "n_max")
     if not (1 <= n_max <= SWEEP_MAX_N):
         raise ValidationError(f"n_max must be between 1 and {SWEEP_MAX_N}")
-    if workers is not None and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers is None:
+    if workers is not None:
+        workers = _integer(workers, "workers")
+        if workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {workers}")
+    else:
         workers = (os.cpu_count() or 1) if n_max > 7 else 1
     workers = min(workers, os.cpu_count() or 1, -(-_CLASS_COUNTS[n_max - 1] // SWEEP_CHUNK))
     t0 = time.perf_counter()

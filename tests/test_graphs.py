@@ -293,11 +293,27 @@ def test_classes_range_check():
         augmentations(*canonical_form(adjacency_masks(complete_graph(CLASSES_MAX_N))))
 
 
+@pytest.mark.parametrize("adj, what", [
+    ((2, 0), "does not list 0"),
+    ((2, 5, 0), "does not list 1"),
+    ((4096, 1), "below 2"),
+    ((3,), "below 1"),
+    ((2, 3), "self-loop"),
+    ((-1, 1), "below 2"),
+    ((2.0, 1), "below 2"),
+], ids=["asymmetric", "asymmetric-late", "beyond-n", "loop-beyond-n", "self-loop",
+        "negative", "float"])
+def test_canonical_form_refuses_masks_of_no_simple_graph(adj, what):
+    with pytest.raises(ValidationError, match=what):
+        canonical_form(adj)
+
+
 def test_tie_free_children_get_aut_by_orbit_stabilizer(monkeypatch):
     # walk the class tree as the sweep does, parents in the labelling
-    # augmentations built; a child built without a canonical form has
-    # |Aut(parent)| / |orbit of its neighbourhood| automorphisms, which
-    # must be what its canonical form counts
+    # augmentations built; a child built without a canonical form, its
+    # new vertex tied with none or only with twins of it, has
+    # |ties and n| * |Aut(parent)| / |orbit of its neighbourhood|
+    # automorphisms, which must be what its canonical form counts
     import pebblekit.graphs as graphs
     canonised = set()
     canonical = graphs._canonical
@@ -313,13 +329,16 @@ def test_tie_free_children_get_aut_by_orbit_stabilizer(monkeypatch):
                 assert canonical(list(adj))[2] == aut, adj
         assert sorted(canonical(list(adj))[0] for adj, _, _ in level) == sorted(
             adj for adj, _ in connected_graph_classes(n)), n
-    assert tie_free > 500
+    # 630 children for n <= 7 pass the invariant alone, and 123 more have
+    # only twins of n among their ties
+    assert tie_free > 700
 
 
 def test_carried_generators_generate_the_automorphism_group():
     # the sweep hands each class's generators to its children, which
     # prune their neighbourhoods by the group these vertex maps generate:
-    # wherever they are carried they must generate exactly Aut G
+    # wherever they are carried, the parent's alone or with the swaps of
+    # the new vertex and its twins, they must generate exactly Aut G
     level = [((), 1, [])]
     carried = symmetric = 0
     for n in range(1, 9):
@@ -333,6 +352,47 @@ def test_carried_generators_generate_the_automorphism_group():
             carried += 1
             symmetric += aut > 1
     assert carried > 9_000 and symmetric > 5_000
+
+
+def _recording_canonical(monkeypatch) -> list:
+    import pebblekit.graphs as graphs
+    calls = []
+    canonical = graphs._canonical
+    monkeypatch.setattr(graphs, "_canonical",
+                        lambda adj: calls.append(tuple(adj)) or canonical(adj))
+    return calls
+
+
+def test_children_whose_ties_are_twins_need_no_canonical_form(monkeypatch):
+    # a leaf joined to the centre of the star K_{1,3} ties with the three
+    # old leaves, each a twin of it: the child K_{1,4} is kept with
+    # 4 * 3! / 1 automorphisms, which the star's generators, fixing the
+    # new leaf, and the three swaps of a leaf with it generate
+    calls = _recording_canonical(monkeypatch)
+    star = (0b1110, 1, 1, 1)
+    children = augmentations(star, 6, [[0, 2, 1, 3], [0, 1, 3, 2]])
+    assert calls == []
+    adj, aut, gens = next(c for c in children if c[0][0] == 0b11110)
+    assert adj == (0b11110, 1, 1, 1, 1)
+    assert aut == 24 == sum(_relabel(adj, p) == adj
+                            for p in itertools.permutations(range(5)))
+    assert [0, 4, 2, 3, 1] in gens and [0, 1, 2, 4, 3] in gens
+    for gamma in gens:
+        assert _relabel(adj, gamma) == adj, gamma
+    assert PermGroup(5, [tuple(g) for g in gens]).order() == 24
+
+
+def test_a_tie_that_is_no_twin_builds_a_canonical_form(monkeypatch):
+    # a leaf joined to an end of the path 0-1-2 ties with the other end,
+    # which has another neighbour; a vertex joined to both ends makes C4,
+    # where vertex 1 is a twin of the new vertex but 0 and 2 are not.
+    # Both children are decided by their canonical forms
+    calls = _recording_canonical(monkeypatch)
+    children = augmentations((2, 5, 2), 2, [[2, 1, 0]])
+    p4, c4 = (2 | 8, 5, 2, 1), (2 | 8, 5, 2 | 8, 5)
+    assert calls == [p4, c4]
+    assert {adj: aut for adj, aut, _ in children} == {
+        p4: 2, (2, 5 | 8, 2, 2): 6, c4: 8}
 
 
 # ---------------------------------------------------------------------------

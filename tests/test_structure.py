@@ -87,6 +87,22 @@ def test_huge_k_is_refused_before_a_state_is_built(c6):
     assert time.perf_counter() - t0 < 1
 
 
+class _Two:
+    """An integer that is no int, as numpy's are."""
+
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("k", [2.0, "2", None])
+def test_win_queries_refuse_a_k_that_is_no_integer(c6, k):
+    for call in (is_k_pebble_win, structure_witness):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            call(c6, k)
+    assert is_k_pebble_win(c6, _Two()) == is_k_pebble_win(c6, 2)
+    assert structure_witness(c6, _Two()) == structure_witness(c6, 2)
+
+
 def test_group_colouring_and_witness_require_connected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     for call in (lambda: pebble_permutation_group(g, (0, 1)),
@@ -654,24 +670,27 @@ def test_sweep_dequeues_are_pinned():
     rows = probe(6)
     assert [row["classes"] for row in rows.values()] == [1, 1, 2, 6, 21, 112]
     assert [row["dequeues"] for row in rows.values()] == [0, 0, 0, 20, 131, 933]
+    assert [row["canonical_forms"] for row in rows.values()] == [0, 0, 0, 3, 9, 48]
 
 
 def test_sweep_generates_each_class_once(monkeypatch):
-    # one canonical form per child whose deletion invariant ties, and one
-    # per parent with automorphisms that no generators came with: a
-    # child that passes the invariant alone gets |Aut| by orbit-stabilizer,
-    # and its parent's generators when every automorphism of the parent
-    # fixes its neighbourhood.  A canonical form for every parent with
-    # automorphisms took 108; for every parent and for every child that
-    # passes the invariant, 177; every level below n_max again, or every
-    # neighbourhood of a parent, 370
+    # one canonical form per child whose deletion invariant ties with a
+    # vertex that is not a twin of the new one, and one per parent with
+    # automorphisms that no generators came with: any other child gets
+    # |Aut| by orbit-stabilizer, the new vertex's orbit being it and its
+    # tied twins, and its parent's generators with the swaps of the twins
+    # when every automorphism of the parent fixes its neighbourhood.  A
+    # canonical form for every child whose invariant ties took 85; for
+    # every parent with automorphisms, 108; for every parent and for every
+    # child that passes the invariant, 177; every level below n_max again,
+    # or every neighbourhood of a parent, 370
     import pebblekit.graphs as graphs
     calls = []
     canonical = graphs._canonical
     monkeypatch.setattr(graphs, "_canonical",
                         lambda adj: calls.append(1) or canonical(adj))
     assert verify_structure_theorem(6, workers=1)["checked"] == 109_080
-    assert len(calls) <= 85
+    assert len(calls) <= 60
 
 
 def test_sweep_parallel_agrees(monkeypatch):
@@ -755,3 +774,16 @@ def test_sweep_rejects_large_n():
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValidationError, match="workers must be >= 1"):
         verify_structure_theorem(3, workers=workers)
+
+
+@pytest.mark.parametrize("n_max, workers, name", [
+    (3.0, 1, "n_max"), ("3", None, "n_max"), (3, 1.5, "workers"), (8, 1.5, "workers"),
+])
+def test_sweep_refuses_arguments_that_are_no_integers(n_max, workers, name):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        verify_structure_theorem(n_max, workers=workers)
+
+
+def test_sweep_reads_integer_arguments_as_ints():
+    rep = verify_structure_theorem(True, workers=_Two())
+    assert rep["n_max"] == 1 and type(rep["n_max"]) is int
